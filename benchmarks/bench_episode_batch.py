@@ -28,7 +28,7 @@ import time
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 from bench_utils import run_once, write_json_result, write_result
@@ -57,8 +57,7 @@ def _wire(sim, benign_rate: float, fir: float, seed: int) -> None:
     if fir > 0.0:
         last = ROWS * ROWS - 1
         sim.add_source(
-            FloodingAttacker(
-                FloodingConfig(attackers=(last, 3), victim=1, fir=fir),
+            AttackScenario(attackers=(last, 3), victim=1, fir=fir).build_source(
                 topology,
                 seed=seed + 2,
             )

@@ -23,7 +23,7 @@ from repro.monitor.features import (
 from repro.noc.network import MeshNetwork
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import Direction, MeshTopology
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 
@@ -33,8 +33,7 @@ def _loaded_simulator(rows=8, backend=""):
     )
     sim.add_source(UniformRandomTraffic(sim.topology, injection_rate=0.02, seed=0))
     sim.add_source(
-        FloodingAttacker(
-            FloodingConfig(attackers=(rows * rows - 1,), victim=0, fir=0.8),
+        AttackScenario(attackers=(rows * rows - 1,), victim=0, fir=0.8).build_source(
             sim.topology,
             seed=1,
         )

@@ -29,7 +29,7 @@ from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.obs.bus import BUS, RingBufferSink, trace_session
 from repro.obs.metrics import METRICS
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 ROWS = 16
@@ -45,8 +45,7 @@ def _monitored_simulator(rows=ROWS):
     )
     sim.add_source(UniformRandomTraffic(sim.topology, injection_rate=0.02, seed=0))
     sim.add_source(
-        FloodingAttacker(
-            FloodingConfig(attackers=(rows * rows - 1,), victim=0, fir=0.8),
+        AttackScenario(attackers=(rows * rows - 1,), victim=0, fir=0.8).build_source(
             sim.topology,
             seed=1,
         )

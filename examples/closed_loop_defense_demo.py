@@ -19,13 +19,12 @@ Run with:  python examples/closed_loop_defense_demo.py
 from __future__ import annotations
 
 from repro import (
+    AttackScenario,
     DL2Fence,
     DL2FenceConfig,
     DL2FenceGuard,
     DatasetBuilder,
     DatasetConfig,
-    FloodingAttacker,
-    FloodingConfig,
     MitigationPolicy,
     MonitorConfig,
     NoCSimulator,
@@ -57,14 +56,12 @@ def train_pipeline() -> tuple[DL2Fence, DatasetBuilder]:
     return fence, builder
 
 
-def make_live_simulator(
-    builder: DatasetBuilder, attack: FloodingConfig | None
-) -> NoCSimulator:
+def make_live_simulator(builder: DatasetBuilder, attack_source=None) -> NoCSimulator:
     """The live system under defense: benign workload, optionally attacked."""
     simulator = NoCSimulator(SimulationConfig(rows=ROWS, warmup_cycles=WARMUP, seed=3))
     simulator.add_source(builder.make_workload("uniform_random", seed=42))
-    if attack is not None:
-        simulator.add_source(FloodingAttacker(attack, builder.topology, seed=43))
+    if attack_source is not None:
+        simulator.add_source(attack_source)
     return simulator
 
 
@@ -79,7 +76,7 @@ def main() -> None:
     attack_end = WARMUP + (PRE_ATTACK_WINDOWS + ATTACK_WINDOWS) * PERIOD
 
     # -- no-attack baseline ---------------------------------------------------
-    baseline_sim = make_live_simulator(builder, attack=None)
+    baseline_sim = make_live_simulator(builder)
     baseline_sim.run(total_cycles)
     baseline = baseline_sim.latency(benign_only=True).packet_latency
     print(f"No-attack baseline benign packet latency: {baseline:.1f} cycles\n")
@@ -87,13 +84,7 @@ def main() -> None:
     # -- defended run ---------------------------------------------------------
     attacker_node = topology.node_id(6, 6)
     victim_node = topology.node_id(1, 1)
-    attack = FloodingConfig(
-        attackers=(attacker_node,),
-        victim=victim_node,
-        fir=FIR,
-        start_cycle=attack_start,
-        end_cycle=attack_end,
-    )
+    attack = AttackScenario(attackers=(attacker_node,), victim=victim_node, fir=FIR)
     policy = MitigationPolicy.throttle(
         0.1, engage_after=2, release_after=6, flush_queue=True
     )
@@ -104,7 +95,12 @@ def main() -> None:
     print(f"Policy: {policy.name} (engage after {policy.engage_after} detections, "
           f"release after {policy.release_after} clean windows)\n")
 
-    simulator = make_live_simulator(builder, attack=attack)
+    simulator = make_live_simulator(
+        builder,
+        attack.build_source(
+            topology, seed=43, start_cycle=attack_start, end_cycle=attack_end
+        ),
+    )
     guard = DL2FenceGuard(
         fence,
         policy,

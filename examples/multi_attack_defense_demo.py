@@ -27,13 +27,15 @@ from __future__ import annotations
 from repro import MitigationPolicy
 from repro.experiments import (
     ExperimentConfig,
+    baseline_benign_latency,
     default_multi_scenario,
-    run_defended_episode,
+    run_attack_episode,
     train_defense_pipeline,
 )
 
 ROWS = 16
 PERIOD = 256
+ATTACK_WINDOWS = 10
 FIR = 0.5
 BENCHMARK = "x264"
 
@@ -62,15 +64,19 @@ def main() -> None:
     print(f"Policy: {policy.name} (engage after {policy.engage_after} detections, "
           f"re-engage backoff x{policy.reengage_backoff:g})\n")
 
-    report, baseline = run_defended_episode(
+    baseline = baseline_benign_latency(
+        builder, BENCHMARK, attack_windows=ATTACK_WINDOWS
+    )
+    print(f"No-attack baseline benign packet latency: {baseline:.1f} cycles\n")
+    # Each flow of the multi-attack scenario is one attack model of the episode.
+    report = run_attack_episode(
         fence,
         builder,
         policy,
-        fir=FIR,
+        scenario.flows,
         benchmark=BENCHMARK,
-        scenario=scenario,
+        attack_windows=ATTACK_WINDOWS,
     )
-    print(f"No-attack baseline benign packet latency: {baseline:.1f} cycles\n")
 
     # -- report ---------------------------------------------------------------
     print(report.format_timeline())

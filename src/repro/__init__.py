@@ -52,8 +52,6 @@ from repro.noc import Direction, MeshTopology, NoCSimulator, SimulationConfig
 from repro.traffic import (
     AttackScenario,
     MultiAttackScenario,
-    FloodingAttacker,
-    FloodingConfig,
     ScenarioGenerator,
     make_parsec_workload,
     make_synthetic_traffic,
@@ -75,8 +73,6 @@ __all__ = [
     "DoSDetector",
     "DoSProfileLocalizer",
     "FeatureKind",
-    "FloodingAttacker",
-    "FloodingConfig",
     "GlobalPerformanceMonitor",
     "LocalizationResult",
     "MeshTopology",

@@ -143,10 +143,9 @@ class AttackModel(ABC):
 class AttackSource:
     """Traffic source driven by an :class:`AttackModel`'s emission plan.
 
-    Mirrors :class:`repro.traffic.flooding.FloodingAttacker`: the object-
-    building and array-batch paths share one vectorized RNG draw per active
-    cycle (``rng.random(num_flows)``), so the injected packet stream is
-    identical whichever path the simulator backend takes.
+    The object-building and array-batch paths share one vectorized RNG draw
+    per active cycle (``rng.random(num_flows)``), so the injected packet
+    stream is identical whichever path the simulator backend takes.
     """
 
     #: Marker the global performance monitor uses to track ground-truth

@@ -16,7 +16,6 @@ from repro.monitor.dataset import DatasetBuilder
 from repro.noc.simulator import NoCSimulator
 from repro.noc.topology import MeshTopology
 from repro.runtime.engine import ExperimentEngine
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
 from repro.traffic.scenario import AttackScenario, ScenarioGenerator
 
 __all__ = ["LatencyPoint", "run_latency_sweep"]
@@ -52,13 +51,16 @@ class _LatencyTask:
 
     config: ExperimentConfig
     benchmark: str
-    scenario: AttackScenario
-    fir: float
+    attack: AttackScenario
     cycles: int
 
 
 def _latency_point(task: _LatencyTask) -> LatencyPoint:
-    """Simulate one sweep point (module-level for the parallel runner)."""
+    """Simulate one sweep point (module-level for the parallel runner).
+
+    At FIR 0 the attack source never draws or emits, so that point is the
+    attack-free baseline of the same workload.
+    """
     config = task.config
     builder = DatasetBuilder(config.dataset_config())
     simulation_config = replace(
@@ -66,22 +68,14 @@ def _latency_point(task: _LatencyTask) -> LatencyPoint:
     )
     simulator = NoCSimulator(simulation_config)
     simulator.add_source(builder.make_workload(task.benchmark, seed=config.seed))
-    if task.fir > 0.0:
-        attacker = FloodingAttacker(
-            FloodingConfig(
-                attackers=task.scenario.attackers,
-                victim=task.scenario.victim,
-                fir=task.fir,
-            ),
-            builder.topology,
-            seed=config.seed + 1,
-        )
-        simulator.add_source(attacker)
+    simulator.add_source(
+        task.attack.build_source(builder.topology, seed=config.seed + 1)
+    )
     simulator.run(task.cycles)
     simulator.drain(max_cycles=12 * task.cycles)
     latency = simulator.latency(benign_only=True)
     return LatencyPoint(
-        fir=task.fir,
+        fir=task.attack.fir,
         packet_latency=latency.packet_latency,
         packet_queue_latency=latency.packet_queue_latency,
         flit_latency=latency.flit_latency,
@@ -133,7 +127,8 @@ def run_latency_sweep(
 
     def build() -> list[dict]:
         tasks = [
-            _LatencyTask(config, benchmark, scenario, fir, cycles) for fir in firs
+            _LatencyTask(config, benchmark, replace(scenario, fir=fir), cycles)
+            for fir in firs
         ]
         return [point.as_dict() for point in engine.runner.map(_latency_point, tasks)]
 

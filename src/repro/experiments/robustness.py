@@ -1,10 +1,22 @@
-"""Robustness matrix: the closed-loop defense against the refined-DoS library.
+"""The closed-loop episode harness, plus the robustness and chaos matrices.
 
-The mitigation sweep (:mod:`repro.experiments.mitigation`) measures the
-defense against the paper's constant-rate flood; this driver measures it
-against every variant of :mod:`repro.attacks` — pulsed, ramping, migrating,
-distributed colluding and on-route — over a range of mesh sizes.  For each
-(attack type, mesh) operating point it reports:
+Every closed-loop experiment — the Fig-6 mitigation sweep
+(:mod:`repro.experiments.mitigation`), the robustness matrix and the chaos
+matrix — is a list of :class:`EpisodeSpec` run by :func:`run_episodes`,
+plus a formatter that turns the results into table rows.  A spec is one
+simulation: a guarded episode (``policy`` set), its unmitigated comparator
+(``policy=None``), or the no-attack baseline (no attacks, no policy).  Its
+``attacks`` are a tuple of :class:`~repro.attacks.AttackModel` flows — a
+refined variant, a constant :class:`~repro.traffic.AttackScenario` flood,
+or the flows of a :class:`~repro.traffic.MultiAttackScenario` — and source
+``i`` is seeded ``seed + 1 + i``.  :func:`run_episodes` trains each fence
+once through the engine's artifact cache, memoises every episode
+individually and fans the cache misses out across worker processes.
+
+The robustness matrix measures the defense against every variant of
+:mod:`repro.attacks` — pulsed, ramping, migrating, distributed colluding
+and on-route — over a range of mesh sizes.  For each (attack type, mesh)
+operating point it reports:
 
 * **detection latency** — cycles from attack start until the guard first
   acts (detector fire *or* cross-window evidence conviction);
@@ -14,50 +26,50 @@ distributed colluding and on-route — over a range of mesh sizes.  For each
 * **collateral** — innocent nodes fenced, and innocent-node × window
   exposure.
 
-Episodes run at the adaptive operating point of each mesh scale
-(:meth:`repro.experiments.config.ExperimentConfig.for_mesh`), train one
-pipeline per mesh through the experiment engine's artifact cache, fan the
-independent episodes out across worker processes, and memoise each episode
-individually — extending the matrix by one attack type or mesh size only
-simulates what is new.
+The chaos matrix adds a fault axis (:func:`repro.faults.default_fault_suite`).
+Both run at the adaptive operating point of each mesh scale
+(:meth:`repro.experiments.config.ExperimentConfig.for_mesh`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.attacks import ATTACK_LIBRARY, AttackModel, default_attack
+from repro.core.config import DL2FenceConfig
 from repro.core.pipeline import DL2Fence
+from repro.defense.degraded import DegradedModeConfig
 from repro.defense.evidence import EvidenceConfig
 from repro.defense.guard import DL2FenceGuard
 from repro.defense.policy import MitigationPolicy
 from repro.defense.report import DefenseReport
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.mitigation import (
-    EpisodeShape,
-    baseline_benign_latency,
-    sweep_fence_key_payload,
-    train_defense_pipeline,
-)
 from repro.faults import default_fault_suite
 from repro.faults.base import FaultScenario
-from repro.monitor.dataset import DatasetBuilder, DatasetConfig
+from repro.monitor.dataset import DatasetBuilder
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.nn.dtype import default_dtype
 from repro.noc.simulator import NoCSimulator
 from repro.noc.stats import LatencyStats
-from repro.runtime.engine import ExperimentEngine
+from repro.runtime.engine import ExperimentEngine, fence_cache_payload
 
 __all__ = [
+    "DEFAULT_ATTACK_WINDOWS",
     "DEFAULT_ROBUSTNESS_POLICY",
     "ChaosPoint",
+    "EpisodeShape",
+    "EpisodeSpec",
     "RobustnessPoint",
+    "baseline_benign_latency",
     "run_attack_episode",
-    "unmitigated_attack_episode_latency",
     "run_chaos_matrix",
+    "run_episodes",
     "run_robustness_matrix",
+    "run_table",
+    "train_defense_pipeline",
+    "unmitigated_attack_episode_latency",
 ]
 
 #: Policy of the robustness matrix: full isolation with a longer engage
@@ -80,6 +92,8 @@ DEFAULT_ROBUSTNESS_POLICY = MitigationPolicy.quarantine(
 #: localization pass, after the release probe re-exposes the stragglers),
 #: so robustness episodes run much longer than the constant-flood sweeps.
 DEFAULT_ATTACK_WINDOWS = 24
+
+DEFAULT_TRAINING_BENCHMARKS = ("uniform_random", "tornado")
 
 
 @dataclass
@@ -220,34 +234,122 @@ class ChaosPoint:
         return cls(**data)
 
 
+def train_defense_pipeline(
+    config: ExperimentConfig,
+    benchmarks: tuple[str, ...] = DEFAULT_TRAINING_BENCHMARKS,
+    engine: ExperimentEngine | None = None,
+) -> tuple[DL2Fence, DatasetBuilder]:
+    """Train a DL2Fence pipeline at this experiment scale (once per mesh).
+
+    Routed through the experiment engine: the scenario runs and the trained
+    models are cached on disk, so a second sweep at the same mesh scale never
+    retrains.
+    """
+    engine = engine or ExperimentEngine.from_environment()
+    return engine.trained_fence(
+        config.dataset_config(),
+        DL2FenceConfig(seed=config.seed),
+        benchmarks=list(benchmarks),
+        scenarios_per_benchmark=config.scenarios_per_benchmark,
+        seed=config.seed,
+        detector_epochs=config.detector_epochs,
+        localizer_epochs=config.localizer_epochs,
+    )
+
+
+def _fence_key(
+    experiment: ExperimentConfig, training_benchmarks: tuple[str, ...]
+) -> dict:
+    """The training configuration that identifies an episode's fence.
+
+    Built by the same :func:`repro.runtime.engine.fence_cache_payload`
+    helper :meth:`ExperimentEngine.trained_fence` keys its cache entry
+    with (same arguments as :func:`train_defense_pipeline` passes), so
+    episode entries are shared exactly when the defending pipeline is.
+    """
+    return fence_cache_payload(
+        experiment.dataset_config(),
+        DL2FenceConfig(seed=experiment.seed),
+        list(training_benchmarks),
+        experiment.scenarios_per_benchmark,
+        (1, 2),
+        experiment.seed,
+        experiment.detector_epochs,
+        experiment.localizer_epochs,
+    )
+
+
+@dataclass(frozen=True)
+class EpisodeShape:
+    """Cycle arithmetic shared by every run of the same attack episode."""
+
+    total_cycles: int
+    attack_start: int
+    attack_end: int
+
+    @classmethod
+    def from_windows(
+        cls, builder: DatasetBuilder, pre: int, attack: int, post: int
+    ) -> "EpisodeShape":
+        period = builder.config.sample_period
+        warmup = builder.config.warmup_cycles
+        return cls(
+            total_cycles=warmup + (pre + attack + post) * period + 1,
+            attack_start=warmup + pre * period,
+            attack_end=warmup + (pre + attack) * period,
+        )
+
+
 def _attacked_simulator(
     builder: DatasetBuilder,
     benchmark: str,
-    model: AttackModel,
+    attacks: tuple[AttackModel, ...],
     shape: EpisodeShape,
     seed: int,
 ) -> NoCSimulator:
-    """The episode's system under attack (same for defended and unmitigated)."""
+    """The episode's system: the workload plus one source per attack flow."""
     config = builder.config
     simulator = NoCSimulator(config.simulation_config())
     simulator.add_source(builder.make_workload(benchmark, seed=seed))
-    simulator.add_source(
-        model.build_source(
-            builder.topology,
-            seed=seed + 1,
-            packet_size_flits=config.packet_size_flits,
-            start_cycle=shape.attack_start,
-            end_cycle=shape.attack_end,
+    for index, model in enumerate(attacks):
+        simulator.add_source(
+            model.build_source(
+                builder.topology,
+                seed=seed + 1 + index,
+                packet_size_flits=config.packet_size_flits,
+                start_cycle=shape.attack_start,
+                end_cycle=shape.attack_end,
+            )
         )
-    )
     return simulator
+
+
+def baseline_benign_latency(
+    builder: DatasetBuilder,
+    benchmark: str = "uniform_random",
+    pre_attack_windows: int = 4,
+    attack_windows: int = DEFAULT_ATTACK_WINDOWS,
+    post_attack_windows: int = 4,
+    seed: int = 42,
+) -> float:
+    """No-attack benign latency over the episode's measurement horizon.
+
+    The latency the defended system is trying to get back to; independent
+    of attack and policy, so a driver needs it once per mesh/benchmark.
+    """
+    shape = EpisodeShape.from_windows(
+        builder, pre_attack_windows, attack_windows, post_attack_windows
+    )
+    simulator = _attacked_simulator(builder, benchmark, (), shape, seed)
+    simulator.run(shape.total_cycles)
+    return simulator.latency(benign_only=True).packet_latency
 
 
 def run_attack_episode(
     fence: DL2Fence,
     builder: DatasetBuilder,
     policy: MitigationPolicy,
-    model: AttackModel,
+    attacks: tuple[AttackModel, ...],
     benchmark: str = "uniform_random",
     pre_attack_windows: int = 4,
     attack_windows: int = DEFAULT_ATTACK_WINDOWS,
@@ -255,13 +357,13 @@ def run_attack_episode(
     seed: int = 42,
     evidence: EvidenceConfig | bool = True,
     faults: FaultScenario | None = None,
-    degraded: bool = True,
 ) -> DefenseReport:
-    """One guarded episode of ``model`` over a benign workload.
+    """One guarded episode of the ``attacks`` flows over a benign workload.
 
-    ``true_attackers`` of the report is the model's ``containment_nodes``
-    set, so ``time_to_full_containment`` demands every position of a
-    migrating attacker (and every colluding source) fenced at once.
+    ``true_attackers`` of the report is the union of the flows'
+    ``containment_nodes``, so ``time_to_full_containment`` demands every
+    position of a migrating attacker (and every colluding source, and every
+    flow of a multi-flow flood) fenced at once.
 
     ``faults`` installs a fault scenario on the episode.  Monitor-plane
     faults sit between the sampler and the guard: the simulated hardware is
@@ -270,21 +372,21 @@ def run_attack_episode(
     Data-plane faults break the mesh itself — links or routers die at
     their scheduled cycle and traffic detours around them.  The fault plane
     is seeded with the episode ``seed``, so a faulted episode is exactly as
-    reproducible as a clean one.  ``degraded`` toggles the guard's window
-    sanitisation.
+    reproducible as a clean one.
     """
     shape = EpisodeShape.from_windows(
         builder, pre_attack_windows, attack_windows, post_attack_windows
     )
-    simulator = _attacked_simulator(builder, benchmark, model, shape, seed)
+    simulator = _attacked_simulator(builder, benchmark, attacks, shape, seed)
     guard = DL2FenceGuard(
         fence,
         policy,
         attack_start=shape.attack_start,
         attack_end=shape.attack_end,
-        true_attackers=model.containment_nodes,
+        true_attackers=tuple(
+            sorted({node for model in attacks for node in model.containment_nodes})
+        ),
         evidence=evidence,
-        degraded=degraded,
     )
     monitor_config = MonitorConfig(sample_period=builder.config.sample_period)
     if faults is None:
@@ -300,18 +402,22 @@ def run_attack_episode(
 
 def unmitigated_attack_episode_latency(
     builder: DatasetBuilder,
-    model: AttackModel,
+    attacks: tuple[AttackModel, ...],
     benchmark: str = "uniform_random",
     pre_attack_windows: int = 4,
     attack_windows: int = DEFAULT_ATTACK_WINDOWS,
     post_attack_windows: int = 4,
     seed: int = 42,
 ) -> float:
-    """Benign latency of the same episode with no defense (the comparator)."""
+    """Benign latency of the same episode with no defense (the comparator).
+
+    Measured over benign packets delivered while the attack runs, skipping
+    the first window so the congestion has built up.
+    """
     shape = EpisodeShape.from_windows(
         builder, pre_attack_windows, attack_windows, post_attack_windows
     )
-    simulator = _attacked_simulator(builder, benchmark, model, shape, seed)
+    simulator = _attacked_simulator(builder, benchmark, attacks, shape, seed)
     simulator.run(shape.total_cycles)
     period = builder.config.sample_period
     span = [
@@ -326,99 +432,229 @@ def unmitigated_attack_episode_latency(
 
 
 @dataclass(frozen=True)
-class _RobustnessTask:
-    """One independent simulation of the matrix fan-out."""
+class EpisodeSpec:
+    """One closed-loop simulation, as a cache-hashable description.
 
-    kind: str  # "unmitigated" | "episode"
-    dataset_config: DatasetConfig
-    benchmark: str
-    model: AttackModel
-    attack_windows: int
+    ``policy=None`` makes the spec the unmitigated comparator of its
+    attacks; no attacks and no policy make it the no-attack baseline.
+    ``experiment`` and ``training_benchmarks`` identify the fence that
+    defends a guarded episode.  ``evidence=True`` resolves to the default
+    :class:`EvidenceConfig`, so the knob values enter the cache key.
+    """
+
+    experiment: ExperimentConfig
+    training_benchmarks: tuple[str, ...] = DEFAULT_TRAINING_BENCHMARKS
+    benchmark: str = "uniform_random"
+    attacks: tuple[AttackModel, ...] = ()
+    faults: FaultScenario | None = None
     policy: MitigationPolicy | None = None
     evidence: EvidenceConfig | bool = True
-    fence: DL2Fence | None = None
-    faults: FaultScenario | None = None
+    attack_windows: int = DEFAULT_ATTACK_WINDOWS
+
+    def __post_init__(self) -> None:
+        if self.evidence is True:
+            object.__setattr__(self, "evidence", EvidenceConfig())
+        if self.faults is not None and self.policy is None:
+            raise ValueError("a fault scenario needs a guarded episode (a policy)")
 
 
-def _task_cache_payload(task: _RobustnessTask, fence_key: dict) -> tuple[str, dict]:
-    """(cache kind, payload) of one matrix task's per-episode cache entry."""
+def _task_cache_payload(spec: EpisodeSpec) -> tuple[str, dict]:
+    """(cache kind, payload) of one episode's cache entry.
+
+    A comparator or baseline depends only on the simulated system; a
+    guarded episode also on everything that shapes the guard's decisions.
+    The fence object cannot enter a key; its training configuration
+    stands in for it.
+    """
     payload = {
-        "config": task.dataset_config,
-        "benchmark": task.benchmark,
-        "attack": task.model,
-        "attack_windows": task.attack_windows,
-        "dtype": default_dtype(),
+        "config": spec.experiment.dataset_config(),
+        "benchmark": spec.benchmark,
+        "attacks": spec.attacks,
+        "attack_windows": spec.attack_windows,
     }
-    if task.kind == "unmitigated":
-        return "robustness-unmitigated", payload
-    payload["policy"] = task.policy
-    payload["evidence"] = task.evidence
-    payload["fence"] = fence_key
-    if task.faults is not None:
-        payload["faults"] = task.faults
-        return "chaos-episode", payload
-    return "robustness-episode", payload
-
-
-def _run_robustness_task(task: _RobustnessTask):
-    """Execute one matrix simulation (module-level for worker processes)."""
-    builder = DatasetBuilder(task.dataset_config)
-    if task.kind == "unmitigated":
-        return unmitigated_attack_episode_latency(
-            builder,
-            task.model,
-            benchmark=task.benchmark,
-            attack_windows=task.attack_windows,
-        )
-    return run_attack_episode(
-        task.fence,
-        builder,
-        task.policy,
-        task.model,
-        benchmark=task.benchmark,
-        attack_windows=task.attack_windows,
-        evidence=task.evidence,
-        faults=task.faults,
+    if spec.policy is None:
+        return "comparator", payload
+    payload.update(
+        faults=spec.faults,
+        policy=spec.policy,
+        evidence=spec.evidence,
+        degraded=DegradedModeConfig(),
+        fence=_fence_key(spec.experiment, spec.training_benchmarks),
+        dtype=default_dtype(),
     )
+    return "episode", payload
 
 
 def _fetch_task_result(engine: ExperimentEngine, kind: str, payload: dict):
-    """Load one cached matrix result (None on miss)."""
-    if kind == "robustness-unmitigated":
-        return engine.cache.fetch(
-            kind,
-            payload,
-            lambda directory: float(
-                json.loads((directory / "value.json").read_text())["value"]
-            ),
-        )
-    return engine.cache.fetch(
-        kind,
-        payload,
-        lambda directory: DefenseReport.from_payload(
+    """Load one cached episode result (None on miss)."""
+
+    def load(directory):
+        if kind == "comparator":
+            return float(json.loads((directory / "value.json").read_text())["value"])
+        return DefenseReport.from_payload(
             json.loads((directory / "report.json").read_text())
-        ),
-    )
+        )
+
+    return engine.cache.fetch(kind, payload, load)
 
 
 def _store_task_result(engine: ExperimentEngine, kind: str, payload: dict, result):
-    """Persist one matrix result into the per-episode cache."""
-    if kind == "robustness-unmitigated":
-        engine.cache.store(
-            kind,
-            payload,
-            lambda directory: (directory / "value.json").write_text(
-                json.dumps({"value": float(result)})
-            ),
+    """Persist one episode result into the per-episode cache."""
+
+    def save(directory) -> None:
+        if kind == "comparator":
+            (directory / "value.json").write_text(json.dumps({"value": float(result)}))
+        else:
+            (directory / "report.json").write_text(json.dumps(result.to_payload()))
+
+    engine.cache.store(kind, payload, save)
+
+
+def _run_episode(job: tuple[EpisodeSpec, DL2Fence | None]):
+    """Simulate one spec (module-level for worker processes)."""
+    spec, fence = job
+    builder = DatasetBuilder(spec.experiment.dataset_config())
+    if spec.policy is not None:
+        return run_attack_episode(
+            fence,
+            builder,
+            spec.policy,
+            spec.attacks,
+            benchmark=spec.benchmark,
+            attack_windows=spec.attack_windows,
+            evidence=spec.evidence,
+            faults=spec.faults,
         )
-    else:
-        engine.cache.store(
-            kind,
-            payload,
-            lambda directory: (directory / "report.json").write_text(
-                json.dumps(result.to_payload())
-            ),
+    if spec.attacks:
+        return unmitigated_attack_episode_latency(
+            builder,
+            spec.attacks,
+            benchmark=spec.benchmark,
+            attack_windows=spec.attack_windows,
         )
+    return baseline_benign_latency(
+        builder, spec.benchmark, attack_windows=spec.attack_windows
+    )
+
+
+def run_episodes(
+    specs: list[EpisodeSpec], engine: ExperimentEngine | None = None
+) -> list[DefenseReport | float]:
+    """Results of ``specs`` in order: a report per guarded episode, else a latency.
+
+    Every spec is memoised individually, so extending a sweep by one FIR,
+    attack or mesh only simulates what is new.  Each fence is trained (or
+    loaded) once, and only when one of its episodes misses the cache; the
+    misses fan out across the engine's worker processes, bit-identical to
+    the serial order because every episode carries its own seeds.
+    """
+    engine = engine or ExperimentEngine.from_environment()
+    keys = [_task_cache_payload(spec) for spec in specs]
+    results = [_fetch_task_result(engine, kind, payload) for kind, payload in keys]
+    missing = [index for index, result in enumerate(results) if result is None]
+    fences: dict = {}
+    jobs = []
+    for index in missing:
+        spec = specs[index]
+        fence = None
+        if spec.policy is not None:
+            identity = (spec.experiment, spec.training_benchmarks)
+            if identity not in fences:
+                fences[identity], _ = train_defense_pipeline(
+                    spec.experiment, spec.training_benchmarks, engine=engine
+                )
+            fence = fences[identity]
+        jobs.append((spec, fence))
+    for index, result in zip(missing, engine.runner.map(_run_episode, jobs)):
+        results[index] = result
+        _store_task_result(engine, *keys[index], result)
+    return results
+
+
+def run_table(
+    kind: str,
+    specs: list[EpisodeSpec],
+    format_points,
+    engine: ExperimentEngine,
+    extra=None,
+) -> list[dict]:
+    """Table records of ``format_points(results)`` over ``specs``, memoised whole.
+
+    The memo key is every episode's own key (plus ``extra``, for formatter
+    inputs the specs do not carry), so the table is invalidated exactly
+    when one of its episodes would be.
+    """
+    return engine.cached_records(
+        kind,
+        {"episodes": [_task_cache_payload(spec) for spec in specs], "extra": extra},
+        lambda: [
+            point.to_payload() for point in format_points(run_episodes(specs, engine))
+        ],
+    )
+
+
+def outcome_fields(spec: EpisodeSpec, report: DefenseReport, baseline: float) -> dict:
+    """The point fields every guarded-episode table shares."""
+    truth = set(report.true_attackers)
+    return dict(
+        rows=spec.experiment.rows,
+        policy=spec.policy.name,
+        benchmark=spec.benchmark,
+        detected=report.detection_latency is not None,
+        detection_latency=report.detection_latency,
+        time_to_mitigation=report.time_to_mitigation,
+        time_to_full_containment=report.time_to_full_containment,
+        num_attackers=len(truth),
+        attackers_fenced=len(truth & report.engaged_nodes),
+        collateral_nodes=tuple(sorted(report.collateral_nodes)),
+        collateral_node_windows=report.collateral_node_windows,
+        localization_rounds=report.localization_rounds,
+        reengagements=report.reengagements,
+        baseline_latency=baseline,
+        attack_latency=report.attack_latency(),
+        mitigated_latency=report.post_mitigation_latency(),
+        recovery_ratio=report.recovery_ratio(baseline),
+    )
+
+
+def _contained(report: DefenseReport) -> bool:
+    return report.time_to_full_containment is not None and not report.collateral_nodes
+
+
+def _library_suites(
+    attacks: tuple[str, ...] | None,
+    rows_values: tuple[int, ...],
+    config: ExperimentConfig | None,
+    fir: float,
+    colluding_fir: float,
+) -> list[tuple[ExperimentConfig, tuple[AttackModel, ...]]]:
+    """Per mesh: the experiment scale and the canonical attack placements.
+
+    The concrete attack models (not just their names) enter the episode
+    keys: the canonical per-mesh placements evolve with the library, and a
+    cached matrix must never outlive the scenarios it measured.
+    """
+    names = tuple(attacks) if attacks is not None else tuple(ATTACK_LIBRARY)
+    suites = []
+    for rows in rows_values:
+        experiment = (
+            config.scaled(rows=rows)
+            if config is not None
+            else ExperimentConfig.for_mesh(rows)
+        )
+        topology = experiment.dataset_config().topology()
+        models = tuple(
+            default_attack(
+                name,
+                topology,
+                experiment.sample_period,
+                fir=fir,
+                colluding_fir=colluding_fir,
+            )
+            for name in names
+        )
+        suites.append((experiment, models))
+    return suites
 
 
 def run_robustness_matrix(
@@ -430,7 +666,7 @@ def run_robustness_matrix(
     fir: float = 0.8,
     colluding_fir: float = 0.2,
     attack_windows: int = DEFAULT_ATTACK_WINDOWS,
-    training_benchmarks: tuple[str, ...] = ("uniform_random", "tornado"),
+    training_benchmarks: tuple[str, ...] = DEFAULT_TRAINING_BENCHMARKS,
     evidence: EvidenceConfig | bool = True,
     engine: ExperimentEngine | None = None,
 ) -> list[RobustnessPoint]:
@@ -443,167 +679,46 @@ def run_robustness_matrix(
     generalization of the deployed detector plus the evidence accumulator,
     not memorisation of the attack shape.
     """
-    attack_names = tuple(attacks) if attacks is not None else tuple(ATTACK_LIBRARY)
-    for name in attack_names:
-        if name not in ATTACK_LIBRARY:
-            raise KeyError(f"unknown attack variant {name!r}")
-    if evidence is True:
-        # Resolve the default up-front so the accumulator's actual knob
-        # values (not the bare flag) enter every cache key below.
-        evidence = EvidenceConfig()
     engine = engine or ExperimentEngine.from_environment()
-    experiments = {
-        rows: (
-            config.scaled(rows=rows)
-            if config is not None
-            else ExperimentConfig.for_mesh(rows)
+    training_benchmarks = tuple(training_benchmarks)
+    specs = []
+    suites = _library_suites(attacks, rows_values, config, fir, colluding_fir)
+    for experiment, models in suites:
+        baseline = EpisodeSpec(
+            experiment, training_benchmarks, benchmark, attack_windows=attack_windows
         )
-        for rows in rows_values
-    }
-    # The concrete attack models (not just their names) enter the key: the
-    # canonical per-mesh placements evolve with the library, and a cached
-    # matrix must never outlive the scenarios it measured.
-    suites = {
-        rows: {
-            name: default_attack(
-                name,
-                experiment.dataset_config().topology(),
-                experiment.sample_period,
-                fir=fir,
-                colluding_fir=colluding_fir,
+        specs.append(baseline)
+        for model in models:
+            specs.append(replace(baseline, attacks=(model,)))
+            specs.append(
+                replace(baseline, attacks=(model,), policy=policy, evidence=evidence)
             )
-            for name in attack_names
-        }
-        for rows, experiment in experiments.items()
-    }
-    payload = {
-        "attacks": attack_names,
-        "suites": {str(rows): suites[rows] for rows in rows_values},
-        "experiments": {str(rows): experiments[rows] for rows in rows_values},
-        "policy": policy,
-        "benchmark": benchmark,
-        "attack_windows": attack_windows,
-        "training_benchmarks": tuple(training_benchmarks),
-        "evidence": evidence,
-        "dtype": default_dtype(),
-    }
-    records = engine.cached_records(
-        "robustness-matrix",
-        payload,
-        lambda: [
-            point.to_payload()
-            for point in _compute_robustness_points(
-                attack_names,
-                experiments,
-                suites,
-                policy,
-                benchmark,
-                attack_windows,
-                tuple(training_benchmarks),
-                evidence,
-                engine,
-            )
-        ],
-    )
+
+    def format_points(results) -> list[RobustnessPoint]:
+        points = []
+        for spec, result in zip(specs, results):
+            if not spec.attacks:
+                baseline_latency = result
+            elif spec.policy is None:
+                unmitigated = result
+            else:
+                model = spec.attacks[0]
+                points.append(
+                    RobustnessPoint(
+                        attack=model.name,
+                        contained=_contained(result),
+                        evidence_convictions=sum(
+                            1 for event in result.events if event.kind == "convicted"
+                        ),
+                        unmitigated_latency=unmitigated,
+                        description=model.describe(),
+                        **outcome_fields(spec, result, baseline_latency),
+                    )
+                )
+        return points
+
+    records = run_table("robustness-matrix", specs, format_points, engine)
     return [RobustnessPoint.from_payload(record) for record in records]
-
-
-def _compute_robustness_points(
-    attack_names: tuple[str, ...],
-    experiments: dict[int, ExperimentConfig],
-    suites: dict[int, dict[str, AttackModel]],
-    policy: MitigationPolicy,
-    benchmark: str,
-    attack_windows: int,
-    training_benchmarks: tuple[str, ...],
-    evidence: EvidenceConfig | bool,
-    engine: ExperimentEngine,
-) -> list[RobustnessPoint]:
-    """Cache-miss path: train per mesh, fan episodes out, assemble points."""
-    points: list[RobustnessPoint] = []
-    for rows, experiment in experiments.items():
-        fence, builder = train_defense_pipeline(
-            experiment, benchmarks=training_benchmarks, engine=engine
-        )
-        mesh_baseline = baseline_benign_latency(
-            builder, benchmark=benchmark, attack_windows=attack_windows
-        )
-        suite = suites[rows]
-        tasks: list[_RobustnessTask] = []
-        for name in attack_names:
-            tasks.append(
-                _RobustnessTask(
-                    kind="unmitigated",
-                    dataset_config=builder.config,
-                    benchmark=benchmark,
-                    model=suite[name],
-                    attack_windows=attack_windows,
-                )
-            )
-            tasks.append(
-                _RobustnessTask(
-                    kind="episode",
-                    dataset_config=builder.config,
-                    benchmark=benchmark,
-                    model=suite[name],
-                    attack_windows=attack_windows,
-                    policy=policy,
-                    evidence=evidence,
-                    fence=fence,
-                )
-            )
-        fence_key = sweep_fence_key_payload(experiment, training_benchmarks)
-        cache_keys = [_task_cache_payload(task, fence_key) for task in tasks]
-        cached = [
-            _fetch_task_result(engine, kind, payload) for kind, payload in cache_keys
-        ]
-        missing = [index for index, value in enumerate(cached) if value is None]
-        fresh = engine.runner.map(
-            _run_robustness_task, [tasks[index] for index in missing]
-        )
-        for index, value in zip(missing, fresh):
-            cached[index] = value
-            kind, payload = cache_keys[index]
-            _store_task_result(engine, kind, payload, value)
-        results = iter(cached)
-        for name in attack_names:
-            unmitigated = next(results)
-            report = next(results)
-            model = suite[name]
-            truth = set(model.containment_nodes)
-            contained = (
-                report.time_to_full_containment is not None
-                and not report.collateral_nodes
-            )
-            points.append(
-                RobustnessPoint(
-                    attack=name,
-                    rows=rows,
-                    policy=policy.name,
-                    detected=report.detection_latency is not None,
-                    detection_latency=report.detection_latency,
-                    time_to_mitigation=report.time_to_mitigation,
-                    time_to_full_containment=report.time_to_full_containment,
-                    num_attackers=len(truth),
-                    attackers_fenced=len(truth & report.engaged_nodes),
-                    contained=contained,
-                    collateral_nodes=tuple(sorted(report.collateral_nodes)),
-                    collateral_node_windows=report.collateral_node_windows,
-                    localization_rounds=report.localization_rounds,
-                    reengagements=report.reengagements,
-                    evidence_convictions=sum(
-                        1 for event in report.events if event.kind == "convicted"
-                    ),
-                    baseline_latency=mesh_baseline,
-                    attack_latency=report.attack_latency(),
-                    unmitigated_latency=unmitigated,
-                    mitigated_latency=report.post_mitigation_latency(),
-                    recovery_ratio=report.recovery_ratio(mesh_baseline),
-                    benchmark=benchmark,
-                    description=model.describe(),
-                )
-            )
-    return points
 
 
 def run_chaos_matrix(
@@ -616,7 +731,7 @@ def run_chaos_matrix(
     fir: float = 0.8,
     colluding_fir: float = 0.2,
     attack_windows: int = DEFAULT_ATTACK_WINDOWS,
-    training_benchmarks: tuple[str, ...] = ("uniform_random", "tornado"),
+    training_benchmarks: tuple[str, ...] = DEFAULT_TRAINING_BENCHMARKS,
     evidence: EvidenceConfig | bool = True,
     engine: ExperimentEngine | None = None,
 ) -> list[ChaosPoint]:
@@ -628,204 +743,78 @@ def run_chaos_matrix(
     comparator).  The per-mesh pipeline training and its cache entry are
     shared with :func:`run_robustness_matrix` — only the episodes are new.
     """
-    attack_names = tuple(attacks) if attacks is not None else tuple(ATTACK_LIBRARY)
-    for name in attack_names:
-        if name not in ATTACK_LIBRARY:
-            raise KeyError(f"unknown attack variant {name!r}")
-    if evidence is True:
-        evidence = EvidenceConfig()
     engine = engine or ExperimentEngine.from_environment()
-    experiments = {
-        rows: (
-            config.scaled(rows=rows)
-            if config is not None
-            else ExperimentConfig.for_mesh(rows)
+    training_benchmarks = tuple(training_benchmarks)
+    specs = []
+    suites = _library_suites(attacks, rows_values, config, fir, colluding_fir)
+    for experiment, models in suites:
+        dataset = experiment.dataset_config()
+        # Fault scenarios are topology-dependent (the silent/stuck node
+        # picks depend on the mesh), so each mesh scale gets its own suite.
+        # The canonical link kill lands three sampling windows into the
+        # attack: mid-episode, after detection has had a fault-free shot,
+        # with most of the attack still ahead on the degraded mesh.
+        fault_suite = default_fault_suite(
+            dataset.topology(),
+            link_kill_cycle=dataset.warmup_cycles + 7 * experiment.sample_period,
         )
-        for rows in rows_values
-    }
-    suites = {
-        rows: {
-            name: default_attack(
-                name,
-                experiment.dataset_config().topology(),
-                experiment.sample_period,
-                fir=fir,
-                colluding_fir=colluding_fir,
-            )
-            for name in attack_names
-        }
-        for rows, experiment in experiments.items()
-    }
-    # Fault scenarios are topology-dependent (the silent/stuck node picks
-    # depend on the mesh), so each mesh scale gets its own suite.  The
-    # canonical link kill lands three sampling windows into the attack:
-    # mid-episode, after detection has had a fault-free shot, with most of
-    # the attack still ahead on the degraded mesh.
-    fault_suites = {
-        rows: default_fault_suite(
-            experiment.dataset_config().topology(),
-            link_kill_cycle=(
-                experiment.dataset_config().warmup_cycles
-                + 7 * experiment.sample_period
-            ),
-        )
-        for rows, experiment in experiments.items()
-    }
-    if fault_scenarios is None:
-        scenario_names = tuple(fault_suites[rows_values[0]])
-    else:
-        scenario_names = tuple(fault_scenarios)
-        for name in scenario_names:
-            if name not in fault_suites[rows_values[0]]:
+        names = tuple(fault_suite if fault_scenarios is None else fault_scenarios)
+        for name in names:
+            if name not in fault_suite:
                 raise KeyError(f"unknown fault scenario {name!r}")
-    payload = {
-        "attacks": attack_names,
-        "scenarios": scenario_names,
-        "suites": {str(rows): suites[rows] for rows in rows_values},
-        "fault_suites": {
-            str(rows): {name: fault_suites[rows][name] for name in scenario_names}
-            for rows in rows_values
-        },
-        "experiments": {str(rows): experiments[rows] for rows in rows_values},
-        "policy": policy,
-        "benchmark": benchmark,
-        "attack_windows": attack_windows,
-        "training_benchmarks": tuple(training_benchmarks),
-        "evidence": evidence,
-        "dtype": default_dtype(),
-    }
-    records = engine.cached_records(
-        "chaos-matrix",
-        payload,
-        lambda: [
-            point.to_payload()
-            for point in _compute_chaos_points(
-                attack_names,
-                scenario_names,
-                experiments,
-                suites,
-                fault_suites,
-                policy,
-                benchmark,
-                attack_windows,
-                tuple(training_benchmarks),
-                evidence,
-                engine,
-            )
-        ],
-    )
-    return [ChaosPoint.from_payload(record) for record in records]
-
-
-def _compute_chaos_points(
-    attack_names: tuple[str, ...],
-    scenario_names: tuple[str, ...],
-    experiments: dict[int, ExperimentConfig],
-    suites: dict[int, dict[str, AttackModel]],
-    fault_suites: dict[int, dict[str, FaultScenario]],
-    policy: MitigationPolicy,
-    benchmark: str,
-    attack_windows: int,
-    training_benchmarks: tuple[str, ...],
-    evidence: EvidenceConfig | bool,
-    engine: ExperimentEngine,
-) -> list[ChaosPoint]:
-    """Cache-miss path: train per mesh, fan faulted episodes out, assemble."""
-    points: list[ChaosPoint] = []
-    for rows, experiment in experiments.items():
-        fence, builder = train_defense_pipeline(
-            experiment, benchmarks=training_benchmarks, engine=engine
+        baseline = EpisodeSpec(
+            experiment, training_benchmarks, benchmark, attack_windows=attack_windows
         )
-        mesh_baseline = baseline_benign_latency(
-            builder, benchmark=benchmark, attack_windows=attack_windows
-        )
-        suite = suites[rows]
-        fault_suite = fault_suites[rows]
-        grid = [
-            (attack_name, scenario_name)
-            for attack_name in attack_names
-            for scenario_name in scenario_names
-        ]
-        tasks = [
-            _RobustnessTask(
-                kind="episode",
-                dataset_config=builder.config,
-                benchmark=benchmark,
-                model=suite[attack_name],
-                attack_windows=attack_windows,
+        specs.append(baseline)
+        specs.extend(
+            replace(
+                baseline,
+                attacks=(model,),
+                faults=fault_suite[name],
                 policy=policy,
                 evidence=evidence,
-                fence=fence,
-                faults=fault_suite[scenario_name],
             )
-            for attack_name, scenario_name in grid
-        ]
-        fence_key = sweep_fence_key_payload(experiment, training_benchmarks)
-        cache_keys = [_task_cache_payload(task, fence_key) for task in tasks]
-        cached = [
-            _fetch_task_result(engine, kind, payload) for kind, payload in cache_keys
-        ]
-        missing = [index for index, value in enumerate(cached) if value is None]
-        fresh = engine.runner.map(
-            _run_robustness_task, [tasks[index] for index in missing]
+            for model in models
+            for name in names
         )
-        for index, value in zip(missing, fresh):
-            cached[index] = value
-            kind, payload = cache_keys[index]
-            _store_task_result(engine, kind, payload, value)
-        for (attack_name, scenario_name), report in zip(grid, cached):
-            model = suite[attack_name]
-            scenario = fault_suite[scenario_name]
-            topology = builder.topology
+
+    def format_points(results) -> list[ChaosPoint]:
+        points = []
+        for spec, result in zip(specs, results):
+            if spec.policy is None:
+                baseline_latency = result
+                continue
+            model, scenario = spec.attacks[0], spec.faults
+            topology = spec.experiment.dataset_config().topology()
             fault_nodes = tuple(sorted(scenario.affected_nodes(topology)))
-            truth = set(model.containment_nodes)
             # Count punishments of *fault-only* nodes: a node that is both
             # faulty and a true attacker is a legitimate fence target.
-            fault_only = set(fault_nodes) - truth
-            contained = (
-                report.time_to_full_containment is not None
-                and not report.collateral_nodes
-            )
-            fault_engagements = sum(
-                sum(1 for node in event.nodes if node in fault_only)
-                for event in report.events
-                if event.kind == "engaged"
-            )
-            fault_convictions = sum(
-                sum(1 for node in event.nodes if node in fault_only)
-                for event in report.events
-                if event.kind == "convicted"
-            )
+            fault_only = set(fault_nodes) - set(result.true_attackers)
+
+            def fault_hits(kind: str) -> int:
+                return sum(
+                    sum(1 for node in event.nodes if node in fault_only)
+                    for event in result.events
+                    if event.kind == kind
+                )
+
             points.append(
                 ChaosPoint(
-                    attack=attack_name,
-                    rows=rows,
-                    scenario=scenario_name,
-                    policy=policy.name,
+                    attack=model.name,
+                    scenario=scenario.name,
                     fault_nodes=fault_nodes,
-                    detected=report.detection_latency is not None,
-                    detection_latency=report.detection_latency,
-                    time_to_mitigation=report.time_to_mitigation,
-                    time_to_full_containment=report.time_to_full_containment,
-                    num_attackers=len(truth),
-                    attackers_fenced=len(truth & report.engaged_nodes),
-                    contained=contained,
-                    collateral_nodes=tuple(sorted(report.collateral_nodes)),
-                    collateral_node_windows=report.collateral_node_windows,
-                    fault_node_engagements=fault_engagements,
-                    fault_node_convictions=fault_convictions,
-                    windows_delivered=len(report.windows),
-                    localization_rounds=report.localization_rounds,
-                    reengagements=report.reengagements,
-                    baseline_latency=mesh_baseline,
-                    attack_latency=report.attack_latency(),
-                    mitigated_latency=report.post_mitigation_latency(),
-                    fresh_mitigated_latency=report.post_mitigation_fresh_latency(),
-                    recovery_ratio=report.recovery_ratio(mesh_baseline),
-                    fresh_recovery_ratio=report.fresh_recovery_ratio(mesh_baseline),
-                    sample_period=builder.config.sample_period,
-                    benchmark=benchmark,
+                    contained=_contained(result),
+                    fault_node_engagements=fault_hits("engaged"),
+                    fault_node_convictions=fault_hits("convicted"),
+                    windows_delivered=len(result.windows),
+                    fresh_mitigated_latency=result.post_mitigation_fresh_latency(),
+                    fresh_recovery_ratio=result.fresh_recovery_ratio(baseline_latency),
+                    sample_period=spec.experiment.sample_period,
                     description=f"{model.describe()} | faults: {scenario.describe()}",
+                    **outcome_fields(spec, result, baseline_latency),
                 )
             )
-    return points
+        return points
+
+    records = run_table("chaos-matrix", specs, format_points, engine)
+    return [ChaosPoint.from_payload(record) for record in records]

@@ -199,7 +199,7 @@ class DatasetBuilder:
         simulator = NoCSimulator(self.config.simulation_config())
         simulator.add_source(self.make_workload(benchmark, seed=seed))
         if scenario is not None:
-            attacker = scenario.attacker_source(
+            attacker = scenario.build_source(
                 self.topology,
                 seed=seed + 1,
                 packet_size_flits=self.config.packet_size_flits,

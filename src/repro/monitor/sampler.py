@@ -58,10 +58,9 @@ class GlobalPerformanceMonitor:
         """Register the monitor as a periodic observer of ``simulator``.
 
         Malicious sources are recognised by their ``is_attack_source``
-        marker (both :class:`~repro.traffic.flooding.FloodingAttacker` and
-        every :class:`~repro.attacks.AttackSource` of the refined-DoS
-        library carry it), so the ground-truth ``attack_active`` flag works
-        for any attack shape without the monitor importing attack classes.
+        marker (every :class:`~repro.attacks.AttackSource` carries it), so
+        the ground-truth ``attack_active`` flag works for any attack shape
+        without the monitor importing attack classes.
         """
         simulator.add_observer(self.config.sample_period, self.sample)
         self._attackers = [

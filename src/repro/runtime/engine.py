@@ -154,7 +154,7 @@ def _simulate_batched_runs(tasks: tuple[RunTask, ...]) -> list[ScenarioRun]:
         lane.add_source(builder.make_workload(task.benchmark, seed=task.seed))
         if task.scenario is not None:
             lane.add_source(
-                task.scenario.attacker_source(
+                task.scenario.build_source(
                     builder.topology,
                     seed=task.seed + 1,
                     packet_size_flits=config.packet_size_flits,

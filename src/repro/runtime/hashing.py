@@ -29,7 +29,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "canonical_payload", "cache_key"]
 #: default, changing every cached mitigation/robustness episode timeline.
 #: v3: degraded-mode sanitisation, staggered release probes and the
 #: drain-aware window accounting change every cached episode timeline again.
-CACHE_SCHEMA_VERSION = 3
+#: v4: every closed-loop experiment shares one episode harness; its episode
+#: keys carry the evidence and degraded-mode configs.
+CACHE_SCHEMA_VERSION = 4
 
 
 def canonical_payload(obj: Any) -> Any:

@@ -6,9 +6,11 @@ Contains the traffic generators used in the paper's evaluation:
   shuffle, neighbor, bit rotation and bit complement;
 * PARSEC-like phased workload models (blackscholes, bodytrack, x264) that
   stand in for the Gem5 full-system runs;
-* the refined Flooding-DoS model with a finely adjustable Flooding Injection
-  Rate (FIR), Section 2.3 of the paper;
-* attack-scenario composition utilities used for dataset generation.
+* the Flooding-DoS model with a finely adjustable Flooding Injection Rate
+  (FIR), Section 2.3 of the paper: :class:`AttackScenario`, a constant-rate
+  flood expressed as an :class:`~repro.attacks.AttackModel`, and
+  :class:`MultiAttackScenario`, concurrent floods on disjoint victims;
+* attack-scenario generation used for dataset generation.
 """
 
 from repro.traffic.synthetic import (
@@ -28,7 +30,6 @@ from repro.traffic.parsec import (
     ParsecWorkload,
     make_parsec_workload,
 )
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
 from repro.traffic.scenario import (
     AttackScenario,
     MultiAttackScenario,
@@ -43,8 +44,6 @@ __all__ = [
     "MultiAttackScenario",
     "BitComplementTraffic",
     "BitRotationTraffic",
-    "FloodingAttacker",
-    "FloodingConfig",
     "NeighborTraffic",
     "ParsecPhase",
     "ParsecWorkload",

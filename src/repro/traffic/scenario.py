@@ -1,9 +1,18 @@
 """Attack-scenario composition used for dataset generation and evaluation.
 
-The paper simulates "18 attack scenarios under 0.8 FIR across 6 + 3
-benchmarks", mixing single- and dual-attacker patterns.  This module provides
-the :class:`AttackScenario` description object plus a reproducible
-:class:`ScenarioGenerator` that draws such scenarios for a given mesh.
+Section 2.3 of the paper defines the threat model: one or more malicious
+nodes flood a single victim with protocol-legal packets that overlay the
+benign workload and follow the default XY routes, so every router on the
+way becomes a Routing-Path Victim.  The intensity is the **Flooding
+Injection Rate (FIR)** in [0, 1], the per-attacker, per-cycle injection
+probability; near 1 the NoC saturates ("system crashed" in Figure 1).
+
+:class:`AttackScenario` is that constant-rate flood, expressed as an
+:class:`~repro.attacks.AttackModel` so it drives the simulator through the
+same :class:`~repro.attacks.AttackSource` as every refined variant.  The
+paper simulates "18 attack scenarios under 0.8 FIR across 6 + 3
+benchmarks", mixing single- and dual-attacker patterns; the reproducible
+:class:`ScenarioGenerator` draws such scenarios for a given mesh.
 """
 
 from __future__ import annotations
@@ -12,9 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.noc.routing import xy_route_victims
+from repro.attacks.base import AttackModel, AttackSource
 from repro.noc.topology import MeshTopology
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
 from repro.traffic.parsec import PARSEC_WORKLOADS
 from repro.traffic.synthetic import SYNTHETIC_PATTERNS
 
@@ -35,8 +43,11 @@ def benchmark_names(include_parsec: bool = True) -> list[str]:
 
 
 @dataclass(frozen=True)
-class AttackScenario:
-    """A fully specified flooding scenario on a given mesh.
+class AttackScenario(AttackModel):
+    """A constant-rate flood: every attacker floods ``victim`` at ``fir``.
+
+    Not registered in :data:`repro.attacks.ATTACK_LIBRARY` — the library
+    holds the *refined* variants the robustness matrix sweeps.
 
     Attributes
     ----------
@@ -45,7 +56,7 @@ class AttackScenario:
     victim:
         Target victim node id.
     fir:
-        Flooding Injection Rate for all attackers.
+        Flooding Injection Rate for all attackers; ``fir=0`` never emits.
     benchmark:
         Name of the benign workload the attack overlays (one of the 6 STP
         patterns or 3 PARSEC workloads); informational only.
@@ -55,6 +66,8 @@ class AttackScenario:
     victim: int
     fir: float = 0.8
     benchmark: str = "uniform_random"
+
+    name = "constant"
 
     def __post_init__(self) -> None:
         if not self.attackers:
@@ -68,38 +81,13 @@ class AttackScenario:
     def num_attackers(self) -> int:
         return len(self.attackers)
 
-    def flooding_config(
-        self,
-        packet_size_flits: int = 4,
-        start_cycle: int = 0,
-        end_cycle: int | None = None,
-    ) -> FloodingConfig:
-        """Convert the scenario to a :class:`FloodingConfig`."""
-        return FloodingConfig(
-            attackers=self.attackers,
-            victim=self.victim,
-            fir=self.fir,
-            packet_size_flits=packet_size_flits,
-            start_cycle=start_cycle,
-            end_cycle=end_cycle,
-        )
+    def emitters(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self.attackers, (self.victim,) * len(self.attackers)
 
-    def attacker_source(
-        self, topology: MeshTopology, seed: int = 0, **kwargs
-    ) -> FloodingAttacker:
-        """Build the :class:`FloodingAttacker` traffic source for this scenario."""
-        return FloodingAttacker(self.flooding_config(**kwargs), topology, seed=seed)
-
-    def ground_truth_victims(self, topology: MeshTopology) -> set[int]:
-        """All Routing-Path Victims plus the target victim of the scenario.
-
-        This is the segmentation ground truth: every router traversed by at
-        least one flooding flow under XY routing.
-        """
-        victims: set[int] = set()
-        for attacker in self.attackers:
-            victims.update(xy_route_victims(topology, attacker, self.victim))
-        return victims
+    def fir_profile_at(self, rel_cycle: int) -> np.ndarray | None:
+        if self.fir == 0.0:
+            return None
+        return np.full(len(self.attackers), self.fir, dtype=np.float64)
 
     def describe(self) -> str:
         """One-line human-readable description."""
@@ -118,7 +106,8 @@ class MultiAttackScenario:
     reveal the rest (Figure 3's multi-attacker rules).  This object composes
     independent :class:`AttackScenario` flows — each with its own victim —
     into one concurrent threat, which is the distributed-DoS shape related
-    work (topology-aware NoC DDoS) identifies as the realistic model.
+    work (topology-aware NoC DDoS) identifies as the realistic model.  An
+    episode runs ``flows`` as its tuple of attack models.
 
     Attributes
     ----------
@@ -190,10 +179,10 @@ class MultiAttackScenario:
     # -- simulation wiring ---------------------------------------------------
     def attacker_sources(
         self, topology: MeshTopology, seed: int = 0, **kwargs
-    ) -> list[FloodingAttacker]:
-        """One :class:`FloodingAttacker` per flow (independent RNG streams)."""
+    ) -> list[AttackSource]:
+        """One :class:`AttackSource` per flow (independent RNG streams)."""
         return [
-            flow.attacker_source(topology, seed=seed + index, **kwargs)
+            flow.build_source(topology, seed=seed + index, **kwargs)
             for index, flow in enumerate(self.flows)
         ]
 

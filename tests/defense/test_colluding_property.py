@@ -78,7 +78,7 @@ class TestColludingBelowThresholdProperty:
             fence,
             builder,
             DEFAULT_ROBUSTNESS_POLICY,
-            lone_flood(colluding_attack),
+            (lone_flood(colluding_attack),),
             evidence=False,
         )
         detected_windows = sum(1 for window in report.windows if window.detected)
@@ -91,7 +91,7 @@ class TestColludingBelowThresholdProperty:
         """All four below-threshold sources end up fenced simultaneously."""
         fence, builder = defense_setup
         report = run_attack_episode(
-            fence, builder, DEFAULT_ROBUSTNESS_POLICY, colluding_attack
+            fence, builder, DEFAULT_ROBUSTNESS_POLICY, (colluding_attack,)
         )
         truth = set(colluding_attack.containment_nodes)
         assert truth.issubset(report.engaged_nodes)
@@ -105,7 +105,7 @@ class TestColludingBelowThresholdProperty:
         convicted from accumulated sub-threshold windows."""
         fence, builder = defense_setup
         report = run_attack_episode(
-            fence, builder, DEFAULT_ROBUSTNESS_POLICY, lone_flood(colluding_attack)
+            fence, builder, DEFAULT_ROBUSTNESS_POLICY, (lone_flood(colluding_attack),)
         )
         assert set(lone_flood(colluding_attack).attackers).issubset(
             report.engaged_nodes

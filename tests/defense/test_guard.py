@@ -16,7 +16,7 @@ from repro.defense.policy import MitigationPolicy
 from repro.monitor.sampler import MonitorConfig
 from repro.noc.packet import Packet
 from repro.noc.simulator import NoCSimulator, SimulationConfig
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 
 
 class ScriptedFence:
@@ -252,16 +252,11 @@ class TestClosedLoopWithOracle:
         attack_start = self.WARMUP + 3 * self.PERIOD
         attack_end = attack_start + attack_windows * self.PERIOD
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(
-                    attackers=(attacker,),
-                    victim=victim,
-                    fir=0.8,
-                    start_cycle=attack_start,
-                    end_cycle=attack_end,
-                ),
+            AttackScenario(attackers=(attacker,), victim=victim, fir=0.8).build_source(
                 simulator.topology,
                 seed=43,
+                start_cycle=attack_start,
+                end_cycle=attack_end,
             )
         )
         guard = DL2FenceGuard(
@@ -317,15 +312,14 @@ class TestTrainedPipelineIntegration:
         attack_start = config.warmup_cycles + 2 * config.sample_period
         if scenario is not None:
             simulator.add_source(
-                FloodingAttacker(
-                    FloodingConfig(
-                        attackers=scenario.attackers,
-                        victim=scenario.victim,
-                        fir=fir,
-                        start_cycle=attack_start,
-                    ),
+                AttackScenario(
+                    attackers=scenario.attackers,
+                    victim=scenario.victim,
+                    fir=fir,
+                ).build_source(
                     builder.topology,
                     seed=78,
+                    start_cycle=attack_start,
                 )
             )
         cycles = config.warmup_cycles + windows * config.sample_period + 1

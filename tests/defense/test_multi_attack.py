@@ -208,7 +208,7 @@ class TestQuarantineOscillationRegression:
         attack_start = WARMUP + 2 * PERIOD
         attack_end = attack_start + self.ATTACK_WINDOWS * PERIOD
         simulator.add_source(
-            scenario.attacker_source(
+            scenario.build_source(
                 simulator.topology,
                 seed=5,
                 start_cycle=attack_start,
@@ -276,19 +276,21 @@ class TestTrainedPipelineMultiAttack:
     def test_learned_guard_engages_on_multi_attack(
         self, trained_pipeline, small_builder
     ):
-        from repro.experiments.mitigation import (
-            default_multi_scenario,
-            run_defended_episode,
+        from repro.experiments.mitigation import default_multi_scenario
+        from repro.experiments.robustness import (
+            baseline_benign_latency,
+            run_attack_episode,
         )
 
         scenario = default_multi_scenario(small_builder, num_flows=2, fir=0.8)
-        report, baseline = run_defended_episode(
+        report = run_attack_episode(
             trained_pipeline,
             small_builder,
             MitigationPolicy.quarantine(engage_after=2, release_after=6),
-            fir=0.8,
-            scenario=scenario,
+            scenario.flows,
+            attack_windows=10,
         )
+        baseline = baseline_benign_latency(small_builder, attack_windows=10)
         assert baseline > 0.0
         assert report.first_detection_cycle is not None
         assert report.engagement_cycle is not None

@@ -16,7 +16,7 @@ from repro.defense.policy import MitigationPolicy
 from repro.defense.report import DefenseReport
 from repro.monitor.sampler import MonitorConfig
 from repro.noc.simulator import NoCSimulator, SimulationConfig
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 from tests.defense.test_guard import OracleFence, drive
@@ -92,16 +92,11 @@ class TestDrainAwareAccounting:
         attack_start = self.WARMUP + 2 * self.PERIOD
         attack_end = attack_start + attack_windows * self.PERIOD
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(
-                    attackers=(attacker,),
-                    victim=victim,
-                    fir=0.8,
-                    start_cycle=attack_start,
-                    end_cycle=attack_end,
-                ),
+            AttackScenario(attackers=(attacker,), victim=victim, fir=0.8).build_source(
                 simulator.topology,
                 seed=43,
+                start_cycle=attack_start,
+                end_cycle=attack_end,
             )
         )
         guard = DL2FenceGuard(

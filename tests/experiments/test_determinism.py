@@ -11,10 +11,8 @@ comparison exhaustive rather than spot-checked.
 from __future__ import annotations
 
 from repro.defense.policy import MitigationPolicy
-from repro.experiments.mitigation import (
-    default_multi_scenario,
-    run_defended_episode,
-)
+from repro.experiments.mitigation import default_multi_scenario
+from repro.experiments.robustness import run_attack_episode
 from repro.traffic.scenario import ScenarioGenerator
 
 
@@ -25,16 +23,9 @@ class TestEpisodeDeterminism:
         policy = MitigationPolicy.quarantine(engage_after=2, release_after=4)
 
         def episode():
-            report, baseline = run_defended_episode(
-                trained_pipeline,
-                small_builder,
-                policy,
-                fir=0.8,
-                scenario=scenario,
-                seed=123,
-                baseline_latency=10.0,  # skip the baseline re-simulation
+            return run_attack_episode(
+                trained_pipeline, small_builder, policy, scenario.flows, seed=123
             )
-            return report
 
         first = episode().as_dict()
         second = episode().as_dict()
@@ -46,14 +37,8 @@ class TestEpisodeDeterminism:
         policy = MitigationPolicy.quarantine(engage_after=2, release_after=4)
 
         def episode(seed):
-            report, _ = run_defended_episode(
-                trained_pipeline,
-                small_builder,
-                policy,
-                fir=0.8,
-                scenario=scenario,
-                seed=seed,
-                baseline_latency=10.0,
+            report = run_attack_episode(
+                trained_pipeline, small_builder, policy, scenario.flows, seed=seed
             )
             return report.as_dict()
 

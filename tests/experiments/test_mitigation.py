@@ -5,26 +5,37 @@ import math
 from repro.defense.policy import MitigationPolicy
 from repro.defense.report import PHASES
 from repro.experiments import ExperimentConfig, format_rows
-from repro.experiments.mitigation import (
-    run_defended_episode,
-    run_mitigation_sweep,
-    unmitigated_attack_latency,
+from repro.experiments.mitigation import run_mitigation_sweep
+from repro.experiments.robustness import (
+    baseline_benign_latency,
+    run_attack_episode,
+    unmitigated_attack_episode_latency,
 )
+from repro.traffic.scenario import AttackScenario
 
 QUICK = ExperimentConfig.quick()
+WINDOWS = dict(pre_attack_windows=2, attack_windows=4, post_attack_windows=2)
+
+
+def diagonal_flood(builder, fir=0.8):
+    topology = builder.topology
+    return AttackScenario(
+        attackers=(topology.node_id(topology.columns - 2, topology.rows - 2),),
+        victim=topology.node_id(1, 1),
+        fir=fir,
+    )
 
 
 class TestDefendedEpisode:
     def test_report_and_baseline(self, trained_pipeline, small_builder):
-        report, baseline = run_defended_episode(
+        report = run_attack_episode(
             trained_pipeline,
             small_builder,
             MitigationPolicy.throttle(0.1),
-            fir=0.8,
-            pre_attack_windows=2,
-            attack_windows=4,
-            post_attack_windows=2,
+            (diagonal_flood(small_builder),),
+            **WINDOWS,
         )
+        baseline = baseline_benign_latency(small_builder, **WINDOWS)
         assert baseline > 0.0
         assert len(report.windows) == 8
         assert all(window.phase in PHASES for window in report.windows)
@@ -39,12 +50,8 @@ class TestDefendedEpisode:
                 assert window.restricted == ()
 
     def test_unmitigated_comparator(self, small_builder):
-        latency = unmitigated_attack_latency(
-            small_builder,
-            fir=0.8,
-            pre_attack_windows=2,
-            attack_windows=4,
-            post_attack_windows=2,
+        latency = unmitigated_attack_episode_latency(
+            small_builder, (diagonal_flood(small_builder),), **WINDOWS
         )
         assert not math.isnan(latency)
         assert latency > 0.0

@@ -6,7 +6,7 @@ import pytest
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import Direction, MeshTopology
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 
@@ -14,11 +14,8 @@ def make_simulator(with_attack=False, rows=6, warmup=16, seed=0):
     sim = NoCSimulator(SimulationConfig(rows=rows, warmup_cycles=warmup, seed=seed))
     sim.add_source(UniformRandomTraffic(sim.topology, injection_rate=0.03, seed=seed))
     if with_attack:
-        attacker = FloodingAttacker(
-            FloodingConfig(attackers=(rows * rows - 1,), victim=0, fir=0.9),
-            sim.topology,
-            seed=seed + 1,
-        )
+        attack = AttackScenario(attackers=(rows * rows - 1,), victim=0, fir=0.9)
+        attacker = attack.build_source(sim.topology, seed=seed + 1)
         sim.add_source(attacker)
     return sim
 

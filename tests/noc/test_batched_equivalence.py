@@ -23,7 +23,7 @@ from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import Direction
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 SAMPLE_PERIOD = 64
@@ -50,8 +50,7 @@ def _wire_episode(simulator, rows, variant, seed):
     if variant == "flood":
         last = rows * rows - 1
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(attackers=(last, 3), victim=1, fir=0.8),
+            AttackScenario(attackers=(last, 3), victim=1, fir=0.8).build_source(
                 topology,
                 seed=seed + 2,
             )

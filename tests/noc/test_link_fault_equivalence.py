@@ -21,7 +21,7 @@ from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import Direction
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 SAMPLE_PERIOD = 64
@@ -49,8 +49,7 @@ def _flooded_simulator(backend, rows, fir=0.8, seed=0):
     if fir > 0.0:
         last = rows * rows - 1
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(attackers=(last, 3), victim=1, fir=fir),
+            AttackScenario(attackers=(last, 3), victim=1, fir=fir).build_source(
                 simulator.topology,
                 seed=seed + 2,
             )
@@ -235,8 +234,7 @@ class TestLocalInjectionTelemetry:
         )
         flooder = simulator.topology.num_nodes - 1
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(attackers=(flooder,), victim=1, fir=0.25),
+            AttackScenario(attackers=(flooder,), victim=1, fir=0.25).build_source(
                 simulator.topology,
                 seed=2,
             )
@@ -282,8 +280,7 @@ class TestBatchedBackendUnderFault:
             if variant == "flood":
                 last = rows * rows - 1
                 simulator.add_source(
-                    FloodingAttacker(
-                        FloodingConfig(attackers=(last, 3), victim=1, fir=0.8),
+                    AttackScenario(attackers=(last, 3), victim=1, fir=0.8).build_source(
                         simulator.topology,
                         seed=seed + 2,
                     )

@@ -15,7 +15,7 @@ from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.soa import DEFAULT_XY_TABLE_MAX_NODES, mesh_tables
 from repro.noc.topology import MeshTopology
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 from .test_soa_equivalence import assert_same_samples, assert_same_stats
@@ -29,8 +29,7 @@ def _flooded(backend, rows=6, cycles=450, seed=0):
         UniformRandomTraffic(simulator.topology, injection_rate=0.05, seed=seed + 1)
     )
     simulator.add_source(
-        FloodingAttacker(
-            FloodingConfig(attackers=(rows * rows - 1, 3), victim=1, fir=0.8),
+        AttackScenario(attackers=(rows * rows - 1, 3), victim=1, fir=0.8).build_source(
             simulator.topology,
             seed=seed + 2,
         )
@@ -93,8 +92,7 @@ class TestLargeMeshSmoke:
             UniformRandomTraffic(simulator.topology, injection_rate=0.01, seed=1)
         )
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(attackers=(attacker,), victim=victim, fir=0.8),
+            AttackScenario(attackers=(attacker,), victim=victim, fir=0.8).build_source(
                 simulator.topology,
                 seed=2,
             )

@@ -17,7 +17,7 @@ from repro.monitor.features import FeatureKind
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import Direction
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic, make_synthetic_traffic
 
 BACKENDS = ("soa", "object")
@@ -47,10 +47,11 @@ def _flooded_simulator(backend, rows, fir, num_vcs=4, seed=0, attackers=None):
     if fir > 0.0:
         last = rows * rows - 1
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(
-                    attackers=attackers or (last, 3), victim=1, fir=fir
-                ),
+            AttackScenario(
+                attackers=attackers or (last, 3),
+                victim=1,
+                fir=fir,
+            ).build_source(
                 simulator.topology,
                 seed=seed + 2,
             )
@@ -206,16 +207,11 @@ class TestClosedLoopFingerprints:
             )
             attackers = (34, 5)[:num_attackers]
             simulator.add_source(
-                FloodingAttacker(
-                    FloodingConfig(
-                        attackers=attackers,
-                        victim=1,
-                        fir=0.8,
-                        start_cycle=200,
-                        end_cycle=900,
-                    ),
+                AttackScenario(attackers=attackers, victim=1, fir=0.8).build_source(
                     simulator.topology,
                     seed=6,
+                    start_cycle=200,
+                    end_cycle=900,
                 )
             )
             guard = DL2FenceGuard(

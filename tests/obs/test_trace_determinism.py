@@ -24,7 +24,7 @@ from repro.monitor.sampler import MonitorConfig
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.obs.bus import BUS, JsonlSink, RingBufferSink, serialize_event, trace_session
-from repro.traffic.flooding import FloodingAttacker, FloodingConfig
+from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
 SAMPLE_PERIOD = 64
@@ -55,8 +55,7 @@ def _wire_guarded_episode(simulator, rows, variant, seed):
     if variant == "flood":
         last = rows * rows - 1
         simulator.add_source(
-            FloodingAttacker(
-                FloodingConfig(attackers=(last, 3), victim=1, fir=0.8),
+            AttackScenario(attackers=(last, 3), victim=1, fir=0.8).build_source(
                 topology,
                 seed=seed + 2,
             )
@@ -211,16 +210,11 @@ class TestLearnedPipelineTraced:
                 UniformRandomTraffic(simulator.topology, injection_rate=0.04, seed=5)
             )
             simulator.add_source(
-                FloodingAttacker(
-                    FloodingConfig(
-                        attackers=(34, 5),
-                        victim=1,
-                        fir=0.8,
-                        start_cycle=200,
-                        end_cycle=900,
-                    ),
+                AttackScenario(attackers=(34, 5), victim=1, fir=0.8).build_source(
                     simulator.topology,
                     seed=6,
+                    start_cycle=200,
+                    end_cycle=900,
                 )
             )
             guard = DL2FenceGuard(

@@ -7,12 +7,13 @@ from repro.core.config import DL2FenceConfig
 from repro.core.pipeline import DL2Fence
 from repro.defense.policy import MitigationPolicy
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.mitigation import run_defended_episode, train_defense_pipeline
+from repro.experiments.robustness import run_attack_episode, train_defense_pipeline
 from repro.monitor.dataset import DatasetBuilder, DatasetConfig
 from repro.noc.topology import Direction
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import ExperimentEngine
 from repro.runtime.parallel import ParallelRunner
+from repro.traffic.scenario import AttackScenario
 
 QUICK_DATASET = DatasetConfig(
     rows=5, sample_period=64, samples_per_run=2, warmup_cycles=16, seed=11
@@ -168,14 +169,13 @@ class TestCachedVersusFreshDefense:
         assert cached_engine.cache.stats.hits >= 1
 
         def episode(fence, builder):
-            report, _ = run_defended_episode(
-                fence,
-                builder,
-                policy,
-                fir=0.8,
-                seed=123,
-                attack_windows=6,
-                baseline_latency=10.0,
+            topology = builder.topology
+            attack = AttackScenario(
+                attackers=(topology.node_id(topology.columns - 2, topology.rows - 2),),
+                victim=topology.node_id(1, 1),
+            )
+            report = run_attack_episode(
+                fence, builder, policy, (attack,), seed=123, attack_windows=6
             )
             return report.as_dict()
 

@@ -101,7 +101,7 @@ class TestMonitorSimulatorIntegration:
             make_synthetic_traffic("tornado", simulator.topology, injection_rate=0.015, seed=5)
         )
         scenario = AttackScenario(attackers=(35,), victim=0, fir=0.9)
-        simulator.add_source(scenario.attacker_source(simulator.topology, seed=6))
+        simulator.add_source(scenario.build_source(simulator.topology, seed=6))
         monitor = GlobalPerformanceMonitor(MonitorConfig(sample_period=80)).attach(simulator)
         simulator.run(16 + 80 * 3 + 1)
 

@@ -1,9 +1,12 @@
 """Unit tests for attack-scenario composition."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks import ATTACK_LIBRARY, AttackModel
 from repro.noc.routing import xy_route_victims
 from repro.noc.topology import MeshTopology
 from repro.traffic.scenario import (
@@ -44,19 +47,22 @@ class TestAttackScenario:
         with pytest.raises(ValueError):
             AttackScenario(attackers=(1,), victim=5, fir=-0.1)
 
-    def test_flooding_config_conversion(self):
-        scenario = AttackScenario(attackers=(10,), victim=5, fir=0.6)
-        config = scenario.flooding_config(packet_size_flits=8)
-        assert config.attackers == (10,)
-        assert config.victim == 5
-        assert config.fir == 0.6
-        assert config.packet_size_flits == 8
+    def test_is_a_constant_attack_model(self):
+        scenario = AttackScenario(attackers=(10, 12), victim=5, fir=0.6)
+        assert isinstance(scenario, AttackModel)
+        assert scenario.name not in ATTACK_LIBRARY
+        assert scenario.emitters() == ((10, 12), (5, 5))
+        for rel_cycle in (0, 1, 999):
+            assert scenario.fir_profile_at(rel_cycle).tolist() == [0.6, 0.6]
+        assert scenario.emits_between(0, 10)
+        assert not replace(scenario, fir=0.0).emits_between(0, 10)
 
     def test_attacker_source_construction(self):
         scenario = AttackScenario(attackers=(10,), victim=5, fir=1.0)
-        attacker = scenario.attacker_source(TOPO, seed=0)
+        attacker = scenario.build_source(TOPO, seed=0, packet_size_flits=8)
         packets = attacker.packets_for_cycle(0)
         assert packets[0].source == 10
+        assert packets[0].size_flits == 8
 
     def test_ground_truth_victims_single_attacker(self):
         scenario = AttackScenario(attackers=(3,), victim=0)
@@ -169,8 +175,8 @@ class TestMultiAttackScenario:
     def test_attacker_sources_one_per_flow(self):
         scenario = MultiAttackScenario(flows=self.flows())
         sources = scenario.attacker_sources(TOPO, seed=3, start_cycle=100)
-        assert [s.config.attackers for s in sources] == [(62,), (7,)]
-        assert all(s.config.start_cycle == 100 for s in sources)
+        assert [s.model for s in sources] == list(scenario.flows)
+        assert all(s.start_cycle == 100 for s in sources)
         # independent RNG streams per flow
         assert sources[0].rng is not sources[1].rng
 
