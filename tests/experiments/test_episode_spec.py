@@ -68,7 +68,8 @@ class TestSpecKey:
             "evidence": False,
             "attack_windows": spec.attack_windows + 1,
         }
-        assert set(variants) == {field.name for field in dataclasses.fields(EpisodeSpec)}
+        fields = {field.name for field in dataclasses.fields(EpisodeSpec)}
+        assert set(variants) == fields
         for name, value in variants.items():
             assert key(replace(spec, **{name: value})) != key(spec), name
 

@@ -66,13 +66,14 @@ class TestFloodValidation:
 class TestInjectionBehaviour:
     def test_fir_zero_is_inactive(self):
         attacker = flood(fir=0.0)
-        assert AttackScenario(attackers=(1,), victim=30, fir=0.0).fir_profile_at(0) is None
+        assert attacker.model.fir_profile_at(0) is None
         assert not attacker.is_active_at(5)
         assert not attacker.is_active_in(0, 100)
         assert attacker.packets_for_cycle(5) == []
         assert attacker.packet_batch_for_cycle(6) is None
         # no RNG draw at FIR 0: the stream is untouched
-        assert attacker.rng.bit_generator.state == flood(fir=0.0).rng.bit_generator.state
+        untouched = flood(fir=0.0).rng.bit_generator.state
+        assert attacker.rng.bit_generator.state == untouched
 
     def test_fir_one_injects_every_cycle(self):
         attacker = flood(fir=1.0)
@@ -124,10 +125,12 @@ class TestInjectionBehaviour:
         objects = flood(attackers=(1, 7, 20), fir=0.5, seed=3)
         batches = flood(attackers=(1, 7, 20), fir=0.5, seed=3)
         for cycle in range(200):
-            packets = [(p.source, p.destination) for p in objects.packets_for_cycle(cycle)]
+            packets = objects.packets_for_cycle(cycle)
             batch = batches.packet_batch_for_cycle(cycle)
-            expected = [] if batch is None else list(zip(*(a.tolist() for a in batch[:2])))
-            assert packets == expected
+            expected = []
+            if batch is not None:
+                expected = list(zip(batch[0].tolist(), batch[1].tolist()))
+            assert [(p.source, p.destination) for p in packets] == expected
         assert objects.packets_generated == batches.packets_generated
 
 
@@ -177,10 +180,13 @@ def stream_digest(source, path: str) -> str:
             ]
         else:
             batch = source.packet_batch_for_cycle(cycle)
-            rows = [] if batch is None else [
-                (s, d, batch[2], batch[3])
-                for s, d in zip(batch[0].tolist(), batch[1].tolist())
-            ]
+            rows = []
+            if batch is not None:
+                sources, victims, size, malicious = batch
+                rows = [
+                    (s, d, size, malicious)
+                    for s, d in zip(sources.tolist(), victims.tolist())
+                ]
         digest.update(repr(rows).encode())
     digest.update(f"n={source.packets_generated}".encode())
     return digest.hexdigest()[:16]
@@ -191,7 +197,8 @@ def stream_digest(source, path: str) -> str:
 def test_stream_matches_pinned_digest(key, path):
     count, fir, window = key
     start, end = PIN_WINDOWS[window]
-    source = AttackScenario(attackers=PIN_ATTACKERS[count], victim=8, fir=fir).build_source(
+    attack = AttackScenario(attackers=PIN_ATTACKERS[count], victim=8, fir=fir)
+    source = attack.build_source(
         TOPO, seed=11, packet_size_flits=4, start_cycle=start, end_cycle=end
     )
     assert stream_digest(source, path) == STREAM_DIGESTS[key]
