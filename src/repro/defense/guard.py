@@ -57,17 +57,13 @@ from repro.obs.metrics import METRICS, guard_events_counter
 
 __all__ = ["DL2FenceGuard"]
 
-
-@dataclass(frozen=True)
-class _WindowStats:
-    """Per-window delivery measurements, split at the containment epoch."""
-
-    latency: float
-    benign_delivered: int
-    malicious_delivered: int
-    fresh_latency: float
-    fresh_delivered: int
-    backlog_delivered: int
+#: ``report.event_counts`` tally each counted decision kind adds its nodes to.
+_COUNT_KEYS = {
+    "convicted": "convictions",
+    "engaged": "engagements",
+    "rolled_back": "releases",
+    "released": "releases",
+}
 
 
 @dataclass
@@ -156,6 +152,10 @@ class DL2FenceGuard:
             attack_start=attack_start,
             attack_end=attack_end,
             true_attackers=tuple(true_attackers),
+            event_counts=dict.fromkeys(
+                ("engagements", "releases", "convictions", "clamps", "detour_discounts"),
+                0,
+            ),
         )
         self._engaged: dict[int, _EngagedNode] = {}
         # Consecutive detection windows each candidate node was flagged in —
@@ -254,14 +254,6 @@ class DL2FenceGuard:
                 cycle=sample.cycle,
                 window=self._window_index,
             )
-            if not self.report.event_counts:
-                self.report.event_counts = {
-                    "engagements": 0,
-                    "releases": 0,
-                    "convictions": 0,
-                    "clamps": 0,
-                    "detour_discounts": 0,
-                }
 
         # Keep localization topology-aware: point the pipeline's TLM/VCE at
         # the live (possibly fault-degraded) routing function every window,
@@ -313,8 +305,7 @@ class DL2FenceGuard:
                 )
             sample, health = self._sanitizer.sanitize(sample)
             unobservable = health.unobservable
-            if BUS.active and health.imputed_cells:
-                self._count_event("clamps", health.imputed_cells)
+            self.report.event_counts["clamps"] += health.imputed_cells
         # Delivery-gap and clock-staleness bookkeeping.  A gap (dropped
         # windows) charges the evidence accumulator the decay it missed; a
         # stale capture clock (delayed windows arriving in a burst) blocks
@@ -334,7 +325,7 @@ class DL2FenceGuard:
         result = self.fence.process_sample(
             sample, force_localization=self.force_localization
         )
-        window_stats = self._window_latency(simulator)
+        deliveries = self._window_latency(simulator)
 
         convicted: list[int] = []
         if self.evidence_config is not None:
@@ -383,6 +374,8 @@ class DL2FenceGuard:
                 if detour and self.degraded_config is not None
                 else None
             )
+            if discounts:
+                self.report.event_counts["detour_discounts"] += len(detour)
             if BUS.active and (discounts or corroborated):
                 BUS.emit(
                     "detour_discount",
@@ -392,8 +385,6 @@ class DL2FenceGuard:
                     ),
                     promoted=corroborated,
                 )
-                if discounts:
-                    self._count_event("detour_discounts", len(detour))
             fresh = self.evidence.observe(
                 observed,
                 weight,
@@ -401,18 +392,9 @@ class DL2FenceGuard:
                 promotions=corroborated or None,
             )
             if fresh:
-                self.report.events.append(
-                    DefenseEvent(
-                        cycle=sample.cycle,
-                        kind="convicted",
-                        nodes=tuple(sorted(fresh)),
-                        detail="cross-window evidence",
-                    )
+                self._record(
+                    "convicted", sample.cycle, sorted(fresh), "cross-window evidence"
                 )
-                if BUS.active:
-                    self._count_event("convictions", len(fresh))
-                if METRICS.active:
-                    guard_events_counter().inc(len(fresh), kind="convicted")
             convicted = self.evidence.convicted_nodes()
 
         acted = result.detected or any(
@@ -432,22 +414,20 @@ class DL2FenceGuard:
             node for node in flagged if node not in detour or node in convicted_set
         ]
         self._update_shadow_pressure(set(flagged))
-        self._update_adaptive_throttle(window_stats, simulator)
+        self._update_adaptive_throttle(deliveries, simulator)
 
         if acted:
             if self._consecutive_detections == 0:
                 detail = f"p={result.detection_probability:.2f}"
                 if not result.detected:
                     detail += " evidence"
-                self.report.events.append(
-                    DefenseEvent(cycle=sample.cycle, kind="detected", detail=detail)
+                self._record(
+                    "detected",
+                    sample.cycle,
+                    detail=detail,
+                    probability=float(result.detection_probability),
+                    via="detector" if result.detected else "evidence",
                 )
-                if BUS.active or METRICS.active:
-                    self._trace(
-                        "detected",
-                        probability=float(result.detection_probability),
-                        via="detector" if result.detected else "evidence",
-                    )
             self._consecutive_detections += 1
             self._consecutive_clean = 0
         else:
@@ -468,43 +448,33 @@ class DL2FenceGuard:
         elif self._engaged and fresh_clock:
             self._release_ready(sample.cycle, simulator)
 
-        if engaged_at_start:
-            phase = "mitigated"
-        elif acted:
-            phase = "attack"
-        else:
-            phase = "benign"
-        self.report.windows.append(
-            WindowRecord(
-                index=self._window_index,
-                cycle=sample.cycle,
-                detected=acted,
-                probability=result.detection_probability,
-                phase=phase,
-                victims=tuple(result.victims),
-                attackers=tuple(result.attackers),
-                restricted=tuple(sorted(self._engaged)),
-                benign_latency=window_stats.latency,
-                benign_delivered=window_stats.benign_delivered,
-                malicious_delivered=window_stats.malicious_delivered,
-                suspected=tuple(convicted),
-                unobservable=tuple(sorted(unobservable)),
-                benign_fresh_latency=window_stats.fresh_latency,
-                benign_fresh_delivered=window_stats.fresh_delivered,
-                benign_backlog_delivered=window_stats.backlog_delivered,
-            )
+        record = WindowRecord(
+            index=self._window_index,
+            cycle=sample.cycle,
+            detected=acted,
+            probability=result.detection_probability,
+            phase="mitigated" if engaged_at_start else "attack" if acted else "benign",
+            victims=tuple(result.victims),
+            attackers=tuple(result.attackers),
+            restricted=tuple(sorted(self._engaged)),
+            suspected=tuple(convicted),
+            unobservable=tuple(sorted(unobservable)),
+            **deliveries,
         )
-        if BUS.active or METRICS.active:
-            self._trace(
+        self.report.windows.append(record)
+        if BUS.active:
+            BUS.emit(
                 "window",
-                phase=phase,
-                detected=acted,
-                probability=float(result.detection_probability),
-                attackers=sorted(result.attackers),
-                suspected=list(convicted),
-                engaged=sorted(self._engaged),
-                unobservable=unobservable,
+                phase=record.phase,
+                detected=record.detected,
+                probability=float(record.probability),
+                attackers=record.attackers,
+                suspected=record.suspected,
+                engaged=record.restricted,
+                unobservable=record.unobservable,
             )
+        if METRICS.active:
+            guard_events_counter().inc(kind="window")
         self._window_index += 1
 
     # -- mitigation mechanics ---------------------------------------------------
@@ -578,24 +548,14 @@ class DL2FenceGuard:
             # stale clocks run again and innocents release as before.
             for state in self._engaged.values():
                 state.windows_since_flagged = 0
-            self.report.events.append(
-                DefenseEvent(
-                    cycle=cycle,
-                    kind="engaged",
-                    nodes=tuple(sorted(newly_engaged)),
-                    detail=f"limit={limit:g}",
-                    round=self._round,
-                )
+            self._record(
+                "engaged",
+                cycle,
+                sorted(newly_engaged),
+                f"limit={limit:g}",
+                round=self._round,
+                limit=float(limit),
             )
-            if BUS.active or METRICS.active:
-                self._trace(
-                    "engaged",
-                    nodes=newly_engaged,
-                    limit=float(limit),
-                    round=self._round,
-                )
-                if BUS.active:
-                    self._count_event("engagements", len(newly_engaged))
 
     def _rollback_stale(
         self,
@@ -626,35 +586,24 @@ class DL2FenceGuard:
                 self._release_node(node, simulator)
                 rolled_back.append(node)
         if rolled_back:
-            self.report.events.append(
-                DefenseEvent(
-                    cycle=cycle,
-                    kind="rolled_back",
-                    nodes=tuple(rolled_back),
-                    detail="no longer localized",
-                )
+            self._record(
+                "rolled_back",
+                cycle,
+                rolled_back,
+                "no longer localized",
+                remaining=len(self._engaged),
             )
-            if BUS.active or METRICS.active:
-                self._trace(
-                    "rolled_back",
-                    nodes=rolled_back,
-                    remaining=len(self._engaged),
-                )
-                if BUS.active:
-                    self._count_event("releases", len(rolled_back))
             if not self._engaged:
                 # The rollback lifted the last restriction: record a full
                 # release so the report's release_cycle reflects reality.
-                self.report.events.append(
-                    DefenseEvent(
-                        cycle=cycle,
-                        kind="released",
-                        nodes=tuple(rolled_back),
-                        detail="all restrictions rolled back",
-                    )
+                self._record(
+                    "released",
+                    cycle,
+                    rolled_back,
+                    "all restrictions rolled back",
+                    restated=True,
+                    remaining=0,
                 )
-                if BUS.active or METRICS.active:
-                    self._trace("released", nodes=rolled_back, remaining=0)
 
     def _release_ready(self, cycle: int, simulator: NoCSimulator) -> None:
         """Release ONE engaged node whose clean-window hold has expired.
@@ -705,23 +654,14 @@ class DL2FenceGuard:
         detail = f"{self._consecutive_clean} clean windows"
         if self._engaged:
             detail += f"; staggered probe, {len(self._engaged)} still fenced"
-        self.report.events.append(
-            DefenseEvent(
-                cycle=cycle,
-                kind="released",
-                nodes=(probe,),
-                detail=detail,
-            )
+        self._record(
+            "released",
+            cycle,
+            (probe,),
+            detail,
+            clean_windows=self._consecutive_clean,
+            remaining=len(self._engaged),
         )
-        if BUS.active or METRICS.active:
-            self._trace(
-                "released",
-                nodes=(probe,),
-                clean_windows=self._consecutive_clean,
-                remaining=len(self._engaged),
-            )
-            if BUS.active:
-                self._count_event("releases", 1)
 
     def _release_node(self, node: int, simulator: NoCSimulator) -> None:
         state = self._engaged.pop(node)
@@ -762,7 +702,7 @@ class DL2FenceGuard:
         return self.policy.injection_limit
 
     def _update_adaptive_throttle(
-        self, stats: "_WindowStats", simulator: NoCSimulator
+        self, deliveries: dict, simulator: NoCSimulator
     ) -> None:
         """One PI step of the adaptive throttle; re-applies the steered limit.
 
@@ -777,7 +717,7 @@ class DL2FenceGuard:
         if not self.policy.adaptive_throttle or self.policy.action != "throttle":
             return
         if not self._engaged:
-            rate = float(stats.benign_delivered)
+            rate = float(deliveries["benign_delivered"])
             if self._baseline_rate is None:
                 self._baseline_rate = rate
             else:
@@ -789,7 +729,7 @@ class DL2FenceGuard:
             return
         # Cap the ratio: a backlog draining out can briefly over-deliver,
         # and one such burst must not slam the integral.
-        recovery = min(float(stats.fresh_delivered) / baseline, 2.0)
+        recovery = min(float(deliveries["benign_fresh_delivered"]) / baseline, 2.0)
         error = 1.0 - recovery
         cap = self._ADAPTIVE_INTEGRAL_CAP
         self._throttle_integral = float(
@@ -825,25 +765,42 @@ class DL2FenceGuard:
                 state.shadow_pressure += 1.0
 
     # -- observability ---------------------------------------------------------
-    def _trace(self, kind: str, **fields) -> None:
-        """Mirror one decision into the trace bus and the metrics registry.
+    def _record(
+        self,
+        kind: str,
+        cycle: int,
+        nodes=(),
+        detail: str = "",
+        round: int = 0,
+        restated: bool = False,
+        **fields,
+    ) -> None:
+        """Write one decision to the report, the trace and the metrics.
 
-        Call sites gate on ``BUS.active or METRICS.active`` so a fully
-        disabled observability stack never reaches this method (the
-        zero-cost-when-off contract); here each backend re-checks its own
-        switch, since either can be enabled alone.
+        The single write path of every guard decision: it appends the
+        :class:`DefenseEvent`, adds the nodes to ``report.event_counts``,
+        emits the bus event (with ``fields``) when tracing is on and bumps
+        ``repro_guard_events_total`` — node-counted, 1 for ``detected`` —
+        when metrics are on.  ``restated`` marks the full-rollback
+        ``released`` marker, which restates nodes its ``rolled_back``
+        sibling already counted: it is logged and traced, never counted.
         """
-        BUS.emit(kind, **fields)
-        if METRICS.active:
-            guard_events_counter().inc(kind=kind)
-
-    def _count_event(self, key: str, amount: int = 1) -> None:
-        """Bump the report's deterministic event-count summary (tracing on)."""
-        counts = self.report.event_counts
-        counts[key] = counts.get(key, 0) + amount
+        event = DefenseEvent(cycle, kind, tuple(nodes), detail, round)
+        self.report.events.append(event)
+        if not restated and kind in _COUNT_KEYS:
+            self.report.event_counts[_COUNT_KEYS[kind]] += len(event.nodes)
+        # The evidence accumulator traces its own convictions.
+        if BUS.active and kind != "convicted":
+            if event.nodes:
+                fields["nodes"] = event.nodes
+            if round:
+                fields["round"] = round
+            BUS.emit(kind, **fields)
+        if METRICS.active and not restated:
+            guard_events_counter().inc(len(event.nodes) or 1, kind=kind)
 
     # -- measurement ----------------------------------------------------------
-    def _window_latency(self, simulator: NoCSimulator) -> "_WindowStats":
+    def _window_latency(self, simulator: NoCSimulator) -> dict:
         """Benign latency and delivery counts since the last window.
 
         Alongside the plain benign mean, delivered benign packets are split
@@ -852,6 +809,7 @@ class DL2FenceGuard:
         their latency is attack damage draining out — and **fresh** —
         created under the fence, measuring the quality of the fenced
         network itself.  Before any engagement everything counts as fresh.
+        Returned as the window's :class:`WindowRecord` delivery fields.
         """
         delivered = simulator.stats.delivered
         new = delivered[self._delivered_index :]
@@ -868,13 +826,13 @@ class DL2FenceGuard:
                 p.total_latency() for p in benign if p.created_cycle >= epoch
             ]
         fresh_mean = float(np.mean(fresh_latencies)) if fresh_latencies else math.nan
-        return _WindowStats(
-            latency=mean,
+        return dict(
+            benign_latency=mean,
             benign_delivered=len(benign),
             malicious_delivered=malicious_count,
-            fresh_latency=fresh_mean,
-            fresh_delivered=len(fresh_latencies),
-            backlog_delivered=len(benign) - len(fresh_latencies),
+            benign_fresh_latency=fresh_mean,
+            benign_fresh_delivered=len(fresh_latencies),
+            benign_backlog_delivered=len(benign) - len(fresh_latencies),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -34,7 +34,7 @@ class DefenseEvent:
     """
 
     cycle: int
-    kind: str  # "detected" | "engaged" | "rolled_back" | "released"
+    kind: str  # "detected" | "convicted" | "engaged" | "rolled_back" | "released"
     nodes: tuple[int, ...] = ()
     detail: str = ""
     round: int = 0
@@ -92,11 +92,10 @@ class DefenseReport:
     true_attackers: tuple[int, ...] = ()
     windows: list[WindowRecord] = field(default_factory=list)
     events: list[DefenseEvent] = field(default_factory=list)
-    #: Deterministic decision-event tallies (engagements, releases,
-    #: convictions, clamps, detour discounts), populated by the guard from
-    #: the trace bus when tracing is active.  Empty on untraced runs; when
-    #: populated, backend-identical — the counts are pure functions of the
-    #: fingerprint-identical window stream.
+    #: Node totals of the guard's decisions (engagements, releases,
+    #: convictions) plus sanitizer clamps and detour discounts, filled by
+    #: the guard on every run, traced or not.  Deterministic and
+    #: backend-identical: pure functions of the window stream.
     event_counts: dict[str, int] = field(default_factory=dict)
 
     # -- event accessors ----------------------------------------------------
@@ -507,8 +506,8 @@ class DefenseReport:
                     "victims": tuple(window["victims"]),
                     "attackers": tuple(window["attackers"]),
                     "restricted": tuple(window["restricted"]),
-                    "suspected": tuple(window.get("suspected", ())),
-                    "unobservable": tuple(window.get("unobservable", ())),
+                    "suspected": tuple(window["suspected"]),
+                    "unobservable": tuple(window["unobservable"]),
                 }
             )
             for window in data["windows"]
@@ -525,8 +524,7 @@ class DefenseReport:
             true_attackers=tuple(int(node) for node in data["true_attackers"]),
             windows=windows,
             events=events,
-            # .get(): payloads cached before event_counts existed still load.
-            event_counts=dict(data.get("event_counts") or {}),
+            event_counts=dict(data["event_counts"]),
         )
 
     def format_timeline(self) -> str:

@@ -85,9 +85,8 @@ class NullSink:
 class RingBufferSink:
     """Keeps the newest ``capacity`` events in memory.
 
-    The in-process consumer surface: the summarize CLI's tests, the
-    guard-as-a-service streaming feed (ROADMAP item 3) and ad-hoc
-    debugging all read :meth:`events` instead of re-parsing JSONL.
+    The in-process consumer surface: tests and ad-hoc debugging read
+    :meth:`events` instead of re-parsing JSONL.
     """
 
     def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:

@@ -31,7 +31,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "canonical_payload", "cache_key"]
 #: drain-aware window accounting change every cached episode timeline again.
 #: v4: every closed-loop experiment shares one episode harness; its episode
 #: keys carry the evidence and degraded-mode configs.
-CACHE_SCHEMA_VERSION = 4
+#: v5: cached reports carry ``event_counts`` whether or not the run that
+#: filled the entry was traced.
+CACHE_SCHEMA_VERSION = 5
 
 
 def canonical_payload(obj: Any) -> Any:

@@ -16,6 +16,7 @@ from repro.defense.policy import MitigationPolicy
 from repro.monitor.sampler import MonitorConfig
 from repro.noc.packet import Packet
 from repro.noc.simulator import NoCSimulator, SimulationConfig
+from repro.obs.metrics import METRICS, guard_events_counter
 from repro.traffic.scenario import AttackScenario
 
 
@@ -229,6 +230,51 @@ class TestReportContents:
         # the second window only sees deliveries that happened after the first
         guard.on_sample(SimpleNamespace(cycle=200), simulator)
         assert guard.report.windows[1].benign_delivered == 0
+
+
+class TestDecisionMetrics:
+    @pytest.fixture
+    def metrics(self):
+        METRICS.reset()
+        METRICS.enable()
+        yield guard_events_counter()
+        METRICS.disable()
+        METRICS.reset()
+
+    def test_guard_events_counter_is_node_counted(self, metrics):
+        """Each kind's counter equals the node total of its report events.
+
+        The script engages two nodes at once, rolls one back as stale,
+        probe-releases the other, then fences two more and rolls both back
+        together — which also writes the full-rollback ``released`` marker.
+        The marker restates nodes its ``rolled_back`` sibling already
+        counted, so it is not counted again.
+        """
+        policy = MitigationPolicy.quarantine(
+            engage_after=1, release_after=1, stale_after=2, reengage_backoff=1.0
+        )
+        script = [(True, [5, 9]), (True, [5]), (True, [5]), (False, []), (False, [])]
+        script += [(True, [3, 7]), (True, []), (True, [])]
+        guard, _ = drive(script, policy, evidence=False)
+        events = guard.report.events
+        assert any(e.kind == "engaged" and len(e.nodes) == 2 for e in events)
+        markers = [e for e in events if e.detail == "all restrictions rolled back"]
+        assert len(markers) == 1
+
+        for kind in ("detected", "engaged", "rolled_back", "released"):
+            total = sum(
+                len(e.nodes) or 1
+                for e in events
+                if e.kind == kind and e not in markers
+            )
+            assert metrics.value(kind=kind) == total, kind
+        counts = guard.report.event_counts
+        assert metrics.value(kind="engaged") == counts["engagements"] == 4
+        assert (
+            metrics.value(kind="rolled_back") + metrics.value(kind="released")
+            == counts["releases"]
+            == 4
+        )
 
 
 class TestClosedLoopWithOracle:

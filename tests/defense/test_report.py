@@ -299,9 +299,3 @@ class TestEventCounts:
         report.event_counts = {"engagements": 2, "convictions": 1}
         rebuilt = DefenseReport.from_payload(report.to_payload())
         assert rebuilt.event_counts == {"engagements": 2, "convictions": 1}
-
-    def test_old_payloads_without_counts_still_load(self):
-        """Cached payloads written before event_counts existed must rebuild."""
-        payload = make_report().to_payload()
-        del payload["event_counts"]
-        assert DefenseReport.from_payload(payload).event_counts == {}

@@ -8,10 +8,13 @@ and a cached episode reproduces its MitigationPoint bit for bit.
 
 import math
 
+from repro.attacks import default_attack
 from repro.defense.policy import MitigationPolicy
 from repro.defense.report import DefenseEvent, DefenseReport, WindowRecord
 from repro.experiments import ExperimentConfig
 from repro.experiments.mitigation import run_mitigation_sweep
+from repro.experiments.robustness import EpisodeSpec, run_episodes
+from repro.obs.bus import RingBufferSink, trace_session
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import ExperimentEngine
 from repro.runtime.parallel import ParallelRunner
@@ -25,6 +28,20 @@ def _engine(tmp_path) -> ExperimentEngine:
         cache=ArtifactCache(root=tmp_path / "cache", enabled=True),
         runner=ParallelRunner(workers=1),
     )
+
+
+def _episode(engine: ExperimentEngine, traced: bool) -> DefenseReport:
+    """One guarded pulsed-flood episode, through the per-episode cache."""
+    topology = QUICK.dataset_config().topology()
+    spec = EpisodeSpec(
+        experiment=QUICK,
+        attacks=(default_attack("pulsed", topology, QUICK.sample_period),),
+        policy=POLICY,
+    )
+    if not traced:
+        return run_episodes([spec], engine)[0]
+    with trace_session(RingBufferSink()):
+        return run_episodes([spec], engine)[0]
 
 
 class TestDefenseReportPayload:
@@ -121,3 +138,23 @@ class TestPerEpisodeCache:
         )
         assert [p.to_payload() for p in fresh] == [p.to_payload() for p in replayed]
         assert replay_engine.cache.stats.hits > 0
+
+
+class TestCachedCountsIgnoreTracing:
+    def test_event_counts_do_not_depend_on_who_filled_the_cache(self, tmp_path):
+        """The cache key ignores tracing, so the cached report must too.
+
+        One cache is filled by a traced run, the other by an untraced one;
+        each is then served to a run with the opposite tracing switch, and
+        both must hand back the event counts of the fresh traced run.
+        """
+        traced_root, untraced_root = tmp_path / "traced", tmp_path / "untraced"
+        fresh = _episode(_engine(traced_root), traced=True)
+        _episode(_engine(untraced_root), traced=False)
+        assert fresh.event_counts["engagements"] > 0
+
+        for root, traced in ((traced_root, False), (untraced_root, True)):
+            engine = _engine(root)
+            served = _episode(engine, traced=traced)
+            assert engine.cache.stats.hits > 0
+            assert served.event_counts == fresh.event_counts

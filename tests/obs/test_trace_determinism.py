@@ -176,9 +176,7 @@ class TestTracingIsDeterminismNeutral:
             return guard.report.as_dict()
 
         traced, untraced = episode(True), episode(False)
-        # The only allowed difference: event_counts populates when traced.
-        assert traced.pop("event_counts")["engagements"] > 0
-        assert untraced.pop("event_counts") == {}
+        assert traced["event_counts"]["engagements"] > 0
         assert traced == untraced
 
     def test_ring_and_jsonl_sinks_record_identical_events(self, tmp_path):
@@ -236,4 +234,3 @@ class TestLearnedPipelineTraced:
         obj_raw, obj_report = episode("object")
         assert soa_raw == obj_raw
         assert soa_report == obj_report
-        assert soa_report["event_counts"]  # populated by the traced run
