@@ -198,3 +198,76 @@ class TestLaneSurface:
         solo_free, _ = _solo_run(6, "flood", 9, 0)
         solo_free.run(cycles)
         assert_lane_matches_solo(batched.lane(1), solo_free)
+
+
+def _surface_snapshot(network):
+    """Every per-episode network member a lane re-exposes, read once."""
+    topology = network.topology
+    return {
+        "dropped": network.dropped_packets,
+        "in_flight": network.in_flight_flits,
+        "queued": network.queued_flits,
+        "drainable": network.drainable_queued_flits,
+        "local_boc": network.local_boc(),
+        "limits": network.injection_limits,
+        "restricted": network.restricted_nodes,
+        "queue_lengths": [
+            len(network.source_queues[node]) for node in topology.nodes()
+        ],
+        "routers": [
+            (
+                [network.router(node).vco(d) for d in Direction],
+                [network.router(node).boc(d) for d in Direction],
+                network.router(node).flits_ejected,
+                network.router(node).packets_ejected,
+                network.router(node).buffered_flits,
+            )
+            for node in topology.nodes()
+        ],
+    }
+
+
+class TestLaneSurfaceParity:
+    def test_lane_members_match_solo_through_quarantine_and_flush(self):
+        """A lane's per-episode members equal a solo run's, member by member.
+
+        Lane 1 of a two-episode batch (a non-zero block offset) is driven
+        through a mid-run quarantine + flush of the flood's attackers, a
+        full rollback and more traffic; at every checkpoint the flush return
+        values, drops, flit counts, LOCAL-port BOC, limits, queue lengths
+        and per-router VCO/BOC views must equal the solo episode's.
+        """
+        rows = 6
+        attackers = (rows * rows - 1, 3)
+        batched, _ = _batched_run(rows, [("flood", 21), ("flood", 9)], 0)
+        solo, _ = _solo_run(rows, "flood", 9, 0)
+        lane = batched.lane(1)
+        for simulator in (batched, solo):
+            simulator.run(150)
+        assert _surface_snapshot(lane.network) == _surface_snapshot(solo.network)
+
+        flushed = []
+        for episode in (lane, solo):
+            for node in attackers:
+                episode.quarantine_node(node)
+            flushed.append(
+                [episode.network.flush_source_queue(node) for node in attackers]
+            )
+        assert flushed[0] == flushed[1]
+        assert sum(flushed[1]) > 0
+        assert _surface_snapshot(lane.network) == _surface_snapshot(solo.network)
+
+        for simulator in (batched, solo):
+            simulator.run(100)
+        lane_snapshot = _surface_snapshot(lane.network)
+        assert lane_snapshot == _surface_snapshot(solo.network)
+        assert lane_snapshot["restricted"] == sorted(attackers)
+
+        for episode in (lane, solo):
+            episode.network.reset_injection_limits()
+        assert batched.lane(0).restricted_nodes == []
+        assert _surface_snapshot(lane.network) == _surface_snapshot(solo.network)
+        for simulator in (batched, solo):
+            simulator.run(60)
+        assert _surface_snapshot(lane.network) == _surface_snapshot(solo.network)
+        assert_lane_matches_solo(lane, solo)
