@@ -248,9 +248,9 @@ class DL2FenceGuard:
             # Coordinates for every event this window emits, including from
             # nested emitters (evidence accumulator, sanitizer).  The episode
             # label is the batched backend's lane index; solo simulators
-            # default to 0 unless the harness stamps one.
+            # are lane 0 unless the harness stamps one.
             BUS.set_context(
-                episode=getattr(simulator, "lane_index", 0),
+                episode=simulator.lane_index,
                 cycle=sample.cycle,
                 window=self._window_index,
             )
@@ -261,9 +261,7 @@ class DL2FenceGuard:
         # the next sample.  ``None`` on a pristine mesh — a no-op.
         sync_provider = getattr(self.fence, "set_route_provider", None)
         if sync_provider is not None:
-            sync_provider(
-                getattr(getattr(simulator, "network", None), "route_provider", None)
-            )
+            sync_provider(simulator.network.route_provider)
 
         # Detour carriers of an active data-plane fault: trustworthy
         # telemetry, but congestion partly caused by the reroute itself.

@@ -172,26 +172,24 @@ class DefenseReport:
         localizer names it, which for concurrent floods typically happens in
         a later sampling round, after louder attackers are fenced.
         """
-        latencies: dict[int, int | None] = {}
-        for attacker in self.true_attackers:
-            latencies[attacker] = None
-            if self.attack_start is None:
-                continue
-            for window in self.windows:
-                if window.cycle >= self.attack_start and attacker in window.attackers:
-                    latencies[attacker] = window.cycle - self.attack_start
-                    break
-        return latencies
+        return self._per_attacker_latency("attackers")
 
     def per_attacker_time_to_mitigation(self) -> dict[int, int | None]:
         """Cycles from attack start until each true attacker is restricted."""
+        return self._per_attacker_latency("restricted")
+
+    def _per_attacker_latency(self, nodes_field: str) -> dict[int, int | None]:
+        """Cycles from attack start to the first window whose ``nodes_field``
+        (a :class:`WindowRecord` node tuple) holds each true attacker."""
         latencies: dict[int, int | None] = {}
         for attacker in self.true_attackers:
             latencies[attacker] = None
             if self.attack_start is None:
                 continue
             for window in self.windows:
-                if window.cycle >= self.attack_start and attacker in window.restricted:
+                if window.cycle >= self.attack_start and attacker in getattr(
+                    window, nodes_field
+                ):
                     latencies[attacker] = window.cycle - self.attack_start
                     break
         return latencies
@@ -270,14 +268,24 @@ class DefenseReport:
         return [window for window in self.windows if window.phase == phase]
 
     @staticmethod
-    def _weighted_latency(windows: list[WindowRecord]) -> float:
-        """Delivery-weighted mean benign latency over ``windows``."""
+    def _weighted_latency(windows: list[WindowRecord], fresh: bool = False) -> float:
+        """Delivery-weighted mean benign latency over ``windows``.
+
+        ``fresh`` restricts it to the *fresh* (post-containment-epoch)
+        deliveries.
+        """
         total = 0.0
         count = 0
         for window in windows:
-            if window.benign_delivered and not math.isnan(window.benign_latency):
-                total += window.benign_latency * window.benign_delivered
-                count += window.benign_delivered
+            if fresh:
+                latency = window.benign_fresh_latency
+                delivered = window.benign_fresh_delivered
+            else:
+                latency = window.benign_latency
+                delivered = window.benign_delivered
+            if delivered and not math.isnan(latency):
+                total += latency * delivered
+                count += delivered
         return total / count if count else math.nan
 
     def phase_latency(self, phase: str, skip: int = 0) -> float:
@@ -324,10 +332,14 @@ class DefenseReport:
         engaged after the attacker stopped would otherwise pad the metric
         with naturally attack-free traffic.
         """
+        return self._weighted_latency(self._settled_windows(skip))
+
+    def _settled_windows(self, skip: int) -> list[WindowRecord]:
+        """Mitigated windows past the first ``skip``, within the attack."""
         windows = self.phase_windows("mitigated")[skip:]
         if self.attack_end is not None:
             windows = [w for w in windows if w.cycle <= self.attack_end]
-        return self._weighted_latency(windows)
+        return windows
 
     def recovery_ratio(self, baseline_latency: float, skip: int = 1) -> float:
         """Post-mitigation benign latency relative to a no-attack baseline."""
@@ -337,19 +349,6 @@ class DefenseReport:
         return post / baseline_latency
 
     # -- drain-aware recovery --------------------------------------------------
-    @staticmethod
-    def _weighted_fresh_latency(windows: list[WindowRecord]) -> float:
-        """Delivery-weighted mean over the *fresh* (post-epoch) deliveries."""
-        total = 0.0
-        count = 0
-        for window in windows:
-            if window.benign_fresh_delivered and not math.isnan(
-                window.benign_fresh_latency
-            ):
-                total += window.benign_fresh_latency * window.benign_fresh_delivered
-                count += window.benign_fresh_delivered
-        return total / count if count else math.nan
-
     def post_mitigation_fresh_latency(self, skip: int = 1) -> float:
         """Benign latency of packets *created under the fence*.
 
@@ -361,10 +360,7 @@ class DefenseReport:
         from backlog drain — the colluding 8x8 episode's ~8x plain recovery
         ratio, for instance, is almost entirely drain.
         """
-        windows = self.phase_windows("mitigated")[skip:]
-        if self.attack_end is not None:
-            windows = [w for w in windows if w.cycle <= self.attack_end]
-        return self._weighted_fresh_latency(windows)
+        return self._weighted_latency(self._settled_windows(skip), fresh=True)
 
     def fresh_recovery_ratio(self, baseline_latency: float, skip: int = 1) -> float:
         """Drain-corrected recovery: fenced-traffic latency over the baseline."""
@@ -413,57 +409,23 @@ class DefenseReport:
         reproducibility tests rely on.
         """
 
-        def scrub(value: float) -> float | None:
+        def scrub(value):
             return None if isinstance(value, float) and math.isnan(value) else value
 
+        def plain(record) -> dict:
+            return {
+                key: list(value) if isinstance(value, tuple) else scrub(value)
+                for key, value in dataclasses.asdict(record).items()
+            }
+
         return {
-            "policy": {
-                "action": self.policy.action,
-                "throttle_factor": self.policy.throttle_factor,
-                "engage_after": self.policy.engage_after,
-                "release_after": self.policy.release_after,
-                "stale_after": self.policy.stale_after,
-                "flush_queue": self.policy.flush_queue,
-                "reengage_backoff": self.policy.reengage_backoff,
-                "max_engaged_nodes": self.policy.max_engaged_nodes,
-                "release_probe_spacing": self.policy.release_probe_spacing,
-                "adaptive_throttle": self.policy.adaptive_throttle,
-            },
+            "policy": plain(self.policy),
             "sample_period": self.sample_period,
             "attack_start": self.attack_start,
             "attack_end": self.attack_end,
             "true_attackers": list(self.true_attackers),
-            "windows": [
-                {
-                    "index": w.index,
-                    "cycle": w.cycle,
-                    "detected": w.detected,
-                    "probability": scrub(w.probability),
-                    "phase": w.phase,
-                    "victims": list(w.victims),
-                    "attackers": list(w.attackers),
-                    "restricted": list(w.restricted),
-                    "benign_latency": scrub(w.benign_latency),
-                    "benign_delivered": w.benign_delivered,
-                    "malicious_delivered": w.malicious_delivered,
-                    "suspected": list(w.suspected),
-                    "unobservable": list(w.unobservable),
-                    "benign_fresh_latency": scrub(w.benign_fresh_latency),
-                    "benign_fresh_delivered": w.benign_fresh_delivered,
-                    "benign_backlog_delivered": w.benign_backlog_delivered,
-                }
-                for w in self.windows
-            ],
-            "events": [
-                {
-                    "cycle": e.cycle,
-                    "kind": e.kind,
-                    "nodes": list(e.nodes),
-                    "detail": e.detail,
-                    "round": e.round,
-                }
-                for e in self.events
-            ],
+            "windows": [plain(window) for window in self.windows],
+            "events": [plain(event) for event in self.events],
             "per_attacker_detection_latency": {
                 str(node): value
                 for node, value in self.per_attacker_detection_latency().items()

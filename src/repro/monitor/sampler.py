@@ -197,7 +197,7 @@ class GlobalPerformanceMonitor:
             if BUS.active:
                 BUS.emit(
                     "window_captured",
-                    episode=getattr(simulator, "lane_index", 0),
+                    episode=simulator.lane_index,
                     cycle=item.cycle,
                     window=len(self.samples) - 1,
                     attack_active=bool(item.attack_active),

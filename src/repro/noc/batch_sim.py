@@ -1,41 +1,37 @@
-"""Episode-batched simulation driver over :class:`BatchedSoAMeshNetwork`.
+"""Episode-batched simulation over :class:`BatchedSoAMeshNetwork`.
 
 :class:`BatchedNoCSimulator` advances N independent simulation episodes —
 each with its own traffic sources, observers and defense hooks — with one
-kernel dispatch per cycle.  Each episode is wired through a
-:class:`LaneSimulator`, a view that exposes the :class:`NoCSimulator`
-surface (``add_source`` / ``add_observer`` / ``network`` / ``stats`` /
-throttle hooks) so existing consumers — the global performance monitor, the
-dataset builder, the defense guard — attach to a lane exactly as they would
-to a solo simulator.
+kernel dispatch per cycle.  It is a :class:`NoCSimulator`: the same driver
+runs fault scheduling, ingress, the kernel step and observer dispatch for
+both.  The only batched-specific parts are the network it builds and its
+``lanes``.
 
-Ingress is grouped: each cycle, the batch-capable sources at the same
-source *position* across lanes are drained together and handed to
-:meth:`BatchedSoAMeshNetwork.enqueue_group` as one cross-episode sweep.
-Positions are processed outer-loop so the within-lane enqueue order
-(workload before attacker) matches the solo simulator's source order, and
-every source keeps its own per-episode RNG stream — the emitted packet
-streams are identical per episode to a solo run with the same seeds
-(pinned by ``tests/noc/test_batched_equivalence.py``).
+Each episode is a :class:`LaneSimulator` that shares the solo simulator's
+per-episode surface (``add_source`` / ``add_observer`` / throttle hooks /
+``stats`` / ``latency``) and reads the parent's clock, so the global
+performance monitor, the dataset builder and the defense guard attach to a
+lane exactly as they would to a solo simulator.
+
+The driver's ingress loops over source *positions*, then lanes: all lanes'
+position-0 sources are drained before any position-1 source, so the
+within-lane enqueue order (workload before attacker) matches the solo
+simulator's source order, and batch emissions of one position are handed
+to :meth:`BatchedSoAMeshNetwork.enqueue_group` as one cross-episode sweep.
+Every source keeps its own per-episode RNG stream, so the emitted packet
+streams are identical per episode to a solo run with the same seeds (pinned
+by ``tests/noc/test_batched_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from repro.noc.backend import resolve_backend
-from repro.noc.route_provider import RouteProvider
-from repro.noc.simulator import SimulationConfig, TrafficSource
-from repro.noc.soa_batch import BatchedSoAMeshNetwork, SoAMeshLane
-from repro.noc.stats import LatencyStats
-from repro.obs.bus import BUS
+from repro.noc.simulator import NoCSimulator, SimulationConfig, _Episode
+from repro.noc.soa_batch import BatchedSoAMeshNetwork, _no_direct_surface
 
 __all__ = ["BatchedNoCSimulator", "LaneSimulator"]
 
 
-class LaneSimulator:
+class LaneSimulator(_Episode):
     """The ``NoCSimulator``-facing view of one episode of a batched run.
 
     Holds the episode's traffic sources and observers; the parent
@@ -45,53 +41,21 @@ class LaneSimulator:
     """
 
     def __init__(self, parent: "BatchedNoCSimulator", index: int) -> None:
+        super().__init__(
+            parent.config,
+            parent.topology,
+            parent.backend,
+            parent.network.lane(index),
+            index,
+        )
         self._parent = parent
-        self.lane_index = index
-        self.config = parent.config
-        self.topology = parent.topology
-        self.backend = parent.backend
-        self.network: SoAMeshLane = parent.network.lane(index)
-        self.sources: list[TrafficSource] = []
-        self._observers: list[tuple[int, Callable[["LaneSimulator"], None]]] = []
 
     @property
     def cycle(self) -> int:
         return self._parent.cycle
 
-    # -- wiring ------------------------------------------------------------
-    def add_source(self, source: TrafficSource) -> None:
-        """Attach a traffic source to this episode."""
-        self.sources.append(source)
-
-    def add_observer(
-        self, period: int, callback: Callable[["LaneSimulator"], None]
-    ) -> None:
-        """Call ``callback(self)`` every ``period`` cycles after warmup."""
-        if period <= 0:
-            raise ValueError("observer period must be positive")
-        self._observers.append((period, callback))
-
-    # -- runtime defense hooks ---------------------------------------------
-    def throttle_node(self, node_id: int, fraction: float) -> None:
-        self.network.set_injection_limit(node_id, fraction)
-
-    def quarantine_node(self, node_id: int) -> None:
-        self.network.set_injection_limit(node_id, 0.0)
-
-    def release_node(self, node_id: int) -> None:
-        self.network.set_injection_limit(node_id, 1.0)
-
-    @property
-    def restricted_nodes(self) -> list[int]:
-        return self.network.restricted_nodes
-
-    # -- results -----------------------------------------------------------
-    @property
-    def stats(self):
-        return self.network.stats
-
-    def latency(self, benign_only: bool = True) -> LatencyStats:
-        return self.network.stats.latency(benign_only=benign_only)
+    def _driver(self) -> "BatchedNoCSimulator":
+        return self._parent
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -100,198 +64,60 @@ class LaneSimulator:
         )
 
 
-class BatchedNoCSimulator:
-    """Drives N independent episodes with one kernel dispatch per cycle."""
+class BatchedNoCSimulator(NoCSimulator):
+    """Drives N independent episodes with one kernel dispatch per cycle.
+
+    Data faults scheduled or injected here apply to every episode.
+    """
 
     def __init__(
         self, config: SimulationConfig | None = None, episodes: int = 1
     ) -> None:
         if episodes < 1:
             raise ValueError("episodes must be >= 1")
-        self.config = config or SimulationConfig()
-        self.backend = resolve_backend(self.config.backend)
-        if self.backend != "soa":
+        self.episodes = int(episodes)
+        super().__init__(config)
+        self._lanes = [LaneSimulator(self, index) for index in range(self.episodes)]
+
+    def _build_network(self, config, topology, backend):
+        if backend != "soa":
             raise ValueError(
                 "episode batching requires the 'soa' backend "
-                f"(configured: {self.backend!r})"
+                f"(configured: {backend!r})"
             )
-        self.topology = self.config.topology()
-        self.episodes = int(episodes)
         # Constructed directly rather than via build_network(): episodes=1
         # must still yield a batched network here (the N=1 equivalence pin),
         # while build_network keeps returning the plain solo backend for it.
-        self.network = BatchedSoAMeshNetwork(
-            self.topology,
+        return BatchedSoAMeshNetwork(
+            topology,
             self.episodes,
-            num_vcs=self.config.num_vcs,
-            vc_depth=self.config.vc_depth,
-            injection_bandwidth=self.config.injection_bandwidth,
-            source_queue_capacity=self.config.source_queue_capacity,
+            num_vcs=config.num_vcs,
+            vc_depth=config.vc_depth,
+            injection_bandwidth=config.injection_bandwidth,
+            source_queue_capacity=config.source_queue_capacity,
         )
-        self.lanes: list[LaneSimulator] = [
-            LaneSimulator(self, index) for index in range(self.episodes)
-        ]
-        self.cycle = 0
-        self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
-        self._dead_links: set = set()
-        self._dead_routers: set = set()
+
+    @property
+    def lanes(self) -> list[LaneSimulator]:
+        """The per-episode simulator views, in episode order."""
+        return self._lanes
 
     def lane(self, index: int) -> LaneSimulator:
         """The per-episode simulator view of episode ``index``."""
-        return self.lanes[index]
-
-    # -- data-plane fault hooks ----------------------------------------------
-    def schedule_data_fault(
-        self, cycle: int, dead_links=(), dead_routers=()
-    ) -> None:
-        """Kill links/routers at the start of ``cycle`` — in *every* episode.
-
-        Mirrors :meth:`NoCSimulator.schedule_data_fault`; the batched
-        network applies the same degraded route tables to each episode
-        block, so a lane stays fingerprint-identical to a solo run with the
-        same fault schedule.
-        """
-        if cycle < self.cycle:
-            raise ValueError(
-                f"cannot schedule a fault at past cycle {cycle} "
-                f"(current cycle {self.cycle})"
-            )
-        self._pending_data_faults.append(
-            (cycle, tuple(dead_links), tuple(dead_routers))
-        )
-        self._pending_data_faults.sort(key=lambda item: item[0])
-
-    def inject_data_fault(self, dead_links=(), dead_routers=()) -> int:
-        """Apply a link/router kill to every episode immediately."""
-        self._dead_links.update(
-            (int(node), direction) for node, direction in dead_links
-        )
-        self._dead_routers.update(int(node) for node in dead_routers)
-        provider = RouteProvider(
-            self.topology,
-            dead_links=tuple(self._dead_links),
-            dead_routers=tuple(self._dead_routers),
-        )
-        excised = self.network.apply_data_faults(provider)
-        if BUS.active:
-            BUS.emit(
-                "fault_activated",
-                cycle=self.cycle,
-                dead_links=sorted(
-                    [int(node), direction.name]
-                    for node, direction in provider.dead_links
-                ),
-                dead_routers=sorted(int(n) for n in provider.dead_routers),
-                excised=int(excised),
-            )
-        return excised
-
-    @property
-    def route_provider(self):
-        """Active fault-aware route provider (None on a healthy mesh)."""
-        return self.network.route_provider
-
-    @property
-    def dead_links(self) -> frozenset:
-        """Directed dead links of the active fault set (normalized)."""
-        provider = self.network.route_provider
-        return provider.dead_links if provider is not None else frozenset()
-
-    @property
-    def dead_routers(self) -> frozenset:
-        """Dead routers of the active fault set."""
-        provider = self.network.route_provider
-        return provider.dead_routers if provider is not None else frozenset()
-
-    def _activate_due_faults(self, cycle: int) -> None:
-        pending = self._pending_data_faults
-        due = [fault for fault in pending if fault[0] <= cycle]
-        if not due:
-            return
-        self._pending_data_faults = [f for f in pending if f[0] > cycle]
-        links: list = []
-        routers: list = []
-        for _, dead_links, dead_routers in due:
-            links.extend(dead_links)
-            routers.extend(dead_routers)
-        self.inject_data_fault(dead_links=links, dead_routers=routers)
-
-    # -- execution ----------------------------------------------------------
-    def step(self) -> None:
-        """Advance every episode by a single cycle."""
-        cycle = self.cycle
-        if self._pending_data_faults:
-            self._activate_due_faults(cycle)
-        self._ingress(cycle)
-        self.network.step(cycle)
-        post_warmup = cycle - self.config.warmup_cycles
-        if post_warmup >= 0:
-            for lane in self.lanes:
-                for period, callback in lane._observers:
-                    if post_warmup > 0 and post_warmup % period == 0:
-                        callback(lane)
-        self.cycle += 1
-
-    def run(self, cycles: int) -> None:
-        """Advance every episode by ``cycles`` cycles."""
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        for _ in range(cycles):
-            self.step()
-
-    def _ingress(self, cycle: int) -> None:
-        """Drain every lane's sources for ``cycle``, grouped across lanes.
-
-        Source positions are processed outer-loop: all lanes' position-0
-        sources are enqueued before any position-1 source, so the relative
-        enqueue order *within* a lane (e.g. benign workload before
-        attacker) is exactly the solo simulator's.  Batch emissions of the
-        same shape (packet size, malicious flag) are concatenated into one
-        cross-lane :meth:`BatchedSoAMeshNetwork.enqueue_group` sweep;
-        per-packet sources fall back to the lane's scalar enqueue.
-        """
-        network = self.network
-        max_sources = max((len(lane.sources) for lane in self.lanes), default=0)
-        for position in range(max_sources):
-            groups: dict[tuple[int, bool], list[tuple[int, np.ndarray, np.ndarray]]]
-            groups = {}
-            for lane in self.lanes:
-                if position >= len(lane.sources):
-                    continue
-                source = lane.sources[position]
-                batch_fn = getattr(source, "packet_batch_for_cycle", None)
-                if batch_fn is None:
-                    for packet in source.packets_for_cycle(cycle):
-                        lane.network.enqueue_packet(packet)
-                    continue
-                batch = batch_fn(cycle)
-                if batch is None:
-                    continue
-                sources, destinations, size_flits, malicious = batch
-                groups.setdefault((int(size_flits), bool(malicious)), []).append(
-                    (lane.lane_index, np.asarray(sources), np.asarray(destinations))
-                )
-            for (size_flits, malicious), entries in groups.items():
-                if len(entries) == 1:
-                    index, sources, destinations = entries[0]
-                    network.lane(index).enqueue_batch(
-                        sources, destinations, size_flits, cycle, malicious
-                    )
-                    continue
-                lane_ids = np.concatenate(
-                    [
-                        np.full(sources.size, index, dtype=np.int64)
-                        for index, sources, _ in entries
-                    ]
-                )
-                all_sources = np.concatenate([s for _, s, _ in entries])
-                all_destinations = np.concatenate([d for _, _, d in entries])
-                network.enqueue_group(
-                    lane_ids, all_sources, all_destinations, size_flits, cycle, malicious
-                )
+        return self._lanes[index]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BatchedNoCSimulator({self.topology.rows}x{self.topology.columns}"
             f" x{self.episodes} episodes, cycle={self.cycle})"
         )
+
+    # Per-episode surface: it lives on the lanes.
+    add_source = _no_direct_surface("add_source")
+    add_observer = _no_direct_surface("add_observer")
+    throttle_node = _no_direct_surface("throttle_node")
+    quarantine_node = _no_direct_surface("quarantine_node")
+    release_node = _no_direct_surface("release_node")
+    restricted_nodes = _no_direct_surface("restricted_nodes", is_property=True)
+    stats = _no_direct_surface("stats", is_property=True)
+    latency = _no_direct_surface("latency")

@@ -5,12 +5,23 @@ mesh cycle by cycle, asks every attached traffic source (benign workloads and
 the FDoS attacker) which packets to create, and lets observers — such as the
 global performance monitor of :mod:`repro.monitor` — sample runtime features
 at a fixed period.
+
+:class:`NoCSimulator` is the only driver.  Data-fault scheduling and
+activation, ingress, the network step, observer dispatch, ``run`` and
+``drain`` exist once, here, and loop over the driver's ``lanes``: a solo
+simulator is its own single lane, and the episode-batched
+:class:`~repro.noc.batch_sim.BatchedNoCSimulator` subclasses it with one
+lane per episode.  The per-episode surface (sources, observers, defense
+hooks, results) is defined once too, in ``_Episode``, and shared by the solo
+simulator and every :class:`~repro.noc.batch_sim.LaneSimulator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
+
+import numpy as np
 
 from repro.noc.backend import BACKENDS, build_network, resolve_backend
 from repro.noc.packet import Packet
@@ -72,40 +83,36 @@ class SimulationConfig:
         return MeshTopology(rows=self.rows, columns=self.columns)
 
 
-class NoCSimulator:
-    """Drives a :class:`MeshNetwork` with one or more traffic sources."""
+class _Episode:
+    """The per-episode simulator surface: sources, observers, defense hooks.
 
-    def __init__(self, config: SimulationConfig | None = None) -> None:
-        self.config = config or SimulationConfig()
-        self.topology = self.config.topology()
-        self.backend = resolve_backend(self.config.backend)
-        self.network = build_network(
-            self.topology,
-            backend=self.backend,
-            num_vcs=self.config.num_vcs,
-            vc_depth=self.config.vc_depth,
-            injection_bandwidth=self.config.injection_bandwidth,
-            source_queue_capacity=self.config.source_queue_capacity,
-        )
+    One definition shared by :class:`NoCSimulator` (a solo simulator is its
+    own single episode) and :class:`repro.noc.batch_sim.LaneSimulator` (one
+    episode of a batched run); the driver reads ``sources`` and
+    ``_observers`` of every lane it advances.
+    """
+
+    def __init__(self, config, topology, backend, network, lane_index) -> None:
+        self.config = config
+        self.topology = topology
+        self.backend = backend
+        self.network = network
+        #: Episode label of traces and samples (a batched run's lane index).
+        self.lane_index = lane_index
         self.sources: list[TrafficSource] = []
-        self.cycle = 0
-        self._observers: list[tuple[int, Callable[["NoCSimulator"], None]]] = []
-        # Array ingress: when both the source and the backend support batch
-        # transfer, one vectorized hand-off per source replaces the
-        # per-packet enqueue loop (same packets, same RNG stream).
-        self._batch_ingress = hasattr(self.network, "enqueue_batch")
-        # Data-plane faults: scheduled (cycle, dead_links, dead_routers)
-        # activations plus the accumulated fault set already applied.
-        self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
-        self._dead_links: set = set()
-        self._dead_routers: set = set()
+        self._observers: list[tuple[int, Callable]] = []
 
     # -- wiring ------------------------------------------------------------
     def add_source(self, source: TrafficSource) -> None:
-        """Attach a traffic source (benign workload or attacker)."""
-        self.sources.append(source)
+        """Attach a traffic source (benign workload or attacker).
 
-    def add_observer(self, period: int, callback: Callable[["NoCSimulator"], None]) -> None:
+        Attach sources through this method, not by editing ``sources``: the
+        driver caches its ingress order and rebuilds it on this call.
+        """
+        self.sources.append(source)
+        self._driver()._ingress_plan = None
+
+    def add_observer(self, period: int, callback: Callable) -> None:
         """Call ``callback(self)`` every ``period`` cycles after warmup."""
         if period <= 0:
             raise ValueError("observer period must be positive")
@@ -134,6 +141,62 @@ class NoCSimulator:
         """Nodes currently throttled or quarantined."""
         return self.network.restricted_nodes
 
+    # -- results ---------------------------------------------------------------
+    @property
+    def stats(self):
+        """Network-level counters (delivered packets, drops, etc.)."""
+        return self.network.stats
+
+    def latency(self, benign_only: bool = True) -> LatencyStats:
+        """Latency statistics over delivered packets (benign-only by default)."""
+        return self.network.stats.latency(benign_only=benign_only)
+
+
+class NoCSimulator(_Episode):
+    """Drives a :class:`MeshNetwork` with one or more traffic sources.
+
+    The only simulator driver: :class:`repro.noc.batch_sim.BatchedNoCSimulator`
+    reuses it over a batched network whose episodes are its ``lanes``.
+    """
+
+    def __init__(self, config: SimulationConfig | None = None) -> None:
+        config = config or SimulationConfig()
+        topology = config.topology()
+        backend = resolve_backend(config.backend)
+        super().__init__(
+            config, topology, backend, self._build_network(config, topology, backend), 0
+        )
+        self.cycle = 0
+        # Array ingress: when both the source and the backend support batch
+        # transfer, one vectorized hand-off per source replaces the
+        # per-packet enqueue loop (same packets, same RNG stream).
+        self._batch_ingress = hasattr(self.network, "enqueue_batch")
+        # Ingress order over every lane's sources; see _ingress.
+        self._ingress_plan: list | None = None
+        # Data-plane faults: scheduled (cycle, dead_links, dead_routers)
+        # activations plus the accumulated fault set already applied.
+        self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
+        self._dead_links: set = set()
+        self._dead_routers: set = set()
+
+    def _build_network(self, config: SimulationConfig, topology, backend: str):
+        return build_network(
+            topology,
+            backend=backend,
+            num_vcs=config.num_vcs,
+            vc_depth=config.vc_depth,
+            injection_bandwidth=config.injection_bandwidth,
+            source_queue_capacity=config.source_queue_capacity,
+        )
+
+    @property
+    def lanes(self) -> list[_Episode]:
+        """The episodes this driver advances: a solo simulator is its own."""
+        return [self]
+
+    def _driver(self) -> "NoCSimulator":
+        return self
+
     # -- data-plane fault hooks ------------------------------------------------
     def schedule_data_fault(
         self, cycle: int, dead_links=(), dead_routers=()
@@ -145,7 +208,8 @@ class NoCSimulator:
         accumulate: each activation rebuilds one
         :class:`~repro.noc.route_provider.RouteProvider` over the union of
         everything dead so far and installs it on the backend, which excises
-        doomed in-flight packets atomically (see ``apply_data_faults``).
+        doomed in-flight packets atomically (see ``apply_data_faults``).  A
+        batched network applies it to every episode.
         """
         if cycle < self.cycle:
             raise ValueError(
@@ -217,35 +281,103 @@ class NoCSimulator:
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
-        """Advance the simulation by a single cycle."""
+        """Advance the simulation (every lane) by a single cycle."""
         cycle = self.cycle
         if self._pending_data_faults:
             self._activate_due_faults(cycle)
-        network = self.network
-        batch_ingress = self._batch_ingress
-        for source in self.sources:
-            batch_fn = (
-                getattr(source, "packet_batch_for_cycle", None)
-                if batch_ingress
-                else None
-            )
-            if batch_fn is not None:
-                batch = batch_fn(cycle)
+        self._ingress(cycle)
+        self.network.step(cycle)
+        post_warmup = cycle - self.config.warmup_cycles
+        if post_warmup > 0:
+            for lane in self.lanes:
+                for period, callback in lane._observers:
+                    if post_warmup % period == 0:
+                        callback(lane)
+        self.cycle += 1
+
+    def _ingress(self, cycle: int) -> None:
+        """Hand every lane's packets for ``cycle`` to the network.
+
+        One pass over the ingress plan: source positions outer, lanes
+        inner, so every lane's position-0 source is drained before any
+        position-1 source.  Each lane thus enqueues in its own ``sources``
+        order (workload before attacker) and its packet stream is exactly a
+        solo run's.  Per-packet sources enqueue one packet at a time (so
+        does every source on a backend without batch ingress).  A
+        position's batch emissions go to the network together once its
+        last lane is drained: one lane's as one ``enqueue_batch``, several
+        lanes' grouped into cross-lane ``enqueue_group`` sweeps.
+        """
+        plan = self._ingress_plan
+        if plan is None:
+            plan = self._ingress_plan = self._plan_ingress()
+        batches: list = []
+        for network, source, batched, closes_position in plan:
+            if batched:
+                batch = source.packet_batch_for_cycle(cycle)
                 if batch is not None:
-                    sources, destinations, size_flits, malicious = batch
-                    network.enqueue_batch(
+                    batches.append((network, batch))
+            else:
+                for packet in source.packets_for_cycle(cycle):
+                    network.enqueue_packet(packet)
+            if closes_position and batches:
+                if len(batches) == 1:
+                    target, (sources, destinations, size_flits, malicious) = batches[0]
+                    target.enqueue_batch(
                         sources, destinations, size_flits, cycle, malicious
                     )
+                else:
+                    self._enqueue_groups(batches, cycle)
+                batches = []
+
+    def _plan_ingress(self) -> list[tuple]:
+        """``(network, source, batched, closes_position)`` per attached source,
+        in source-position order with lanes inner.
+
+        ``network`` is the lane's network (never the lane itself, so a solo
+        simulator's plan holds no reference back to it); ``batched`` says
+        the source hands over arrays (``packet_batch_for_cycle``) and the
+        backend takes them.
+        """
+        lanes = self.lanes
+        plan = []
+        for position in range(max([len(lane.sources) for lane in lanes])):
+            column = [lane for lane in lanes if position < len(lane.sources)]
+            for lane in column:
+                source = lane.sources[position]
+                batched = self._batch_ingress and hasattr(
+                    source, "packet_batch_for_cycle"
+                )
+                plan.append((lane.network, source, batched, lane is column[-1]))
+        return plan
+
+    def _enqueue_groups(self, batches: list, cycle: int) -> None:
+        """Several lanes' batch emissions of one source position, grouped."""
+        groups: dict[tuple[int, bool], list] = {}
+        for network, (sources, destinations, size_flits, malicious) in batches:
+            groups.setdefault((int(size_flits), bool(malicious)), []).append(
+                (network, np.asarray(sources), np.asarray(destinations))
+            )
+        for (size_flits, malicious), entries in groups.items():
+            if len(entries) == 1:
+                network, sources, destinations = entries[0]
+                network.enqueue_batch(
+                    sources, destinations, size_flits, cycle, malicious
+                )
                 continue
-            for packet in source.packets_for_cycle(cycle):
-                network.enqueue_packet(packet)
-        network.step(cycle)
-        post_warmup = self.cycle - self.config.warmup_cycles
-        if post_warmup >= 0:
-            for period, callback in self._observers:
-                if post_warmup > 0 and post_warmup % period == 0:
-                    callback(self)
-        self.cycle += 1
+            self.network.enqueue_group(
+                np.concatenate(
+                    [
+                        np.full(sources.size, network.lane_index, dtype=np.int64)
+                        for network, sources, _ in entries
+                    ]
+                ),
+                np.concatenate([sources for _, sources, _ in entries]),
+                np.concatenate([destinations for _, _, destinations in entries]),
+                size_flits,
+                cycle,
+                malicious,
+            )
 
     def run(self, cycles: int) -> None:
         """Advance the simulation by ``cycles`` cycles."""
@@ -262,8 +394,8 @@ class NoCSimulator:
         behind a quarantined interface is ignored — by policy it can never
         inject, so waiting on it would always hit ``max_cycles``.
         """
-        saved_sources = self.sources
-        self.sources = []
+        # An empty ingress plan drains no source; the next step replans.
+        self._ingress_plan = []
         extra = 0
         try:
             while (
@@ -273,18 +405,8 @@ class NoCSimulator:
                 self.step()
                 extra += 1
         finally:
-            self.sources = saved_sources
+            self._ingress_plan = None
         return extra
-
-    # -- results ---------------------------------------------------------------
-    @property
-    def stats(self):
-        """Network-level counters (delivered packets, drops, etc.)."""
-        return self.network.stats
-
-    def latency(self, benign_only: bool = True) -> LatencyStats:
-        """Latency statistics over delivered packets (benign-only by default)."""
-        return self.network.stats.latency(benign_only=benign_only)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

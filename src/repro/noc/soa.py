@@ -18,6 +18,11 @@ statistics (:class:`~repro.noc.stats.NetworkStats`) stay shared with the
 object backend — but no per-flit or per-router Python object is touched
 while the network advances.
 
+The per-episode members (limits, flush, frames, flit counts, views) are
+written once, in :class:`_EpisodeBlock`, against a block of nodes: the solo
+network is the block at offset 0, and each lane of the episode-batched
+network (:mod:`repro.noc.soa_batch`) is the block at its lane offset.
+
 The backend is selected through ``REPRO_SIM_BACKEND`` (``soa``, the
 default, or ``object``) or explicitly via
 ``SimulationConfig(backend=...)``; see :func:`repro.noc.backend.resolve_backend`.
@@ -251,10 +256,210 @@ def _vc_tables(topology: MeshTopology, num_vcs: int) -> _VcTables:
     return built
 
 
-class SoAMeshNetwork:
+class _FlitTemplates(dict):
+    """Packed flit words of one packet by size, minus the packet id.
+
+    ``template[i]`` is flit index ``i`` with the tail bit on the last flit;
+    a packet's words are ``(pid << PKT_SHIFT) + template``.  Missing sizes
+    are built on first lookup.
+    """
+
+    def __missing__(self, size: int) -> np.ndarray:
+        template = np.arange(size, dtype=np.int64)
+        template[-1] += TAIL_BIT
+        self[size] = template
+        return template
+
+
+class _EpisodeBlock:
+    """The per-episode network surface, over one block of the state arrays.
+
+    Every member reads or writes nodes ``[_off, _off + _nodes)`` of the
+    arrays owned by ``_net``.  :class:`SoAMeshNetwork` is its own block at
+    offset 0; a :class:`~repro.noc.soa_batch.SoAMeshLane` is episode ``i``'s
+    block of a batched network.  On a batched network itself the block spans
+    every episode, so the flit counts are whole-network aggregates and the
+    batched class refuses the members that only make sense per episode.
+    """
+
+    topology: MeshTopology
+    _off: int
+    _nodes: int
+
+    @property
+    def route_provider(self):
+        """The active fault-aware route provider (None on a healthy mesh)."""
+        return self._net._route_provider
+
+    # -- injection rate limiting (defense hook) -----------------------------
+    def set_injection_limit(self, node_id: int, fraction: float) -> None:
+        """Restrict ``node_id`` to ``fraction`` of the injection bandwidth."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("injection limit must be in [0, 1]")
+        if node_id not in self.topology:
+            raise ValueError(f"node {node_id} outside the {self.topology!r} mesh")
+        net = self._net
+        node = self._off + node_id
+        net._limits[node] = float(fraction)
+        # Changing the limit restarts the credit accumulator: credit accrued
+        # under an older, looser limit must not leak through a quarantine.
+        net._allowance[node] = 0.0
+        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
+
+    def injection_limit(self, node_id: int) -> float:
+        """Current injection limit of ``node_id`` (1.0 = unrestricted)."""
+        return float(self._net._limits[self._off + node_id])
+
+    @property
+    def injection_limits(self) -> list[float]:
+        """Per-node injection limits (list view, like the object backend)."""
+        return self._net._limits[self._off : self._off + self._nodes].tolist()
+
+    def reset_injection_limits(self) -> None:
+        """Lift every injection restriction (full rollback)."""
+        net = self._net
+        net._limits[self._off : self._off + self._nodes] = 1.0
+        net._allowance[self._off : self._off + self._nodes] = 0.0
+        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
+
+    @property
+    def restricted_nodes(self) -> list[int]:
+        """Nodes currently running under an injection limit below 1.0."""
+        block = self._net._limits[self._off : self._off + self._nodes]
+        return [int(node) for node in np.nonzero(block < 1.0)[0]]
+
+    def flush_source_queue(self, node_id: int) -> int:
+        """Discard not-yet-injected flits queued at ``node_id``'s interface.
+
+        Flits of packets whose head already entered the network are kept so
+        no headless worm is stranded inside the routers; fully dropped
+        packets count as drops.  Returns the number of flits discarded.
+        """
+        net = self._net
+        node = self._off + node_id
+        values = net._queued_words(node)
+        if values.size == 0:
+            return 0
+        pkts = values >> PKT_SHIFT
+        keep = net._pkt_injected.values[pkts] >= 0
+        net._credit_drops(node, int(np.unique(pkts[~keep]).size))
+        return values.size - net._compact_queue(node, values, keep)
+
+    # -- DL2Fence observables ------------------------------------------------
+    def feature_frame(self, direction: Direction, kind) -> np.ndarray:
+        """One directional feature frame, read straight off the counters."""
+        return self.feature_frames(kind)[direction]
+
+    def feature_frames(self, kind) -> dict[Direction, np.ndarray]:
+        """All four directional frames of one feature, no router walk.
+
+        The per-port counter arrays are sliced into the natural directional
+        geometries (east-most columns lack EAST input ports, etc.), exactly
+        matching :func:`repro.monitor.features.extract_feature_frames` on
+        the object backend.
+        """
+        from repro.monitor.features import FeatureKind
+
+        net = self._net
+        rows, cols = self.topology.rows, self.topology.columns
+        p0 = self._off * 5
+        p1 = p0 + self._nodes * 5
+        if kind is FeatureKind.VCO:
+            samples = net._occ_samples_for_port(p0)
+            if samples == 0:
+                values = net._occupied[p0:p1] / float(net.num_vcs)
+            elif net._occ_exact:
+                values = (net._occ_sum_int[p0:p1] / float(net.num_vcs)) / samples
+            else:
+                values = net._occ_sum[p0:p1] / samples
+        else:
+            values = (net._buf_writes[p0:p1] + net._buf_reads[p0:p1]).astype(
+                np.float64
+            )
+        grid = values.reshape(self._nodes, 5)
+
+        def plane(direction: Direction) -> np.ndarray:
+            return grid[:, DIRECTION_INDEX[direction]].reshape(rows, cols)
+
+        return {
+            Direction.EAST: plane(Direction.EAST)[:, : cols - 1].copy(),
+            Direction.NORTH: plane(Direction.NORTH)[: rows - 1, :].copy(),
+            Direction.WEST: plane(Direction.WEST)[:, 1:].copy(),
+            Direction.SOUTH: plane(Direction.SOUTH)[1:, :].copy(),
+        }
+
+    def reset_boc_counters(self) -> None:
+        """Reset every port's BOC and VCO accumulators (window boundary)."""
+        net = self._net
+        p0 = self._off * 5
+        p1 = p0 + self._nodes * 5
+        net._buf_writes[p0:p1] = 0
+        net._buf_reads[p0:p1] = 0
+        net._occ_sum_int[p0:p1] = 0
+        net._occ_sum[p0:p1] = 0.0
+        net._occ_samples[self._off // self.topology.num_nodes] = 0
+
+    def local_boc(self) -> list[int]:
+        """Per-node LOCAL-slot BOC this window (see MeshNetwork.local_boc)."""
+        net = self._net
+        p0 = self._off * 5
+        p1 = p0 + self._nodes * 5
+        return (net._buf_writes[p0:p1:5] + net._buf_reads[p0:p1:5]).tolist()
+
+    # -- bookkeeping --------------------------------------------------------
+    @property
+    def in_flight_flits(self) -> int:
+        """Flits buffered anywhere in the network (excluding source queues)."""
+        span = 5 * self._net.num_vcs
+        q0 = self._off * span
+        return int(self._net._vc_count[q0 : q0 + self._nodes * span].sum())
+
+    @property
+    def queued_flits(self) -> int:
+        """Flits still waiting in source injection queues."""
+        return int(self._net._sq_count[self._off : self._off + self._nodes].sum())
+
+    @property
+    def drainable_queued_flits(self) -> int:
+        """Queued flits that can still legally enter the network.
+
+        Excludes new packets queued at quarantined nodes — by policy that
+        backlog can never inject (continuation flits of partially injected
+        packets still count, mirroring the injection gate).
+        """
+        net = self._net
+        total = 0
+        block = net._sq_count[self._off : self._off + self._nodes]
+        for node in (self._off + np.nonzero(block > 0)[0]).tolist():
+            if net._limits[node] > 0.0:
+                total += int(net._sq_count[node])
+                continue
+            pkts = net._queued_words(node) >> PKT_SHIFT
+            total += int((net._pkt_injected.values[pkts] >= 0).sum())
+        return total
+
+    # -- object-backend compatibility views ---------------------------------
+    @property
+    def source_queues(self) -> "_SourceQueuesView":
+        """Length-reporting view of the per-node source queues."""
+        return _SourceQueuesView(self._net, self._off, self._nodes)
+
+    def router(self, node_id: int) -> "SoARouterView":
+        """Read-only router view (VCO/BOC observables of one node)."""
+        self.topology._check_node(node_id)
+        return SoARouterView(self._net, self._off + int(node_id))
+
+    @property
+    def routers(self) -> list["SoARouterView"]:
+        """Read-only router views in node order."""
+        return [self.router(node) for node in self.topology.nodes()]
+
+
+class SoAMeshNetwork(_EpisodeBlock):
     """A 2-D mesh with XY wormhole switching on flat NumPy state arrays."""
 
     backend_name = "soa"
+    _off = 0
 
     def __init__(
         self,
@@ -286,7 +491,7 @@ class SoAMeshNetwork:
         # All state arrays are sized by the *array* node count, which equals
         # the topology's node count here but spans every episode block in
         # the batched subclass (repro.noc.soa_batch).
-        num_nodes = self._array_nodes
+        num_nodes = self._nodes
         num_ports = num_nodes * 5
         num_vc_slots = num_ports * num_vcs
         self._arange_vcs = np.arange(num_vcs, dtype=np.int64)
@@ -335,7 +540,11 @@ class SoAMeshNetwork:
         self._occ_sum_int = np.zeros(num_ports, dtype=np.int64)
         self._occ_sum = np.zeros(num_ports, dtype=np.float64)
         self._occ_tmp = np.empty(num_ports, dtype=np.float64)
-        self._occ_samples = 0
+        # Cycles accumulated into the current window, one counter per
+        # episode block (episodes reset their windows independently).
+        self._occ_samples = np.zeros(
+            num_nodes // topology.num_nodes, dtype=np.int64
+        )
 
         # Per-router ejection counters.
         self._flits_ejected = np.zeros(num_nodes, dtype=np.int64)
@@ -357,7 +566,7 @@ class SoAMeshNetwork:
         self._packets: list[Packet] = []
         self._pkt_dest = _GrowableInt()
         self._pkt_injected = _GrowableInt()
-        self._flit_templates: dict[int, np.ndarray] = {}
+        self._flit_templates = _FlitTemplates()
 
         # Data-plane fault state (dead links/routers).  Fault-free networks
         # keep every one of these untouched, so the hot path is unchanged:
@@ -391,14 +600,14 @@ class SoAMeshNetwork:
         # only the batched disjoint-union subclass sets it (its table holds
         # episode-local slot ids).
         self._q_slot_off = None
-        self._array_nodes = self.topology.num_nodes
+        self._nodes = self.topology.num_nodes
+
+    @property
+    def _net(self) -> "SoAMeshNetwork":
+        """The network owning the state arrays (itself; see _EpisodeBlock)."""
+        return self
 
     # -- data-plane faults (dead links / routers) ----------------------------
-    @property
-    def route_provider(self):
-        """The active fault-aware route provider (None on a healthy mesh)."""
-        return self._route_provider
-
     def apply_data_faults(self, provider) -> int:
         """Install a degraded :class:`~repro.noc.route_provider.RouteProvider`.
 
@@ -436,7 +645,7 @@ class SoAMeshNetwork:
         cancels against the global destination id, as for ``q_node_base``).
         """
         n = self.topology.num_nodes
-        q = np.arange(self._array_nodes * 5 * self.num_vcs, dtype=np.int64)
+        q = np.arange(self._nodes * 5 * self.num_vcs, dtype=np.int64)
         port_dir = (q // self.num_vcs) % 5
         state = self._tables.opposite[port_dir]
         episode = self._q_node // n
@@ -504,11 +713,7 @@ class SoAMeshNetwork:
         injected = self._pkt_injected.values
         dest = self._pkt_dest.values
         for node in np.nonzero(self._sq_count > 0)[0].tolist():
-            count = int(self._sq_count[node])
-            slots = (
-                self._sq_head[node] + np.arange(count)
-            ) % self.source_queue_capacity
-            values = self._sq_vals[node, slots]
+            values = self._queued_words(node)
             pkts = values >> PKT_SHIFT
             local = node % n
             dest_local = dest[pkts] - (node // n) * n
@@ -518,20 +723,34 @@ class SoAMeshNetwork:
             )
             if not drop.any():
                 continue
-            keep = ~drop
-            kept = int(keep.sum())
             unroutable = int(np.unique(pkts[drop & fresh]).size)
             if unroutable:
                 self._credit_unroutable_drops(node, unroutable)
-            self._sq_head[node] = 0
-            self._sq_count[node] = kept
-            if kept:
-                self._sq_vals[node, :kept] = values[keep]
+            self._compact_queue(node, values, ~drop)
+
+    def _queued_words(self, node: int) -> np.ndarray:
+        """The flit words queued at (array) node ``node``, oldest first."""
+        count = int(self._sq_count[node])
+        slots = (self._sq_head[node] + np.arange(count)) % self.source_queue_capacity
+        return self._sq_vals[node, slots]
+
+    def _compact_queue(self, node: int, values: np.ndarray, keep: np.ndarray) -> int:
+        """Rewrite ``node``'s queue as the kept ``values``; returns their count."""
+        kept = int(keep.sum())
+        self._sq_head[node] = 0
+        self._sq_count[node] = kept
+        if kept:
+            self._sq_vals[node, :kept] = values[keep]
+        return kept
+
+    def _credit_drops(self, node: int, packets: int) -> None:
+        """Count ``packets`` dropped at (array) node ``node``; the batched
+        subclass credits the owning episode."""
+        self.dropped_packets += packets
 
     def _credit_unroutable_drops(self, node: int, packets: int) -> None:
-        """Account dropped never-injected unroutable packets (lane-aware in
-        the batched subclass)."""
-        self.dropped_packets += packets
+        """Account dropped never-injected unroutable packets."""
+        self._credit_drops(node, packets)
         self.unroutable_packets += packets
 
     # -- kernel callbacks (rare per-packet events) ---------------------------
@@ -571,9 +790,8 @@ class SoAMeshNetwork:
         ]:
             self._credit_unroutable_drops(node, 1)
             return False
-        capacity = self.source_queue_capacity
         count = int(self._sq_count[node])
-        if count + size > capacity:
+        if count + size > self.source_queue_capacity:
             self.dropped_packets += 1
             return False
         self.stats.record_created(packet)
@@ -583,22 +801,37 @@ class SoAMeshNetwork:
         self._pkt_injected.append(
             -1 if packet.injected_cycle is None else packet.injected_cycle
         )
-        template = self._flit_templates.get(size)
-        if template is None:
-            template = np.arange(size, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            self._flit_templates[size] = template
-        values = (pid << PKT_SHIFT) + template
+        self._queue_flits(node, count, (pid << PKT_SHIFT) + self._flit_templates[size])
+        return True
+
+    def _queue_flits(self, node: int, count: int, values: np.ndarray) -> None:
+        """Append one packet's flit ``values`` to the ring of (array) node
+        ``node``, which holds ``count`` flits."""
+        capacity = self.source_queue_capacity
         start = (int(self._sq_head[node]) + count) % capacity
-        end = start + size
+        end = start + values.size
         if end <= capacity:
             self._sq_vals[node, start:end] = values
         else:
             split = capacity - start
             self._sq_vals[node, start:] = values[:split]
             self._sq_vals[node, : end - capacity] = values[split:]
-        self._sq_count[node] = count + size
-        return True
+        self._sq_count[node] = count + values.size
+
+    def _queue_packets(self, nodes: np.ndarray, first_pid: int, size: int) -> None:
+        """Queue packets ``first_pid, first_pid + 1, ...`` of ``size`` flits at
+        the distinct (array) ``nodes`` in one sweep of ring writes."""
+        capacity = self.source_queue_capacity
+        pids = np.arange(first_pid, first_pid + nodes.size, dtype=np.int64)
+        values = (pids[:, None] << PKT_SHIFT) + self._flit_templates[size][None, :]
+        starts = (self._sq_head[nodes] + self._sq_count[nodes]) % capacity
+        if (starts + size <= capacity).all():
+            positions = (nodes * capacity + starts)[:, None] + np.arange(size)
+            self._sq_flat[positions] = values
+            self._sq_count[nodes] += size
+            return
+        for node, row in zip(nodes.tolist(), values):
+            self._queue_flits(node, int(self._sq_count[node]), row)
 
     def enqueue_batch(
         self,
@@ -626,9 +859,7 @@ class SoAMeshNetwork:
             destinations = np.asarray(destinations)
             routable = self._routable_start[sources, destinations]
             if not routable.all():
-                drops = np.bincount(
-                    sources[~routable], minlength=self._array_nodes
-                )
+                drops = np.bincount(sources[~routable], minlength=self._nodes)
                 for node in np.nonzero(drops)[0].tolist():
                     self._credit_unroutable_drops(node, int(drops[node]))
                 sources = sources[routable]
@@ -651,8 +882,7 @@ class SoAMeshNetwork:
                     )
                 )
             return accepted
-        capacity = self.source_queue_capacity
-        fits = self._sq_count[sources] + size_flits <= capacity
+        fits = self._sq_count[sources] + size_flits <= self.source_queue_capacity
         if not fits.all():
             self.dropped_packets += int(count - fits.sum())
             sources = sources[fits]
@@ -678,96 +908,28 @@ class SoAMeshNetwork:
         self._packets.extend(packets)
         self._pkt_dest.extend(destinations)
         self._pkt_injected.extend_fill(-1, count)
-        template = self._flit_templates.get(size_flits)
-        if template is None:
-            template = np.arange(size_flits, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            self._flit_templates[size_flits] = template
-        pids = np.arange(first_pid, first_pid + count, dtype=np.int64)
-        starts = (self._sq_head[sources] + self._sq_count[sources]) % capacity
-        if (starts + size_flits <= capacity).all():
-            positions = (sources * capacity + starts)[:, None] + np.arange(size_flits)
-            self._sq_flat[positions] = (pids[:, None] << PKT_SHIFT) + template[None, :]
-        else:
-            values = (pids[:, None] << PKT_SHIFT) + template[None, :]
-            for row, (node, start) in enumerate(
-                zip(sources.tolist(), starts.tolist())
-            ):
-                end = start + size_flits
-                if end <= capacity:
-                    self._sq_vals[node, start:end] = values[row]
-                else:
-                    split = capacity - start
-                    self._sq_vals[node, start:] = values[row, :split]
-                    self._sq_vals[node, : end - capacity] = values[row, split:]
-        self._sq_count[sources] += size_flits
+        self._queue_packets(sources, first_pid, size_flits)
         return count
-
-    # -- injection rate limiting (defense hook) -----------------------------
-    def set_injection_limit(self, node_id: int, fraction: float) -> None:
-        """Restrict ``node_id`` to ``fraction`` of the injection bandwidth."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("injection limit must be in [0, 1]")
-        if node_id not in self.topology:
-            raise ValueError(f"node {node_id} outside the {self.topology!r} mesh")
-        self._limits[node_id] = float(fraction)
-        # Changing the limit restarts the credit accumulator: credit accrued
-        # under an older, looser limit must not leak through a quarantine.
-        self._allowance[node_id] = 0.0
-        self._limited_idx = np.nonzero(self._limits < 1.0)[0]
-
-    def injection_limit(self, node_id: int) -> float:
-        """Current injection limit of ``node_id`` (1.0 = unrestricted)."""
-        return float(self._limits[node_id])
-
-    @property
-    def injection_limits(self) -> list[float]:
-        """Per-node injection limits (list view, like the object backend)."""
-        return self._limits.tolist()
-
-    def flush_source_queue(self, node_id: int) -> int:
-        """Discard not-yet-injected flits queued at ``node_id``'s interface.
-
-        Flits of packets whose head already entered the network are kept so
-        no headless worm is stranded inside the routers; fully dropped
-        packets count as drops.  Returns the number of flits discarded.
-        """
-        count = int(self._sq_count[node_id])
-        if count == 0:
-            return 0
-        slots = (self._sq_head[node_id] + np.arange(count)) % self.source_queue_capacity
-        values = self._sq_vals[node_id, slots]
-        pkts = values >> PKT_SHIFT
-        keep = self._pkt_injected.values[pkts] >= 0
-        kept = int(keep.sum())
-        self.dropped_packets += int(np.unique(pkts[~keep]).size)
-        self._sq_head[node_id] = 0
-        self._sq_count[node_id] = kept
-        if kept:
-            self._sq_vals[node_id, :kept] = values[keep]
-        return count - kept
-
-    def reset_injection_limits(self) -> None:
-        """Lift every injection restriction (full rollback)."""
-        self._limits.fill(1.0)
-        self._allowance.fill(0.0)
-        self._limited_idx = np.empty(0, dtype=np.int64)
-
-    @property
-    def restricted_nodes(self) -> list[int]:
-        """Nodes currently running under an injection limit below 1.0."""
-        return [int(node) for node in np.nonzero(self._limits < 1.0)[0]]
 
     # -- cycle advance ------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Advance the network by one cycle (inject, allocate, traverse)."""
+        self._advance(cycle)
+        self.stats.cycles = cycle + 1
+
+    def _advance(self, cycle: int) -> None:
+        """One metered kernel dispatch plus the windowed occupancy sample.
+
+        The shared body of both ``step`` methods; the inject/switch phase
+        timings are labelled with the network's ``backend_name``.
+        """
         if METRICS.active:
             series = self._phase_series
             if series is None:
                 hist = sim_phase_histogram()
                 series = self._phase_series = (
-                    hist.series(backend="soa", phase="inject"),
-                    hist.series(backend="soa", phase="switch"),
+                    hist.series(backend=self.backend_name, phase="inject"),
+                    hist.series(backend=self.backend_name, phase="switch"),
                 )
             start = perf_counter()
             soa_step.inject(self, cycle)
@@ -787,115 +949,10 @@ class SoAMeshNetwork:
             np.divide(self._occupied, float(self.num_vcs), out=self._occ_tmp)
             self._occ_sum += self._occ_tmp
         self._occ_samples += 1
-        self.stats.cycles = cycle + 1
-
-    # -- DL2Fence observables ------------------------------------------------
-    def feature_frame(self, direction: Direction, kind) -> np.ndarray:
-        """One directional feature frame, read straight off the counters."""
-        return self.feature_frames(kind)[direction]
-
-    def feature_frames(self, kind) -> dict[Direction, np.ndarray]:
-        """All four directional frames of one feature, no router walk.
-
-        The per-port counter arrays are sliced into the natural directional
-        geometries (east-most columns lack EAST input ports, etc.), exactly
-        matching :func:`repro.monitor.features.extract_feature_frames` on
-        the object backend.
-        """
-        from repro.monitor.features import FeatureKind
-
-        rows, cols = self.topology.rows, self.topology.columns
-        if kind is FeatureKind.VCO:
-            if self._occ_samples == 0:
-                values = self._occupied / float(self.num_vcs)
-            elif self._occ_exact:
-                values = (self._occ_sum_int / float(self.num_vcs)) / self._occ_samples
-            else:
-                values = self._occ_sum / self._occ_samples
-        else:
-            values = (self._buf_writes + self._buf_reads).astype(np.float64)
-        grid = values.reshape(self.topology.num_nodes, 5)
-
-        def plane(direction: Direction) -> np.ndarray:
-            return grid[:, DIRECTION_INDEX[direction]].reshape(rows, cols)
-
-        return {
-            Direction.EAST: plane(Direction.EAST)[:, : cols - 1].copy(),
-            Direction.NORTH: plane(Direction.NORTH)[: rows - 1, :].copy(),
-            Direction.WEST: plane(Direction.WEST)[:, 1:].copy(),
-            Direction.SOUTH: plane(Direction.SOUTH)[1:, :].copy(),
-        }
-
-    def reset_boc_counters(self) -> None:
-        """Reset every port's BOC and VCO accumulators (window boundary)."""
-        self._buf_writes.fill(0)
-        self._buf_reads.fill(0)
-        self._occ_sum_int.fill(0)
-        self._occ_sum.fill(0.0)
-        self._occ_samples = 0
-
-    def local_boc(self) -> list[int]:
-        """Per-node LOCAL-slot BOC this window (see MeshNetwork.local_boc)."""
-        grid = (self._buf_writes + self._buf_reads).reshape(
-            self.topology.num_nodes, 5
-        )
-        return [int(value) for value in grid[:, 0]]
-
-    # -- bookkeeping --------------------------------------------------------
-    @property
-    def in_flight_flits(self) -> int:
-        """Flits buffered anywhere in the network (excluding source queues)."""
-        return int(self._vc_count.sum())
-
-    @property
-    def queued_flits(self) -> int:
-        """Flits still waiting in source injection queues."""
-        return int(self._sq_count.sum())
-
-    @property
-    def drainable_queued_flits(self) -> int:
-        """Queued flits that can still legally enter the network.
-
-        Excludes new packets queued at quarantined nodes — by policy that
-        backlog can never inject (continuation flits of partially injected
-        packets still count, mirroring the injection gate).
-        """
-        total = 0
-        for node in np.nonzero(self._sq_count > 0)[0]:
-            count = int(self._sq_count[node])
-            if self._limits[node] > 0.0:
-                total += count
-                continue
-            slots = (
-                self._sq_head[node] + np.arange(count)
-            ) % self.source_queue_capacity
-            pkts = self._sq_vals[node, slots] >> PKT_SHIFT
-            total += int((self._pkt_injected.values[pkts] >= 0).sum())
-        return total
 
     def _occ_samples_for_port(self, flat_port: int) -> int:
-        """Occupancy sample count governing ``flat_port``'s VCO average.
-
-        One global counter here; the batched subclass maps the port to its
-        episode's counter (episodes reset windows independently).
-        """
-        return self._occ_samples
-
-    # -- object-backend compatibility views ---------------------------------
-    @property
-    def source_queues(self) -> "_SourceQueuesView":
-        """Length-reporting view of the per-node source queues."""
-        return _SourceQueuesView(self)
-
-    def router(self, node_id: int) -> "SoARouterView":
-        """Read-only router view (VCO/BOC observables of one node)."""
-        self.topology._check_node(node_id)
-        return SoARouterView(self, int(node_id))
-
-    @property
-    def routers(self) -> list["SoARouterView"]:
-        """Read-only router views in node order."""
-        return [SoARouterView(self, node) for node in self.topology.nodes()]
+        """Occupancy sample count governing ``flat_port``'s VCO average."""
+        return int(self._occ_samples[flat_port // (self.topology.num_nodes * 5)])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -946,24 +1003,26 @@ class _GrowableInt:
 
 
 class _SourceQueuesView:
-    """Sequence view over the SoA source-queue rings (lengths only)."""
+    """Sequence view over one block's source-queue rings (lengths only)."""
 
-    def __init__(self, net: SoAMeshNetwork) -> None:
+    def __init__(self, net: SoAMeshNetwork, off: int, nodes: int) -> None:
         self._net = net
+        self._off = off
+        self._nodes = nodes
 
     def __len__(self) -> int:
-        return self._net.topology.num_nodes
+        return self._nodes
 
     def __getitem__(self, node_id: int) -> "_SourceQueueView":
-        return _SourceQueueView(self._net, node_id)
+        return _SourceQueueView(self._net, self._off + node_id)
 
 
 class _SourceQueueView:
-    """Length view of one node's source queue."""
+    """Length view of one (array) node's source queue."""
 
-    def __init__(self, net: SoAMeshNetwork, node_id: int) -> None:
+    def __init__(self, net: SoAMeshNetwork, node: int) -> None:
         self._net = net
-        self._node = node_id
+        self._node = node
 
     def __len__(self) -> int:
         return int(self._net._sq_count[self._node])

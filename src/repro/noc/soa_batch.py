@@ -20,39 +20,39 @@ no packet, credit or arbitration decision can cross episodes; each episode
 block evolves exactly as a solo :class:`~repro.noc.soa.SoAMeshNetwork`
 would.
 
-Per-episode observability comes from :class:`SoAMeshLane` views: episode
-``i``'s lane exposes the full ``MeshNetwork``-facing surface (enqueue,
-stats, feature frames, injection limits, flush) reading and writing the
-``i``-th block of the shared arrays, with its own
-:class:`~repro.noc.stats.NetworkStats` and packet registry slice — so
-``batched(N=1)`` is fingerprint-identical to the solo SoA path, and row
-``i`` of ``batched(N=k)`` is fingerprint-identical to a solo run of episode
-``i`` (pinned by ``tests/noc/test_batched_equivalence.py``).
+Per-episode observability comes from :class:`SoAMeshLane` views.  A lane is
+episode ``i``'s block of the shared arrays and runs the solo network's own
+per-episode members (:class:`~repro.noc.soa._EpisodeBlock`: limits, flush,
+feature frames, LOCAL-port BOC, flit counts, queue and router views) at its
+block offset.  Only the episode's :class:`~repro.noc.stats.NetworkStats`,
+drop counter and enqueue bookkeeping (its rows of the columnar packet
+registry) are lane-specific.  Both ``step`` methods share one metered kernel
+dispatch (``SoAMeshNetwork._advance``), and both enqueue paths share the
+flit templates and source-ring writes.  So ``batched(N=1)`` is
+fingerprint-identical to the solo SoA path, and row ``i`` of
+``batched(N=k)`` is fingerprint-identical to a solo run of episode ``i``
+(pinned by ``tests/noc/test_batched_equivalence.py``).  Calling a
+per-episode member on the batched network itself raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from repro.noc import soa_step
 from repro.noc.packet import Packet
 from repro.noc.soa import (
-    DIRECTION_INDEX,
     MeshTables,
     SoAMeshNetwork,
-    SoARouterView,
+    _EpisodeBlock,
     _GrowableInt,
     _vc_tables,
-    _xy_table_limit,
     mesh_tables,
 )
-from repro.noc.soa_step import PKT_SHIFT, TAIL_BIT
+from repro.noc.soa_step import PKT_SHIFT
 from repro.noc.stats import NetworkStats
-from repro.noc.topology import Direction, MeshTopology
-from repro.obs.metrics import METRICS, sim_phase_histogram
+from repro.noc.topology import MeshTopology
 
 __all__ = ["BatchedSoAMeshNetwork", "SoAMeshLane", "batched_tables"]
 
@@ -182,22 +182,27 @@ class _LaneStats(NetworkStats):
         self._delivered = value
 
 
-def _no_direct_surface(name: str):
-    def method(self, *args, **kwargs):
+def _no_direct_surface(name: str, is_property: bool = False):
+    """A member that refuses per-episode access on a whole-batch object."""
+
+    def refuse(self, *args, **kwargs):
+        call = "" if is_property else "(...)"
         raise TypeError(
-            f"BatchedSoAMeshNetwork.{name} is per-episode state; "
-            f"use network.lane(i).{name}(...) instead"
+            f"{type(self).__name__}.{name} is per-episode state; "
+            f"use .lane(i).{name}{call} instead"
         )
 
-    return method
+    return property(refuse) if is_property else refuse
 
 
 class BatchedSoAMeshNetwork(SoAMeshNetwork):
     """N disjoint mesh copies advanced by one kernel dispatch per cycle.
 
     The episode-facing surface lives on the :class:`SoAMeshLane` views
-    returned by :meth:`lane`; calling a per-episode method (enqueue,
-    limits, frames) on the batched network directly raises.
+    returned by :meth:`lane`; calling a per-episode member (enqueue,
+    limits, flush, frames, views) on the batched network directly raises
+    ``TypeError``.  The flit counts (``in_flight_flits``, ``queued_flits``,
+    ``drainable_queued_flits``) stay available as whole-batch aggregates.
     """
 
     backend_name = "soa-batch"
@@ -223,7 +228,6 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         )
         self._lane_stats = [_LaneStats(self) for _ in range(self.episodes)]
         self._lane_dropped = [0] * self.episodes
-        self._lane_occ_samples = np.zeros(self.episodes, dtype=np.int64)
         self._pkt_episode = _GrowableInt()
         # Columnar packet registry: ``Packet`` objects are not built on the
         # hot path at all.  ``enqueue_group`` appends one row per packet
@@ -255,7 +259,7 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         self._down_port = vc.down_port
         self._route_slot = vc.route_slot
         self._q_slot_off = vc.q_slot_off
-        self._array_nodes = self.topology.num_nodes * self.episodes
+        self._nodes = self.topology.num_nodes * self.episodes
 
     # -- episode views -------------------------------------------------------
     def lane(self, index: int) -> "SoAMeshLane":
@@ -269,30 +273,7 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
     # -- cycle advance -------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Advance every episode by one cycle in a single kernel dispatch."""
-        if METRICS.active:
-            series = self._phase_series
-            if series is None:
-                hist = sim_phase_histogram()
-                series = self._phase_series = (
-                    hist.series(backend="soa-batch", phase="inject"),
-                    hist.series(backend="soa-batch", phase="switch"),
-                )
-            start = perf_counter()
-            soa_step.inject(self, cycle)
-            mid = perf_counter()
-            soa_step.switch(self, cycle)
-            end = perf_counter()
-            series[0].observe(mid - start)
-            series[1].observe(end - mid)
-        else:
-            soa_step.inject(self, cycle)
-            soa_step.switch(self, cycle)
-        if self._occ_exact:
-            self._occ_sum_int += self._occupied
-        else:
-            np.divide(self._occupied, float(self.num_vcs), out=self._occ_tmp)
-            self._occ_sum += self._occ_tmp
-        self._lane_occ_samples += 1
+        self._advance(cycle)
         next_cycle = cycle + 1
         for stats in self._lane_stats:
             stats.cycles = next_cycle
@@ -398,8 +379,8 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         with ``lane_ids``.  Semantically identical to calling each lane's
         :meth:`SoAMeshLane.enqueue_batch` separately (per-lane capacity
         checks, drop counters and stats), but the ring writes of every
-        episode happen as one array sweep — the batched emission path of
-        :class:`repro.noc.batch_sim.BatchedNoCSimulator`.
+        episode happen as one array sweep — the grouped ingress of
+        :meth:`repro.noc.simulator.NoCSimulator.step` over several lanes.
         """
         lane_ids = np.asarray(lane_ids, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
@@ -437,8 +418,7 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
                     )
                 )
             return accepted
-        capacity = self.source_queue_capacity
-        fits = self._sq_count[gsources] + size_flits <= capacity
+        fits = self._sq_count[gsources] + size_flits <= self.source_queue_capacity
         if not fits.all():
             drops = np.bincount(lane_ids[~fits], minlength=self.episodes)
             for lane in np.nonzero(drops)[0].tolist():
@@ -467,35 +447,12 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         self._pkt_size.extend_fill(size_flits, count)
         self._pkt_created.extend_fill(cycle, count)
         self._pkt_malicious.extend_fill(1 if malicious else 0, count)
-        template = self._flit_templates.get(size_flits)
-        if template is None:
-            template = np.arange(size_flits, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            self._flit_templates[size_flits] = template
-        pids = np.arange(first_pid, first_pid + count, dtype=np.int64)
-        starts = (self._sq_head[gsources] + self._sq_count[gsources]) % capacity
-        if (starts + size_flits <= capacity).all():
-            positions = (gsources * capacity + starts)[:, None] + np.arange(size_flits)
-            self._sq_flat[positions] = (pids[:, None] << PKT_SHIFT) + template[None, :]
-        else:
-            values = (pids[:, None] << PKT_SHIFT) + template[None, :]
-            for row, (node, start) in enumerate(
-                zip(gsources.tolist(), starts.tolist())
-            ):
-                end = start + size_flits
-                if end <= capacity:
-                    self._sq_vals[node, start:end] = values[row]
-                else:
-                    split = capacity - start
-                    self._sq_vals[node, start:] = values[row, :split]
-                    self._sq_vals[node, : end - capacity] = values[row, split:]
-        self._sq_count[gsources] += size_flits
+        self._queue_packets(gsources, first_pid, size_flits)
         return count
 
-    def _credit_unroutable_drops(self, node: int, packets: int) -> None:
-        """Unroutable drops land on the owning episode's lane counter."""
+    def _credit_drops(self, node: int, packets: int) -> None:
+        """Drops land on the owning episode's lane counter."""
         self._lane_dropped[node // self.topology.num_nodes] += packets
-        self.unroutable_packets += packets
 
     # -- global bookkeeping ---------------------------------------------------
     @property
@@ -509,9 +466,6 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         if value != 0:
             raise TypeError("per-episode drops are tracked on the lanes")
 
-    def _occ_samples_for_port(self, flat_port: int) -> int:
-        return int(self._lane_occ_samples[flat_port // (self.topology.num_nodes * 5)])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BatchedSoAMeshNetwork({self.topology.rows}x{self.topology.columns}"
@@ -523,20 +477,28 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
     enqueue_batch = _no_direct_surface("enqueue_batch")
     set_injection_limit = _no_direct_surface("set_injection_limit")
     injection_limit = _no_direct_surface("injection_limit")
+    injection_limits = _no_direct_surface("injection_limits", is_property=True)
+    reset_injection_limits = _no_direct_surface("reset_injection_limits")
+    restricted_nodes = _no_direct_surface("restricted_nodes", is_property=True)
     flush_source_queue = _no_direct_surface("flush_source_queue")
     feature_frame = _no_direct_surface("feature_frame")
     feature_frames = _no_direct_surface("feature_frames")
+    local_boc = _no_direct_surface("local_boc")
     reset_boc_counters = _no_direct_surface("reset_boc_counters")
     router = _no_direct_surface("router")
+    routers = _no_direct_surface("routers", is_property=True)
+    source_queues = _no_direct_surface("source_queues", is_property=True)
 
 
-class SoAMeshLane:
+class SoAMeshLane(_EpisodeBlock):
     """The ``MeshNetwork``-facing surface of one episode of a batched mesh.
 
-    Reads and writes the episode's block of the shared state arrays; every
-    observable (stats, frames, drops, limits) is private to the episode, so
-    consumers written against :class:`~repro.noc.soa.SoAMeshNetwork` — the
-    monitor, the defense guard, the dataset builder — run unchanged.
+    The episode's block of the shared state arrays: every
+    :class:`~repro.noc.soa._EpisodeBlock` member (limits, flush, frames,
+    flit counts, views) is the solo network's own, run at the lane offset,
+    and stats and drops are private to the episode, so consumers written
+    against :class:`~repro.noc.soa.SoAMeshNetwork` — the monitor, the
+    defense guard, the dataset builder — run unchanged.
     """
 
     backend_name = "soa"
@@ -547,23 +509,10 @@ class SoAMeshLane:
         self.topology = net.topology
         self._nodes = net.topology.num_nodes
         self._off = index * self._nodes
-
-    # -- shared configuration -------------------------------------------------
-    @property
-    def num_vcs(self) -> int:
-        return self._net.num_vcs
-
-    @property
-    def vc_depth(self) -> int:
-        return self._net.vc_depth
-
-    @property
-    def injection_bandwidth(self) -> int:
-        return self._net.injection_bandwidth
-
-    @property
-    def source_queue_capacity(self) -> int:
-        return self._net.source_queue_capacity
+        self.num_vcs = net.num_vcs
+        self.vc_depth = net.vc_depth
+        self.injection_bandwidth = net.injection_bandwidth
+        self.source_queue_capacity = net.source_queue_capacity
 
     @property
     def stats(self) -> NetworkStats:
@@ -574,11 +523,6 @@ class SoAMeshLane:
     @property
     def dropped_packets(self) -> int:
         return self._net._lane_dropped[self.lane_index]
-
-    @property
-    def route_provider(self):
-        """Active fault-aware route provider (shared by every episode)."""
-        return self._net._route_provider
 
     # -- injection interface --------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> bool:
@@ -591,10 +535,9 @@ class SoAMeshLane:
             net._credit_unroutable_drops(node, 1)
             return False
         size = packet.size_flits
-        capacity = net.source_queue_capacity
         count = int(net._sq_count[node])
-        if count + size > capacity:
-            net._lane_dropped[self.lane_index] += 1
+        if count + size > net.source_queue_capacity:
+            net._credit_drops(node, 1)
             return False
         net._lane_stats[self.lane_index].record_created(packet)
         pid = len(net._packets)
@@ -608,21 +551,7 @@ class SoAMeshLane:
         net._pkt_size.append(size)
         net._pkt_created.append(packet.created_cycle)
         net._pkt_malicious.append(1 if packet.is_malicious else 0)
-        template = net._flit_templates.get(size)
-        if template is None:
-            template = np.arange(size, dtype=np.int64)
-            template[-1] += TAIL_BIT
-            net._flit_templates[size] = template
-        values = (pid << PKT_SHIFT) + template
-        start = (int(net._sq_head[node]) + count) % capacity
-        end = start + size
-        if end <= capacity:
-            net._sq_vals[node, start:end] = values
-        else:
-            split = capacity - start
-            net._sq_vals[node, start:] = values[:split]
-            net._sq_vals[node, : end - capacity] = values[split:]
-        net._sq_count[node] = count + size
+        net._queue_flits(node, count, (pid << PKT_SHIFT) + net._flit_templates[size])
         return True
 
     def enqueue_batch(
@@ -640,185 +569,8 @@ class SoAMeshLane:
             lane_ids, sources, destinations, size_flits, cycle, malicious
         )
 
-    # -- injection rate limiting (defense hooks) ------------------------------
-    def set_injection_limit(self, node_id: int, fraction: float) -> None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("injection limit must be in [0, 1]")
-        if node_id not in self.topology:
-            raise ValueError(f"node {node_id} outside the {self.topology!r} mesh")
-        net = self._net
-        node = self._off + node_id
-        net._limits[node] = float(fraction)
-        net._allowance[node] = 0.0
-        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
-
-    def injection_limit(self, node_id: int) -> float:
-        return float(self._net._limits[self._off + node_id])
-
-    @property
-    def injection_limits(self) -> list[float]:
-        return self._net._limits[self._off : self._off + self._nodes].tolist()
-
-    def reset_injection_limits(self) -> None:
-        net = self._net
-        net._limits[self._off : self._off + self._nodes] = 1.0
-        net._allowance[self._off : self._off + self._nodes] = 0.0
-        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
-
-    @property
-    def restricted_nodes(self) -> list[int]:
-        block = self._net._limits[self._off : self._off + self._nodes]
-        return [int(node) for node in np.nonzero(block < 1.0)[0]]
-
-    def flush_source_queue(self, node_id: int) -> int:
-        """Discard not-yet-injected flits queued at the episode's ``node_id``."""
-        net = self._net
-        node = self._off + node_id
-        count = int(net._sq_count[node])
-        if count == 0:
-            return 0
-        slots = (net._sq_head[node] + np.arange(count)) % net.source_queue_capacity
-        values = net._sq_vals[node, slots]
-        pkts = values >> PKT_SHIFT
-        keep = net._pkt_injected.values[pkts] >= 0
-        kept = int(keep.sum())
-        net._lane_dropped[self.lane_index] += int(np.unique(pkts[~keep]).size)
-        net._sq_head[node] = 0
-        net._sq_count[node] = kept
-        if kept:
-            net._sq_vals[node, :kept] = values[keep]
-        return count - kept
-
-    # -- DL2Fence observables -------------------------------------------------
-    def feature_frame(self, direction: Direction, kind) -> np.ndarray:
-        return self.feature_frames(kind)[direction]
-
-    def feature_frames(self, kind) -> dict[Direction, np.ndarray]:
-        """All four directional frames of the episode, sliced off its block."""
-        from repro.monitor.features import FeatureKind
-
-        net = self._net
-        rows, cols = self.topology.rows, self.topology.columns
-        p0 = self._off * 5
-        p1 = p0 + self._nodes * 5
-        if kind is FeatureKind.VCO:
-            samples = int(net._lane_occ_samples[self.lane_index])
-            if samples == 0:
-                values = net._occupied[p0:p1] / float(net.num_vcs)
-            elif net._occ_exact:
-                values = (net._occ_sum_int[p0:p1] / float(net.num_vcs)) / samples
-            else:
-                values = net._occ_sum[p0:p1] / samples
-        else:
-            values = (net._buf_writes[p0:p1] + net._buf_reads[p0:p1]).astype(
-                np.float64
-            )
-        grid = values.reshape(self._nodes, 5)
-
-        def plane(direction: Direction) -> np.ndarray:
-            return grid[:, DIRECTION_INDEX[direction]].reshape(rows, cols)
-
-        return {
-            Direction.EAST: plane(Direction.EAST)[:, : cols - 1].copy(),
-            Direction.NORTH: plane(Direction.NORTH)[: rows - 1, :].copy(),
-            Direction.WEST: plane(Direction.WEST)[:, 1:].copy(),
-            Direction.SOUTH: plane(Direction.SOUTH)[1:, :].copy(),
-        }
-
-    def local_boc(self) -> list[int]:
-        """Per-node LOCAL-slot BOC this window (see MeshNetwork.local_boc)."""
-        net = self._net
-        p0 = self._off * 5
-        p1 = p0 + self._nodes * 5
-        grid = (net._buf_writes[p0:p1] + net._buf_reads[p0:p1]).reshape(
-            self._nodes, 5
-        )
-        return [int(value) for value in grid[:, 0]]
-
-    def reset_boc_counters(self) -> None:
-        """Reset the episode's BOC and VCO accumulators (window boundary)."""
-        net = self._net
-        p0 = self._off * 5
-        p1 = p0 + self._nodes * 5
-        net._buf_writes[p0:p1] = 0
-        net._buf_reads[p0:p1] = 0
-        net._occ_sum_int[p0:p1] = 0
-        net._occ_sum[p0:p1] = 0.0
-        net._lane_occ_samples[self.lane_index] = 0
-
-    # -- bookkeeping ----------------------------------------------------------
-    @property
-    def in_flight_flits(self) -> int:
-        net = self._net
-        q0 = self._off * 5 * net.num_vcs
-        q1 = q0 + self._nodes * 5 * net.num_vcs
-        return int(net._vc_count[q0:q1].sum())
-
-    @property
-    def queued_flits(self) -> int:
-        return int(self._net._sq_count[self._off : self._off + self._nodes].sum())
-
-    @property
-    def drainable_queued_flits(self) -> int:
-        net = self._net
-        total = 0
-        block = net._sq_count[self._off : self._off + self._nodes]
-        for local in np.nonzero(block > 0)[0]:
-            node = self._off + int(local)
-            count = int(net._sq_count[node])
-            if net._limits[node] > 0.0:
-                total += count
-                continue
-            slots = (
-                net._sq_head[node] + np.arange(count)
-            ) % net.source_queue_capacity
-            pkts = net._sq_vals[node, slots] >> PKT_SHIFT
-            total += int((net._pkt_injected.values[pkts] >= 0).sum())
-        return total
-
-    # -- object-backend compatibility views -----------------------------------
-    @property
-    def source_queues(self) -> "_LaneSourceQueuesView":
-        return _LaneSourceQueuesView(self)
-
-    def router(self, node_id: int) -> SoARouterView:
-        """Read-only router view of the episode's ``node_id``."""
-        self.topology._check_node(node_id)
-        return SoARouterView(self._net, self._off + int(node_id))
-
-    @property
-    def routers(self) -> list[SoARouterView]:
-        return [self.router(node) for node in self.topology.nodes()]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SoAMeshLane({self.lane_index} of {self._net.episodes}, "
             f"{self.topology.rows}x{self.topology.columns})"
         )
-
-
-class _LaneSourceQueuesView:
-    """Length-reporting view of one episode's source queues."""
-
-    def __init__(self, lane: SoAMeshLane) -> None:
-        self._lane = lane
-
-    def __len__(self) -> int:
-        return self._lane.topology.num_nodes
-
-    def __getitem__(self, node_id: int) -> "_LaneSourceQueueView":
-        return _LaneSourceQueueView(self._lane, node_id)
-
-
-class _LaneSourceQueueView:
-    """Length view of one node's source queue inside an episode."""
-
-    def __init__(self, lane: SoAMeshLane, node_id: int) -> None:
-        self._lane = lane
-        self._node = node_id
-
-    def __len__(self) -> int:
-        return int(self._lane._net._sq_count[self._lane._off + self._node])
-
-    def __bool__(self) -> bool:
-        return len(self) > 0

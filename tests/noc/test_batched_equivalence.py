@@ -180,6 +180,31 @@ class TestLaneSurface:
             )
         with pytest.raises(TypeError):
             batched.network.feature_frames(FeatureKind.VCO)
+        batched.lane(1).quarantine_node(2)
+        network = batched.network
+        for read in (
+            lambda: network.restricted_nodes,
+            lambda: network.injection_limits,
+            lambda: network.reset_injection_limits(),
+            lambda: network.routers,
+            lambda: network.source_queues,
+            lambda: network.local_boc(),
+            lambda: network.flush_source_queue(2),
+            lambda: network.reset_boc_counters(),
+            lambda: batched.stats,
+            lambda: batched.restricted_nodes,
+            lambda: batched.add_source(None),
+        ):
+            with pytest.raises(TypeError):
+                read()
+        # The refused reset must not have lifted lane 1's quarantine.
+        assert batched.lane(1).restricted_nodes == [2]
+        # Whole-batch flit counts stay available as aggregates.
+        lanes = [batched.lane(index).network for index in range(2)]
+        for member in ("in_flight_flits", "queued_flits", "drainable_queued_flits"):
+            assert getattr(network, member) == sum(
+                getattr(lane, member) for lane in lanes
+            )
 
     def test_lane_throttle_is_episode_local(self):
         """A quarantine on lane 0 must not restrict the same node of lane 1."""

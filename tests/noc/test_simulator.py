@@ -66,6 +66,23 @@ class TestSimulatorRun:
         sim.drain()
         assert sim.sources == [source]
 
+    def test_sources_attached_mid_run_and_after_drain_inject(self):
+        """The driver's cached ingress order follows add_source and drain."""
+        sim = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        early = Packet(source=0, destination=15, size_flits=2, created_cycle=0)
+        sim.add_source(OneShotSource({0: [early]}))
+        sim.run(5)
+        late = Packet(source=3, destination=12, size_flits=2, created_cycle=10)
+        sim.add_source(OneShotSource({10: [late]}))
+        sim.run(40)
+        sim.drain()
+        cycle = sim.cycle
+        after = Packet(source=5, destination=6, size_flits=2, created_cycle=cycle)
+        sim.add_source(OneShotSource({cycle: [after]}))
+        sim.run(30)
+        assert early.is_delivered and late.is_delivered and after.is_delivered
+        assert sim.stats.packets_delivered == 3
+
 
 class TestObservers:
     def test_observer_called_at_period(self):
