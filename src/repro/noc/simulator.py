@@ -107,16 +107,17 @@ class _Episode:
         """Attach a traffic source (benign workload or attacker).
 
         Attach sources through this method, not by editing ``sources``: the
-        driver caches its ingress order and rebuilds it on this call.
+        driver caches its per-cycle plan and rebuilds it on this call.
         """
         self.sources.append(source)
-        self._driver()._ingress_plan = None
+        self._driver()._plan = None
 
     def add_observer(self, period: int, callback: Callable) -> None:
         """Call ``callback(self)`` every ``period`` cycles after warmup."""
         if period <= 0:
             raise ValueError("observer period must be positive")
         self._observers.append((period, callback))
+        self._driver()._plan = None
 
     # -- runtime defense hooks ------------------------------------------------
     def throttle_node(self, node_id: int, fraction: float) -> None:
@@ -171,8 +172,8 @@ class NoCSimulator(_Episode):
         # transfer, one vectorized hand-off per source replaces the
         # per-packet enqueue loop (same packets, same RNG stream).
         self._batch_ingress = hasattr(self.network, "enqueue_batch")
-        # Ingress order over every lane's sources; see _ingress.
-        self._ingress_plan: list | None = None
+        # Per-cycle work over every lane, built on first use; see _make_plan.
+        self._plan: tuple[list, list] | None = None
         # Data-plane faults: scheduled (cycle, dead_links, dead_routers)
         # activations plus the accumulated fault set already applied.
         self._pending_data_faults: list[tuple[int, tuple, tuple]] = []
@@ -281,38 +282,27 @@ class NoCSimulator(_Episode):
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
-        """Advance the simulation (every lane) by a single cycle."""
+        """Advance the simulation (every lane) by a single cycle.
+
+        Ingress runs source positions outer, lanes inner: every lane's
+        position-0 source is drained before any position-1 source, so each
+        lane enqueues in its own ``sources`` order (workload before
+        attacker) and its packet stream is exactly a solo run's.
+        Per-packet sources enqueue one packet at a time (so does every
+        source on a backend without batch ingress).  A position's batch
+        emissions go to the network together once its last lane is
+        drained: one lane's as one ``enqueue_batch``, several lanes'
+        grouped into cross-lane ``enqueue_group`` sweeps.
+        """
         cycle = self.cycle
         if self._pending_data_faults:
             self._activate_due_faults(cycle)
-        self._ingress(cycle)
-        self.network.step(cycle)
-        post_warmup = cycle - self.config.warmup_cycles
-        if post_warmup > 0:
-            for lane in self.lanes:
-                for period, callback in lane._observers:
-                    if post_warmup % period == 0:
-                        callback(lane)
-        self.cycle += 1
-
-    def _ingress(self, cycle: int) -> None:
-        """Hand every lane's packets for ``cycle`` to the network.
-
-        One pass over the ingress plan: source positions outer, lanes
-        inner, so every lane's position-0 source is drained before any
-        position-1 source.  Each lane thus enqueues in its own ``sources``
-        order (workload before attacker) and its packet stream is exactly a
-        solo run's.  Per-packet sources enqueue one packet at a time (so
-        does every source on a backend without batch ingress).  A
-        position's batch emissions go to the network together once its
-        last lane is drained: one lane's as one ``enqueue_batch``, several
-        lanes' grouped into cross-lane ``enqueue_group`` sweeps.
-        """
-        plan = self._ingress_plan
+        plan = self._plan
         if plan is None:
-            plan = self._ingress_plan = self._plan_ingress()
+            plan = self._plan = self._make_plan()
+        ingress, observers = plan
         batches: list = []
-        for network, source, batched, closes_position in plan:
+        for network, source, batched, closes_position in ingress:
             if batched:
                 batch = source.packet_batch_for_cycle(cycle)
                 if batch is not None:
@@ -329,18 +319,26 @@ class NoCSimulator(_Episode):
                 else:
                     self._enqueue_groups(batches, cycle)
                 batches = []
+        self.network.step(cycle)
+        post_warmup = cycle - self.config.warmup_cycles
+        if post_warmup > 0:
+            for period, callback, lane in observers:
+                if post_warmup % period == 0:
+                    callback(self.lanes[lane])
+        self.cycle += 1
 
-    def _plan_ingress(self) -> list[tuple]:
-        """``(network, source, batched, closes_position)`` per attached source,
-        in source-position order with lanes inner.
+    def _make_plan(self) -> tuple[list, list]:
+        """The per-cycle work over every lane, in the order ``step`` runs it.
 
-        ``network`` is the lane's network (never the lane itself, so a solo
-        simulator's plan holds no reference back to it); ``batched`` says
-        the source hands over arrays (``packet_batch_for_cycle``) and the
-        backend takes them.
+        Ingress entries are ``(network, source, batched, closes_position)``
+        in source-position order with lanes inner; ``batched`` says the
+        source hands over arrays (``packet_batch_for_cycle``) and the
+        backend takes them.  Observer entries are ``(period, callback,
+        lane index)`` in lane order.  Neither holds a lane itself, so a
+        solo simulator's plan holds no reference back to it.
         """
         lanes = self.lanes
-        plan = []
+        ingress = []
         for position in range(max([len(lane.sources) for lane in lanes])):
             column = [lane for lane in lanes if position < len(lane.sources)]
             for lane in column:
@@ -348,8 +346,13 @@ class NoCSimulator(_Episode):
                 batched = self._batch_ingress and hasattr(
                     source, "packet_batch_for_cycle"
                 )
-                plan.append((lane.network, source, batched, lane is column[-1]))
-        return plan
+                ingress.append((lane.network, source, batched, lane is column[-1]))
+        observers = [
+            (period, callback, index)
+            for index, lane in enumerate(lanes)
+            for period, callback in lane._observers
+        ]
+        return ingress, observers
 
     def _enqueue_groups(self, batches: list, cycle: int) -> None:
         """Several lanes' batch emissions of one source position, grouped."""
@@ -394,8 +397,8 @@ class NoCSimulator(_Episode):
         behind a quarantined interface is ignored — by policy it can never
         inject, so waiting on it would always hit ``max_cycles``.
         """
-        # An empty ingress plan drains no source; the next step replans.
-        self._ingress_plan = []
+        # A plan without ingress drains no source; the next step replans.
+        self._plan = ([], self._make_plan()[1])
         extra = 0
         try:
             while (
@@ -405,7 +408,7 @@ class NoCSimulator(_Episode):
                 self.step()
                 extra += 1
         finally:
-            self._ingress_plan = None
+            self._plan = None
         return extra
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

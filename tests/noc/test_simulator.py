@@ -99,6 +99,24 @@ class TestObservers:
         sim.run(45)
         assert calls == [30, 40]
 
+    def test_observer_attached_mid_run_and_during_drain(self):
+        sim = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        first, second = [], []
+        sim.add_observer(10, lambda s: first.append(s.cycle))
+        sim.run(25)
+        sim.add_observer(10, lambda s: second.append(s.cycle))
+        sim.run(20)
+        assert first == [10, 20, 30, 40]
+        assert second == [30, 40]
+        sim.add_source(
+            OneShotSource(
+                {45: [Packet(source=0, destination=15, size_flits=4, created_cycle=45)]}
+            )
+        )
+        sim.run(1)
+        assert sim.drain() > 4
+        assert first[-1] == second[-1] == 50
+
     def test_invalid_period(self):
         sim = NoCSimulator(SimulationConfig(rows=4))
         with pytest.raises(ValueError):
