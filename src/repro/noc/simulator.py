@@ -11,9 +11,12 @@ activation, ingress, the network step, observer dispatch, ``run`` and
 ``drain`` exist once, here, and loop over the driver's ``lanes``: a solo
 simulator is its own single lane, and the episode-batched
 :class:`~repro.noc.batch_sim.BatchedNoCSimulator` subclasses it with one
-lane per episode.  The per-episode surface (sources, observers, defense
-hooks, results) is defined once too, in ``_Episode``, and shared by the solo
-simulator and every :class:`~repro.noc.batch_sim.LaneSimulator`.
+lane per episode.  The per-cycle work over the lanes (ingress order and
+observer dispatch) is planned once and rebuilt whenever a source or
+observer is attached, so a solo step does no per-lane bookkeeping.  The
+per-episode surface (sources, observers, defense hooks, results) is
+defined once too, in ``_Episode``, and shared by the solo simulator and
+every :class:`~repro.noc.batch_sim.LaneSimulator`.
 """
 
 from __future__ import annotations
