@@ -25,6 +25,8 @@ by ``tests/noc/test_batched_equivalence.py``).
 
 from __future__ import annotations
 
+import weakref
+
 from repro.noc.simulator import NoCSimulator, SimulationConfig, _Episode
 from repro.noc.soa_batch import BatchedSoAMeshNetwork, _no_direct_surface
 
@@ -48,20 +50,19 @@ class LaneSimulator(_Episode):
             parent.network.lane(index),
             index,
         )
-        self._parent = parent
+        # Weak, so a finished batch is no reference cycle: it is freed as
+        # soon as it is dropped instead of waiting for the cycle collector.
+        self._parent = weakref.ref(parent)
 
     @property
     def cycle(self) -> int:
-        return self._parent.cycle
+        return self._parent().cycle
 
     def _driver(self) -> "BatchedNoCSimulator":
-        return self._parent
+        return self._parent()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"LaneSimulator({self.lane_index} of {self._parent.episodes}, "
-            f"cycle={self.cycle})"
-        )
+        return f"LaneSimulator({self.lane_index}, cycle={self.cycle})"
 
 
 class BatchedNoCSimulator(NoCSimulator):

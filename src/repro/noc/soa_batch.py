@@ -156,6 +156,77 @@ def batched_tables(
     return built
 
 
+class _DeliveryLog:
+    """The batched network's columnar packet registry and delivered log.
+
+    ``Packet`` objects are not built on the hot path: ``enqueue_group``
+    appends one registry row per packet (episode, episode-local source,
+    size, creation cycle, malicious flag) and a ``None`` placeholder in
+    the network's packet list; delivered packets are logged as (pid,
+    ejection cycle) pairs.  :meth:`flush` materialises the log into the
+    per-lane ``delivered`` lists, in recorded order.  The log holds the
+    registry columns and lists but never the network, so neither the
+    network nor its lane stats form a reference cycle: a finished batch is
+    freed as soon as it is dropped, like a solo network.
+    """
+
+    def __init__(self, net: "BatchedSoAMeshNetwork") -> None:
+        self.packets = net._packets
+        self.dest = net._pkt_dest
+        self.injected = net._pkt_injected
+        self.nodes = net.topology.num_nodes
+        self.episode = _GrowableInt()
+        self.source = _GrowableInt()
+        self.size = _GrowableInt()
+        self.created = _GrowableInt()
+        self.malicious = _GrowableInt()
+        self.pid = _GrowableInt()
+        self.cycle = _GrowableInt()
+        self.done = 0
+        self.delivered: list[list[Packet]] = [[] for _ in range(net.episodes)]
+
+    def flush(self) -> None:
+        """Materialise the pending delivered log into the per-lane lists.
+
+        Counters are maintained live by the network's ``_record_ejections``;
+        only the per-packet ``Packet`` objects are deferred.  Appending in
+        log order preserves each lane's delivery order (the fingerprint the
+        equivalence tests pin), and consumers that never read delivered
+        packets — training-set generation reads feature frames only — never
+        pay for their materialisation.
+        """
+        done = self.done
+        total = len(self.pid)
+        if done == total:
+            return
+        self.done = total
+        pids = self.pid.values[done:total]
+        episodes = self.episode.values[pids]
+        dest_local = (self.dest.values[pids] - episodes * self.nodes).tolist()
+        sources = self.source.values[pids].tolist()
+        sizes = self.size.values[pids].tolist()
+        created = self.created.values[pids].tolist()
+        malicious = self.malicious.values[pids].tolist()
+        injected = self.injected.values[pids].tolist()
+        ejected = self.cycle.values[done:total].tolist()
+        lanes = episodes.tolist()
+        packets = self.packets
+        for row, pid in enumerate(pids.tolist()):
+            packet = packets[pid]
+            if packet is None:
+                packet = Packet(
+                    source=sources[row],
+                    destination=dest_local[row],
+                    size_flits=sizes[row],
+                    created_cycle=created[row],
+                    is_malicious=bool(malicious[row]),
+                )
+                packets[pid] = packet
+            packet.injected_cycle = injected[row]
+            packet.ejected_cycle = ejected[row]
+            self.delivered[lanes[row]].append(packet)
+
+
 class _LaneStats(NetworkStats):
     """Per-lane counters whose ``delivered`` list materialises lazily.
 
@@ -167,13 +238,14 @@ class _LaneStats(NetworkStats):
     sweeps — never pay for per-packet object construction.
     """
 
-    def __init__(self, net: "BatchedSoAMeshNetwork") -> None:
+    def __init__(self, log: _DeliveryLog, lane: int) -> None:
         super().__init__()
-        self._net = net
+        self._log = log
+        self._delivered = log.delivered[lane]
 
     @property
     def delivered(self) -> list[Packet]:  # type: ignore[override]
-        self._net._materialize_delivered()
+        self._log.flush()
         return self._delivered
 
     @delivered.setter
@@ -226,24 +298,17 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
             injection_bandwidth=injection_bandwidth,
             source_queue_capacity=source_queue_capacity,
         )
-        self._lane_stats = [_LaneStats(self) for _ in range(self.episodes)]
+        self._log = log = _DeliveryLog(self)
+        self._lane_stats = [_LaneStats(log, lane) for lane in range(self.episodes)]
         self._lane_dropped = [0] * self.episodes
-        self._pkt_episode = _GrowableInt()
-        # Columnar packet registry: ``Packet`` objects are not built on the
-        # hot path at all.  ``enqueue_group`` appends one row per packet
-        # (episode-local source, size, creation cycle, malicious flag) and a
-        # ``None`` placeholder in ``_packets``; delivered packets are logged
-        # as (pid, ejection cycle) pairs and materialised into per-lane
-        # ``stats.delivered`` lists — in recorded order — the first time a
-        # lane's stats are read (:meth:`_materialize_delivered`).
-        self._pkt_source = _GrowableInt()
-        self._pkt_size = _GrowableInt()
-        self._pkt_created = _GrowableInt()
-        self._pkt_malicious = _GrowableInt()
-        self._dlog_pid = _GrowableInt()
-        self._dlog_cycle = _GrowableInt()
-        self._dlog_done = 0
-        self._lanes = [SoAMeshLane(self, index) for index in range(self.episodes)]
+        # The registry columns and delivered log (see _DeliveryLog).
+        self._pkt_episode = log.episode
+        self._pkt_source = log.source
+        self._pkt_size = log.size
+        self._pkt_created = log.created
+        self._pkt_malicious = log.malicious
+        self._dlog_pid = log.pid
+        self._dlog_cycle = log.cycle
 
     def _install_tables(self) -> None:
         tables, vc = batched_tables(self.topology, self.num_vcs, self.episodes)
@@ -263,12 +328,16 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
 
     # -- episode views -------------------------------------------------------
     def lane(self, index: int) -> "SoAMeshLane":
-        """The ``MeshNetwork``-facing view of episode ``index``."""
-        return self._lanes[index]
+        """The ``MeshNetwork``-facing view of episode ``index``.
+
+        Views hold no state of their own, so each call makes a new one and
+        the network keeps no reference back to its views.
+        """
+        return SoAMeshLane(self, range(self.episodes)[index])
 
     @property
     def lanes(self) -> list["SoAMeshLane"]:
-        return list(self._lanes)
+        return [SoAMeshLane(self, index) for index in range(self.episodes)]
 
     # -- cycle advance -------------------------------------------------------
     def step(self, cycle: int) -> None:
@@ -318,51 +387,6 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         self._dlog_pid.extend(tail_pids)
         self._dlog_cycle.extend_fill(cycle, tail_pids.size)
 
-    def _materialize_delivered(self) -> None:
-        """Flush the delivered log into per-lane ``stats.delivered`` lists.
-
-        Counters are maintained live by :meth:`_record_ejections`; only the
-        per-packet ``Packet`` objects are deferred.  Appending in log order
-        preserves each lane's delivery order (the fingerprint the
-        equivalence tests pin), and consumers that never read delivered
-        packets — training-set generation reads feature frames only — never
-        pay for their materialisation.
-        """
-        done = self._dlog_done
-        total = len(self._dlog_pid)
-        if done == total:
-            return
-        self._dlog_done = total
-        pids = self._dlog_pid.values[done:total]
-        episodes = self._pkt_episode.values[pids]
-        nodes = self.topology.num_nodes
-        dest_local = (self._pkt_dest.values[pids] - episodes * nodes).tolist()
-        sources = self._pkt_source.values[pids].tolist()
-        sizes = self._pkt_size.values[pids].tolist()
-        created = self._pkt_created.values[pids].tolist()
-        malicious = self._pkt_malicious.values[pids].tolist()
-        injected = self._pkt_injected.values[pids].tolist()
-        ejected = self._dlog_cycle.values[done:total].tolist()
-        lanes = episodes.tolist()
-        packets = self._packets
-        # The raw per-lane lists: going through the _LaneStats.delivered
-        # property here would re-enter this method once per append.
-        lane_delivered = [stats._delivered for stats in self._lane_stats]
-        for row, pid in enumerate(pids.tolist()):
-            packet = packets[pid]
-            if packet is None:
-                packet = Packet(
-                    source=sources[row],
-                    destination=dest_local[row],
-                    size_flits=sizes[row],
-                    created_cycle=created[row],
-                    is_malicious=bool(malicious[row]),
-                )
-                packets[pid] = packet
-            packet.injected_cycle = injected[row]
-            packet.ejected_cycle = ejected[row]
-            lane_delivered[lanes[row]].append(packet)
-
     # -- grouped cross-episode ingress ---------------------------------------
     def enqueue_group(
         self,
@@ -408,14 +432,15 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
             for lane, source, destination in zip(
                 lane_ids.tolist(), sources.tolist(), destinations.tolist()
             ):
-                accepted += self._lanes[lane].enqueue_packet(
+                accepted += self._enqueue_lane_packet(
+                    lane,
                     Packet(
                         source=source,
                         destination=destination,
                         size_flits=size_flits,
                         created_cycle=cycle,
                         is_malicious=malicious,
-                    )
+                    ),
                 )
             return accepted
         fits = self._sq_count[gsources] + size_flits <= self.source_queue_capacity
@@ -449,6 +474,35 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         self._pkt_malicious.extend_fill(1 if malicious else 0, count)
         self._queue_packets(gsources, first_pid, size_flits)
         return count
+
+    def _enqueue_lane_packet(self, lane: int, packet: Packet) -> bool:
+        """Queue a packet at lane ``lane``'s (episode-local) source node."""
+        off = lane * self.topology.num_nodes
+        node = off + packet.source
+        if self._routable_start is not None and not self._routable_start[
+            packet.source, packet.destination
+        ]:
+            self._credit_unroutable_drops(node, 1)
+            return False
+        size = packet.size_flits
+        count = int(self._sq_count[node])
+        if count + size > self.source_queue_capacity:
+            self._credit_drops(node, 1)
+            return False
+        self._lane_stats[lane].record_created(packet)
+        pid = len(self._packets)
+        self._packets.append(packet)
+        self._pkt_dest.append(off + packet.destination)
+        self._pkt_episode.append(lane)
+        self._pkt_injected.append(
+            -1 if packet.injected_cycle is None else packet.injected_cycle
+        )
+        self._pkt_source.append(packet.source)
+        self._pkt_size.append(size)
+        self._pkt_created.append(packet.created_cycle)
+        self._pkt_malicious.append(1 if packet.is_malicious else 0)
+        self._queue_flits(node, count, (pid << PKT_SHIFT) + self._flit_templates[size])
+        return True
 
     def _credit_drops(self, node: int, packets: int) -> None:
         """Drops land on the owning episode's lane counter."""
@@ -527,32 +581,7 @@ class SoAMeshLane(_EpisodeBlock):
     # -- injection interface --------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> bool:
         """Queue a packet's flits at its (episode-local) source node."""
-        net = self._net
-        node = self._off + packet.source
-        if net._routable_start is not None and not net._routable_start[
-            packet.source, packet.destination
-        ]:
-            net._credit_unroutable_drops(node, 1)
-            return False
-        size = packet.size_flits
-        count = int(net._sq_count[node])
-        if count + size > net.source_queue_capacity:
-            net._credit_drops(node, 1)
-            return False
-        net._lane_stats[self.lane_index].record_created(packet)
-        pid = len(net._packets)
-        net._packets.append(packet)
-        net._pkt_dest.append(self._off + packet.destination)
-        net._pkt_episode.append(self.lane_index)
-        net._pkt_injected.append(
-            -1 if packet.injected_cycle is None else packet.injected_cycle
-        )
-        net._pkt_source.append(packet.source)
-        net._pkt_size.append(size)
-        net._pkt_created.append(packet.created_cycle)
-        net._pkt_malicious.append(1 if packet.is_malicious else 0)
-        net._queue_flits(node, count, (pid << PKT_SHIFT) + net._flit_templates[size])
-        return True
+        return self._net._enqueue_lane_packet(self.lane_index, packet)
 
     def enqueue_batch(
         self,

@@ -14,6 +14,9 @@ The matrix sweeps mesh sizes 4x4–16x16, benign/flood traffic, and all
 five refined-DoS variants of :mod:`repro.attacks`.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,25 @@ class TestLaneSurface:
             assert getattr(network, member) == sum(
                 getattr(lane, member) for lane in lanes
             )
+
+    def test_finished_batch_is_freed_by_reference_counting(self):
+        """No reference cycle keeps a dropped batch (and its arrays) alive.
+
+        Dataset builds drop one batch per chunk; with a cycle each waited
+        for the cycle collector, and peak memory depended on its timing.
+        """
+        gc.disable()
+        try:
+            batched, _ = _batched_run(4, [("flood", 1), ("benign", 2)], 120)
+            assert batched.lane(0).stats.delivered
+            refs = [
+                weakref.ref(obj)
+                for obj in (batched, batched.network, batched.lane(1))
+            ]
+            del batched
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_lane_throttle_is_episode_local(self):
         """A quarantine on lane 0 must not restrict the same node of lane 1."""
