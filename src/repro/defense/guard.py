@@ -52,6 +52,7 @@ from repro.faults.monitor import DETOUR_KEY, LOCAL_BOC_KEY
 from repro.monitor.frames import FrameSample
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator
+from repro.noc.stats import DeliveredColumns, LatencyStats
 from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS, guard_events_counter
 
@@ -64,6 +65,13 @@ _COUNT_KEYS = {
     "rolled_back": "releases",
     "released": "releases",
 }
+
+
+def _mean_latency(delivered: DeliveredColumns) -> float:
+    """Mean creation-to-ejection latency of ``delivered`` (NaN if empty)."""
+    if len(delivered) == 0:
+        return math.nan
+    return LatencyStats.from_columns(delivered).packet_latency
 
 
 @dataclass
@@ -809,28 +817,18 @@ class DL2FenceGuard:
         network itself.  Before any engagement everything counts as fresh.
         Returned as the window's :class:`WindowRecord` delivery fields.
         """
-        delivered = simulator.stats.delivered
-        new = delivered[self._delivered_index :]
-        self._delivered_index = len(delivered)
-        benign = [p for p in new if not p.is_malicious]
-        malicious_count = len(new) - len(benign)
-        latencies = [p.total_latency() for p in benign]
-        mean = float(np.mean(latencies)) if latencies else math.nan
+        new = simulator.stats.columns(self._delivered_index)
+        self._delivered_index += len(new)
+        benign = new.benign()
         epoch = self._containment_epoch
-        if epoch is None:
-            fresh_latencies = latencies
-        else:
-            fresh_latencies = [
-                p.total_latency() for p in benign if p.created_cycle >= epoch
-            ]
-        fresh_mean = float(np.mean(fresh_latencies)) if fresh_latencies else math.nan
+        fresh = benign if epoch is None else benign.select(benign.created >= epoch)
         return dict(
-            benign_latency=mean,
+            benign_latency=_mean_latency(benign),
             benign_delivered=len(benign),
-            malicious_delivered=malicious_count,
-            benign_fresh_latency=fresh_mean,
-            benign_fresh_delivered=len(fresh_latencies),
-            benign_backlog_delivered=len(benign) - len(fresh_latencies),
+            malicious_delivered=len(new) - len(benign),
+            benign_fresh_latency=_mean_latency(fresh),
+            benign_fresh_delivered=len(fresh),
+            benign_backlog_delivered=len(benign) - len(fresh),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -420,15 +420,14 @@ def unmitigated_attack_episode_latency(
     simulator = _attacked_simulator(builder, benchmark, attacks, shape, seed)
     simulator.run(shape.total_cycles)
     period = builder.config.sample_period
-    span = [
-        packet
-        for packet in simulator.stats.delivered
-        if not packet.is_malicious
-        and shape.attack_start + period <= packet.ejected_cycle <= shape.attack_end
-    ]
-    if not span:
+    benign = simulator.stats.columns().benign()
+    span = benign.select(
+        (shape.attack_start + period <= benign.ejected)
+        & (benign.ejected <= shape.attack_end)
+    )
+    if len(span) == 0:
         return float("nan")
-    return LatencyStats.from_packets(span).packet_latency
+    return LatencyStats.from_columns(span).packet_latency
 
 
 @dataclass(frozen=True)

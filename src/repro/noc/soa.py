@@ -12,16 +12,22 @@ is pinned behavior-fingerprint-identical to the object backend: the same
 seeds produce the same feature frames and the same
 ``DefenseReport.as_dict()``.
 
-Packet objects still exist — they are registered once at ``enqueue_packet``
-and surfaced again at head-injection and tail-ejection so the latency
-statistics (:class:`~repro.noc.stats.NetworkStats`) stay shared with the
-object backend — but no per-flit or per-router Python object is touched
-while the network advances.
+Packets are rows of one columnar registry (the network's ``_pkt_*``
+columns): a packet is written once at enqueue — its source and
+destination nodes, size, creation cycle and malicious flag — and the
+kernels stamp its injection cycle and log its delivery as (pid, ejection
+cycle).  An episode's :class:`~repro.noc.stats.NetworkStats` is a
+read-only view of its rows (:class:`RegistryStats`): counters are derived
+when read, latency is one query over the delivered columns, and
+``Packet`` objects are only built when a reader asks for
+``stats.delivered``.  No per-packet, per-flit or per-router Python object
+is touched while the network advances.
 
-The per-episode members (limits, flush, frames, flit counts, views) are
-written once, in :class:`_EpisodeBlock`, against a block of nodes: the solo
-network is the block at offset 0, and each lane of the episode-batched
-network (:mod:`repro.noc.soa_batch`) is the block at its lane offset.
+The per-episode members (enqueue, stats, limits, flush, frames, flit
+counts, views) are written once, in :class:`_EpisodeBlock`, against a
+block of nodes: the solo network is the block at offset 0, and each lane
+of the episode-batched network (:mod:`repro.noc.soa_batch`) is the block
+at its lane offset.
 
 The backend is selected through ``REPRO_SIM_BACKEND`` (``soa``, the
 default, or ``object``) or explicitly via
@@ -39,11 +45,11 @@ import numpy as np
 from repro.noc import soa_step
 from repro.noc.packet import Packet
 from repro.noc.soa_step import FIDX_MASK, KEY_PERIOD, PKT_SHIFT, TAIL_BIT
-from repro.noc.stats import NetworkStats
+from repro.noc.stats import DeliveredColumns, NetworkStats
 from repro.noc.topology import Direction, MeshTopology
 from repro.obs.metrics import METRICS, sim_phase_histogram
 
-__all__ = ["SoAMeshNetwork", "DIRECTION_INDEX", "mesh_tables"]
+__all__ = ["SoAMeshNetwork", "RegistryStats", "DIRECTION_INDEX", "mesh_tables"]
 
 #: Fixed direction→axis-index mapping of every per-port array: the LOCAL
 #: port first, then the paper's E, N, W, S cardinal order.
@@ -275,7 +281,9 @@ class _EpisodeBlock:
     """The per-episode network surface, over one block of the state arrays.
 
     Every member reads or writes nodes ``[_off, _off + _nodes)`` of the
-    arrays owned by ``_net``.  :class:`SoAMeshNetwork` is its own block at
+    arrays owned by ``_net``; enqueued packets become rows of ``_net``'s
+    registry, and ``stats`` is the view of the rows of episode
+    ``lane_index``.  :class:`SoAMeshNetwork` is its own block at
     offset 0; a :class:`~repro.noc.soa_batch.SoAMeshLane` is episode ``i``'s
     block of a batched network.  On a batched network itself the block spans
     every episode, so the flit counts are whole-network aggregates and the
@@ -283,6 +291,7 @@ class _EpisodeBlock:
     """
 
     topology: MeshTopology
+    lane_index: int
     _off: int
     _nodes: int
 
@@ -290,6 +299,62 @@ class _EpisodeBlock:
     def route_provider(self):
         """The active fault-aware route provider (None on a healthy mesh)."""
         return self._net._route_provider
+
+    # -- injection interface ------------------------------------------------
+    def enqueue_packet(self, packet: Packet) -> bool:
+        """Queue a caller-built packet's flits at its source (drop when full).
+
+        The packet becomes a registry row like any other; it is also kept
+        by pid so the kernels stamp its injection and ejection cycles.
+        """
+        net = self._net
+        pid = net._enqueue_row(
+            self._off + packet.source,
+            self._off + packet.destination,
+            packet.size_flits,
+            packet.created_cycle,
+            packet.is_malicious,
+        )
+        if pid < 0:
+            return False
+        net._packets[pid] = packet
+        if packet.injected_cycle is not None:
+            net._pkt_injected.values[pid] = packet.injected_cycle
+        return True
+
+    def enqueue_batch(
+        self,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        size_flits: int,
+        cycle: int,
+        malicious: bool,
+    ) -> int:
+        """Queue one packet per (source, destination) pair in one sweep.
+
+        The vectorized ingress of :meth:`NoCSimulator.step` for sources
+        exposing ``packet_batch_for_cycle``; semantically identical to
+        calling :meth:`enqueue_packet` per packet.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        destinations = np.asarray(destinations, dtype=np.int64)
+        if self._off:
+            sources = sources + self._off
+            destinations = destinations + self._off
+        return self._net._enqueue_rows(
+            sources, destinations, size_flits, cycle, malicious
+        )
+
+    # -- results ---------------------------------------------------------------
+    @property
+    def stats(self) -> "RegistryStats":
+        """The episode's statistics: a read-only view of its registry rows."""
+        return RegistryStats(self._net, self.lane_index)
+
+    @property
+    def dropped_packets(self) -> int:
+        """Packets dropped at this episode's source queues."""
+        return self._net._dropped[self.lane_index]
 
     # -- injection rate limiting (defense hook) -----------------------------
     def set_injection_limit(self, node_id: int, fraction: float) -> None:
@@ -459,6 +524,9 @@ class SoAMeshNetwork(_EpisodeBlock):
     """A 2-D mesh with XY wormhole switching on flat NumPy state arrays."""
 
     backend_name = "soa"
+    #: A solo network is the one-episode case of every per-episode member.
+    episodes = 1
+    lane_index = 0
     _off = 0
 
     def __init__(
@@ -482,8 +550,7 @@ class SoAMeshNetwork(_EpisodeBlock):
         self.vc_depth = vc_depth
         self.injection_bandwidth = injection_bandwidth
         self.source_queue_capacity = source_queue_capacity
-        self.stats = NetworkStats()
-        self.dropped_packets = 0
+        self._cycles = 0
         # Label-bound metric handles, created on first metered step().
         self._phase_series = None
 
@@ -561,11 +628,24 @@ class SoAMeshNetwork(_EpisodeBlock):
         self._allowance = np.zeros(num_nodes, dtype=np.float64)
         self._limited_idx = np.empty(0, dtype=np.int64)
 
-        # Packet registry: the Python objects (for the shared NetworkStats)
-        # plus the per-packet fields the kernels need as arrays.
-        self._packets: list[Packet] = []
+        # The packet registry, one row per accepted packet (pid = row):
+        # source and destination (array node ids, so the source names the
+        # episode), the injection cycle (-1 until the head enters the
+        # network), size, creation cycle and malicious flag.  Deliveries
+        # are logged as (pid, ejection cycle) in delivery order.  The
+        # per-episode NetworkStats are views of these columns.
+        self._pkt_src = _GrowableInt()
         self._pkt_dest = _GrowableInt()
         self._pkt_injected = _GrowableInt()
+        self._pkt_size = _GrowableInt()
+        self._pkt_created = _GrowableInt()
+        self._pkt_malicious = _GrowableInt()
+        self._delivered_pid = _GrowableInt()
+        self._delivered_cycle = _GrowableInt()
+        # Caller-built Packets handed to enqueue_packet, by pid: the kernel
+        # callbacks stamp their cycles (empty on array-only ingress).
+        self._packets: dict[int, Packet] = {}
+        self._dropped = [0] * self.episodes
         self._flit_templates = _FlitTemplates()
 
         # Data-plane fault state (dead links/routers).  Fault-free networks
@@ -725,7 +805,7 @@ class SoAMeshNetwork(_EpisodeBlock):
                 continue
             unroutable = int(np.unique(pkts[drop & fresh]).size)
             if unroutable:
-                self._credit_unroutable_drops(node, unroutable)
+                self._credit_drops(node, unroutable, unroutable=True)
             self._compact_queue(node, values, ~drop)
 
     def _queued_words(self, node: int) -> np.ndarray:
@@ -743,66 +823,133 @@ class SoAMeshNetwork(_EpisodeBlock):
             self._sq_vals[node, :kept] = values[keep]
         return kept
 
-    def _credit_drops(self, node: int, packets: int) -> None:
-        """Count ``packets`` dropped at (array) node ``node``; the batched
-        subclass credits the owning episode."""
-        self.dropped_packets += packets
+    def _credit_drops(self, node: int, packets: int, unroutable: bool = False) -> None:
+        """Count ``packets`` dropped at (array) node ``node`` against its
+        episode; ``unroutable`` ones never had a route from their source."""
+        self._dropped[node // self.topology.num_nodes] += packets
+        if unroutable:
+            self.unroutable_packets += packets
 
-    def _credit_unroutable_drops(self, node: int, packets: int) -> None:
-        """Account dropped never-injected unroutable packets."""
-        self._credit_drops(node, packets)
-        self.unroutable_packets += packets
+    def _credit_dropped_nodes(self, nodes: np.ndarray, unroutable: bool) -> None:
+        """:meth:`_credit_drops` for one dropped packet per entry of ``nodes``."""
+        dropped, counts = np.unique(nodes, return_counts=True)
+        for node, packets in zip(dropped.tolist(), counts.tolist()):
+            self._credit_drops(node, packets, unroutable)
 
     # -- kernel callbacks (rare per-packet events) ---------------------------
     def _record_injected_ids(self, injected_ids: np.ndarray, cycle: int) -> None:
         """Head flits of new packets entered the network this cycle."""
         self._pkt_injected.values[injected_ids] = cycle
-        packets = self._packets
-        stats = self.stats
-        for pid in injected_ids.tolist():
-            packet = packets[pid]
-            packet.injected_cycle = cycle
-            stats.record_injected(packet)
+        if self._packets:
+            for pid in injected_ids.tolist():
+                packet = self._packets.get(pid)
+                if packet is not None:
+                    packet.injected_cycle = cycle
 
     def _record_ejections(
         self, nodes: np.ndarray, tails: np.ndarray, pids: np.ndarray, cycle: int
     ) -> None:
         """Flits left the network at their LOCAL output this cycle."""
-        flits_ejected = self._flits_ejected
-        packets_ejected = self._packets_ejected
-        packets = self._packets
-        stats = self.stats
-        for node, tail, pid in zip(nodes.tolist(), tails.tolist(), pids.tolist()):
-            flits_ejected[node] += 1
-            if tail:
-                packets_ejected[node] += 1
-                packet = packets[pid]
-                packet.ejected_cycle = cycle
-                stats.record_delivered(packet)
+        if nodes.size < 8:
+            # A handful of flits (one mesh): scalar updates beat the fixed
+            # cost of the vector ops.
+            for node, tail, pid in zip(nodes.tolist(), tails.tolist(), pids.tolist()):
+                self._flits_ejected[node] += 1
+                if tail:
+                    self._packets_ejected[node] += 1
+                    self._delivered_pid.append(pid)
+                    self._delivered_cycle.append(cycle)
+        else:
+            # A router ejects at most one flit per cycle, so ``nodes`` holds
+            # no duplicates and plain fancy-indexed increments are exact.
+            self._flits_ejected[nodes] += 1
+            self._packets_ejected[nodes[tails]] += 1
+            tail_pids = pids[tails]
+            self._delivered_pid.extend(tail_pids)
+            self._delivered_cycle.extend_fill(cycle, tail_pids.size)
+        if self._packets:
+            for pid in pids[tails].tolist():
+                packet = self._packets.get(pid)
+                if packet is not None:
+                    packet.ejected_cycle = cycle
 
     # -- injection interface ------------------------------------------------
-    def enqueue_packet(self, packet: Packet) -> bool:
-        """Queue a packet's flits at its source node (drop when full)."""
-        node = packet.source
-        size = packet.size_flits
-        if self._routable_start is not None and not self._routable_start[
-            node, packet.destination
-        ]:
-            self._credit_unroutable_drops(node, 1)
-            return False
+    def _enqueue_row(
+        self, node: int, destination: int, size: int, cycle: int, malicious: bool
+    ) -> int:
+        """Queue one packet from (array) ``node`` to (array) ``destination``.
+
+        The scalar registry writer: returns the new row's pid, or -1 when
+        the packet is dropped (unroutable, or its source queue is full).
+        """
+        routable = self._routable_start
+        if routable is not None:
+            n = self.topology.num_nodes
+            if not routable[node % n, destination % n]:
+                self._credit_drops(node, 1, unroutable=True)
+                return -1
         count = int(self._sq_count[node])
         if count + size > self.source_queue_capacity:
-            self.dropped_packets += 1
-            return False
-        self.stats.record_created(packet)
-        pid = len(self._packets)
-        self._packets.append(packet)
-        self._pkt_dest.append(packet.destination)
-        self._pkt_injected.append(
-            -1 if packet.injected_cycle is None else packet.injected_cycle
-        )
+            self._credit_drops(node, 1)
+            return -1
+        pid = len(self._pkt_src)
+        self._pkt_src.append(node)
+        self._pkt_dest.append(destination)
+        self._pkt_injected.append(-1)
+        self._pkt_size.append(size)
+        self._pkt_created.append(cycle)
+        self._pkt_malicious.append(malicious)
         self._queue_flits(node, count, (pid << PKT_SHIFT) + self._flit_templates[size])
-        return True
+        return pid
+
+    def _enqueue_rows(
+        self,
+        nodes: np.ndarray,
+        destinations: np.ndarray,
+        size: int,
+        cycle: int,
+        malicious: bool,
+    ) -> int:
+        """Queue one packet per (array) (``nodes``, ``destinations``) pair.
+
+        The array registry writer, semantically identical to calling
+        :meth:`_enqueue_row` per packet: routability and capacity checks,
+        drop counters, registry rows and source-ring writes happen as one
+        sweep.  Returns the number of packets accepted.
+        """
+        count = nodes.size
+        if count < 12 or np.unique(nodes).size != count:
+            # Small batches (or duplicate sources): the per-packet path beats
+            # the fixed cost of the array sweep.
+            accepted = 0
+            for node, destination in zip(nodes.tolist(), destinations.tolist()):
+                pid = self._enqueue_row(node, destination, size, cycle, malicious)
+                accepted += pid >= 0
+            return accepted
+        if self._routable_start is not None:
+            n = self.topology.num_nodes
+            routable = self._routable_start[nodes % n, destinations % n]
+            if not routable.all():
+                self._credit_dropped_nodes(nodes[~routable], unroutable=True)
+                nodes = nodes[routable]
+                destinations = destinations[routable]
+        fits = self._sq_count[nodes] + size <= self.source_queue_capacity
+        if not fits.all():
+            self._credit_dropped_nodes(nodes[~fits], unroutable=False)
+            nodes = nodes[fits]
+            destinations = destinations[fits]
+        count = nodes.size
+        if count == 0:
+            return 0
+        first_pid = len(self._pkt_src)
+        self._pkt_src.extend(nodes)
+        self._pkt_dest.extend(destinations)
+        self._pkt_injected.extend_fill(-1, count)
+        self._pkt_size.extend_fill(size, count)
+        self._pkt_created.extend_fill(cycle, count)
+        self._pkt_malicious.extend_fill(malicious, count)
+        self._queue_packets(nodes, first_pid, size)
+        return count
 
     def _queue_flits(self, node: int, count: int, values: np.ndarray) -> None:
         """Append one packet's flit ``values`` to the ring of (array) node
@@ -833,89 +980,14 @@ class SoAMeshNetwork(_EpisodeBlock):
         for node, row in zip(nodes.tolist(), values):
             self._queue_flits(node, int(self._sq_count[node]), row)
 
-    def enqueue_batch(
-        self,
-        sources: np.ndarray,
-        destinations: np.ndarray,
-        size_flits: int,
-        cycle: int,
-        malicious: bool,
-    ) -> int:
-        """Queue one packet per (source, destination) pair in one sweep.
-
-        The vectorized ingress of :meth:`NoCSimulator.step` for sources
-        exposing ``packet_batch_for_cycle``: capacity checks, stat counters
-        and source-queue ring writes happen as array operations, with one
-        Packet object per accepted packet (the latency statistics and the
-        defense report read those).  Semantically identical to calling
-        :meth:`enqueue_packet` per packet; sources are expected to emit at
-        most one packet per node per cycle (duplicates fall back).
-        """
-        sources = np.asarray(sources)
-        count = sources.size
-        if count == 0:
-            return 0
-        if self._routable_start is not None:
-            destinations = np.asarray(destinations)
-            routable = self._routable_start[sources, destinations]
-            if not routable.all():
-                drops = np.bincount(sources[~routable], minlength=self._nodes)
-                for node in np.nonzero(drops)[0].tolist():
-                    self._credit_unroutable_drops(node, int(drops[node]))
-                sources = sources[routable]
-                destinations = destinations[routable]
-                count = sources.size
-                if count == 0:
-                    return 0
-        if count < 12 or np.unique(sources).size != count:
-            # Small batches (or duplicate sources): the per-packet path beats
-            # the fixed cost of the array sweep.
-            accepted = 0
-            for source, destination in zip(sources.tolist(), destinations.tolist()):
-                accepted += self.enqueue_packet(
-                    Packet(
-                        source=source,
-                        destination=destination,
-                        size_flits=size_flits,
-                        created_cycle=cycle,
-                        is_malicious=malicious,
-                    )
-                )
-            return accepted
-        fits = self._sq_count[sources] + size_flits <= self.source_queue_capacity
-        if not fits.all():
-            self.dropped_packets += int(count - fits.sum())
-            sources = sources[fits]
-            destinations = destinations[fits]
-            count = sources.size
-            if count == 0:
-                return 0
-        packets = [
-            Packet(
-                source=source,
-                destination=destination,
-                size_flits=size_flits,
-                created_cycle=cycle,
-                is_malicious=malicious,
-            )
-            for source, destination in zip(sources.tolist(), destinations.tolist())
-        ]
-        stats = self.stats
-        stats.packets_created += count
-        if malicious:
-            stats.malicious_packets_created += count
-        first_pid = len(self._packets)
-        self._packets.extend(packets)
-        self._pkt_dest.extend(destinations)
-        self._pkt_injected.extend_fill(-1, count)
-        self._queue_packets(sources, first_pid, size_flits)
-        return count
+    # Bound in this class body too: the span tracer patches them here.
+    enqueue_packet = _EpisodeBlock.enqueue_packet
+    enqueue_batch = _EpisodeBlock.enqueue_batch
 
     # -- cycle advance ------------------------------------------------------
     def step(self, cycle: int) -> None:
         """Advance the network by one cycle (inject, allocate, traverse)."""
         self._advance(cycle)
-        self.stats.cycles = cycle + 1
 
     def _advance(self, cycle: int) -> None:
         """One metered kernel dispatch plus the windowed occupancy sample.
@@ -949,6 +1021,7 @@ class SoAMeshNetwork(_EpisodeBlock):
             np.divide(self._occupied, float(self.num_vcs), out=self._occ_tmp)
             self._occ_sum += self._occ_tmp
         self._occ_samples += 1
+        self._cycles = cycle + 1
 
     def _occ_samples_for_port(self, flat_port: int) -> int:
         """Occupancy sample count governing ``flat_port``'s VCO average."""
@@ -978,10 +1051,13 @@ class _GrowableInt:
             self._data = grown
 
     def append(self, value: int) -> None:
-        if self._size == self._data.size:
-            self._grow_to(self._size + 1)
-        self._data[self._size] = value
-        self._size += 1
+        size = self._size
+        try:
+            self._data[size] = value
+        except IndexError:  # full: cheaper than a capacity test per append
+            self._grow_to(size + 1)
+            self._data[size] = value
+        self._size = size + 1
 
     def extend(self, values: np.ndarray) -> None:
         count = len(values)
@@ -1000,6 +1076,128 @@ class _GrowableInt:
 
     def __len__(self) -> int:
         return self._size
+
+
+class RegistryStats(NetworkStats):
+    """One episode's :class:`~repro.noc.stats.NetworkStats`, read off the
+    packet registry of its network.
+
+    A read-only view: every counter is derived from the registry columns
+    when read, so the kernels keep no per-episode counters.  The episode's
+    rows are those whose source node lies in its block.  ``delivered``
+    builds ``Packet`` objects on each read, for the tests and examples that
+    still want them; latency readers use :meth:`columns`.
+    """
+
+    def __init__(self, net: SoAMeshNetwork, lane: int) -> None:
+        # NetworkStats' dataclass __init__ would assign the counters.
+        self._net = net
+        self._lane = lane
+
+    def _own(self, rows: np.ndarray) -> np.ndarray:
+        """The registry ``rows`` (pids) that belong to this episode."""
+        net = self._net
+        if net.episodes == 1:
+            return rows
+        episode = net._pkt_src.values[rows] // net.topology.num_nodes
+        return rows[episode == self._lane]
+
+    def _created(self) -> np.ndarray:
+        return self._own(np.arange(len(self._net._pkt_src)))
+
+    def _delivered(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pids, ejection cycles) of this episode's deliveries, in order."""
+        net = self._net
+        pids = net._delivered_pid.values
+        cycles = net._delivered_cycle.values
+        if net.episodes == 1:
+            return pids, cycles
+        own = net._pkt_src.values[pids] // net.topology.num_nodes == self._lane
+        return pids[own], cycles[own]
+
+    @property
+    def cycles(self) -> int:
+        return self._net._cycles
+
+    @property
+    def packets_created(self) -> int:
+        return int(self._created().size)
+
+    @property
+    def malicious_packets_created(self) -> int:
+        return int(self._net._pkt_malicious.values[self._created()].sum())
+
+    @property
+    def packets_injected(self) -> int:
+        injected = self._net._pkt_injected.values[self._created()]
+        return int(np.count_nonzero(injected >= 0))
+
+    @property
+    def packets_delivered(self) -> int:
+        return int(self._delivered()[0].size)
+
+    @property
+    def flits_delivered(self) -> int:
+        return int(self._net._pkt_size.values[self._delivered()[0]].sum())
+
+    @property
+    def malicious_packets_delivered(self) -> int:
+        return int(self._net._pkt_malicious.values[self._delivered()[0]].sum())
+
+    def columns(self, start: int = 0) -> DeliveredColumns:
+        """Delivered packets from the ``start``-th on, in delivery order."""
+        net = self._net
+        pids, ejected = self._delivered()
+        pids = pids[start:]
+        return DeliveredColumns(
+            created=net._pkt_created.values[pids],
+            injected=net._pkt_injected.values[pids],
+            ejected=ejected[start:].copy(),
+            size=net._pkt_size.values[pids],
+            malicious=net._pkt_malicious.values[pids] != 0,
+        )
+
+    @property
+    def delivered(self) -> list[Packet]:
+        """Delivered packets in delivery order, as ``Packet`` objects.
+
+        A packet handed to ``enqueue_packet`` is returned as itself; every
+        other one is built from its registry row on this read.
+        """
+        net = self._net
+        pids, ejected = self._delivered()
+        off = self._lane * net.topology.num_nodes
+        rows = zip(
+            pids.tolist(),
+            (net._pkt_src.values[pids] - off).tolist(),
+            (net._pkt_dest.values[pids] - off).tolist(),
+            net._pkt_size.values[pids].tolist(),
+            net._pkt_created.values[pids].tolist(),
+            net._pkt_malicious.values[pids].tolist(),
+            net._pkt_injected.values[pids].tolist(),
+            ejected.tolist(),
+        )
+        packets = []
+        for pid, source, destination, size, created, malicious, injected, eject in rows:
+            packet = net._packets.get(pid)
+            if packet is None:
+                packet = Packet(
+                    source=source,
+                    destination=destination,
+                    size_flits=size,
+                    created_cycle=created,
+                    is_malicious=bool(malicious),
+                    injected_cycle=injected,
+                    ejected_cycle=eject,
+                )
+            packets.append(packet)
+        return packets
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"RegistryStats(lane={self._lane}, cycles={self.cycles}, "
+            f"delivered={self.packets_delivered}/{self.packets_created})"
+        )
 
 
 class _SourceQueuesView:

@@ -317,8 +317,7 @@ def switch(net, cycle: int) -> None:
     np.minimum.at(net._port_first_free, tail_ports, released % net.num_vcs)
 
     # Ejections (at most one per router per cycle, in ascending node order —
-    # the same order the object backend records deliveries in).  A handful
-    # of flits eject per cycle, so a scalar loop beats the vector ops here.
+    # the same order the object backend records deliveries in).
     win_eject = eject[winners]
     eject_idx = np.nonzero(win_eject)[0]
     if eject_idx.size:

@@ -211,7 +211,10 @@ class TestReportContents:
         assert guard.report.collateral_node_windows == 2
 
     def test_window_latency_accounting(self):
-        simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        # The object backend keeps a plain delivered list to extend by hand.
+        simulator = NoCSimulator(
+            SimulationConfig(rows=4, warmup_cycles=0, backend="object")
+        )
         guard = DL2FenceGuard(ScriptedFence([(False, []), (False, [])]))
         guard.simulator = simulator
 

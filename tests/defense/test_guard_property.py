@@ -9,16 +9,27 @@ release-probe spacing, and checks on every sequence that
   windows apart or more;
 * the report's ``event_counts`` equal the counts rederived from the run's
   own trace.
+
+A second property pins the guard's per-window latency accounting (benign
+mean plus the fresh/backlog split at the containment epoch) to the
+per-packet loop it replaced, over generated delivered packets.
 """
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.defense.guard import DL2FenceGuard
 from repro.defense.policy import MitigationPolicy
+from repro.noc.packet import Packet
+from repro.noc.stats import NetworkStats
 from repro.obs.bus import RingBufferSink, trace_session
 from repro.obs.summarize import trace_counts
 
-from tests.defense.test_guard import drive
+from tests.defense.test_guard import ScriptedFence, drive
 
 windows = st.tuples(
     st.booleans(), st.lists(st.integers(0, 15), max_size=6, unique=True)
@@ -61,3 +72,73 @@ def test_guard_decision_invariants(script, policy):
     )
 
     assert report.event_counts == trace_counts(trace)
+
+
+def reference_window(packets, epoch):
+    """The per-packet window loop the guard's column query replaced."""
+    benign = [p for p in packets if not p.is_malicious]
+    latencies = [p.total_latency() for p in benign]
+    if epoch is None:
+        fresh = latencies
+    else:
+        fresh = [p.total_latency() for p in benign if p.created_cycle >= epoch]
+    return dict(
+        benign_latency=float(np.mean(latencies)) if latencies else math.nan,
+        benign_delivered=len(benign),
+        malicious_delivered=len(packets) - len(benign),
+        benign_fresh_latency=float(np.mean(fresh)) if fresh else math.nan,
+        benign_fresh_delivered=len(fresh),
+        benign_backlog_delivered=len(benign) - len(fresh),
+    )
+
+
+def same(record, expected):
+    assert record.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, float) and math.isnan(value):
+            assert math.isnan(record[key]), key
+        else:
+            assert record[key] == value, key
+
+
+deliveries = st.lists(
+    st.tuples(
+        st.integers(0, 3000),  # created
+        st.integers(0, 200),  # queue wait
+        st.integers(1, 200),  # network traversal
+        st.integers(1, 8),  # size
+        st.booleans(),  # malicious
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first=deliveries,
+    second=deliveries,
+    epoch=st.one_of(st.none(), st.integers(0, 3000)),
+)
+def test_window_fresh_backlog_split_equals_per_packet_loop(first, second, epoch):
+    """Two consecutive windows, each split at the containment epoch."""
+
+    def packet(created, queue, network, size, malicious):
+        built = Packet(
+            source=0,
+            destination=1,
+            size_flits=size,
+            created_cycle=created,
+            is_malicious=malicious,
+        )
+        built.injected_cycle = created + queue
+        built.ejected_cycle = created + queue + network
+        return built
+
+    window_a = [packet(*row) for row in first]
+    window_b = [packet(*row) for row in second]
+    guard = DL2FenceGuard(ScriptedFence([]))
+    guard._containment_epoch = epoch
+    simulator = SimpleNamespace(stats=NetworkStats(delivered=list(window_a)))
+    same(guard._window_latency(simulator), reference_window(window_a, epoch))
+    simulator.stats.delivered.extend(window_b)
+    same(guard._window_latency(simulator), reference_window(window_b, epoch))

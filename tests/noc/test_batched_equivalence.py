@@ -194,6 +194,7 @@ class TestLaneSurface:
             lambda: network.local_boc(),
             lambda: network.flush_source_queue(2),
             lambda: network.reset_boc_counters(),
+            lambda: network.stats,
             lambda: batched.stats,
             lambda: batched.restricted_nodes,
             lambda: batched.add_source(None),
