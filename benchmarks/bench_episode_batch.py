@@ -22,10 +22,10 @@ because the two paths simulate identical traffic.  Results land in
 ``benchmarks/results/episode_batch.{txt,json}``.
 """
 
-import os
 import time
 
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
+from repro.noc.backend import episode_batch_size
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.traffic.scenario import AttackScenario
@@ -34,7 +34,7 @@ from repro.traffic.synthetic import UniformRandomTraffic
 from bench_utils import run_once, write_json_result, write_result
 
 ROWS = 16
-EPISODES = int(os.environ.get("REPRO_EPISODE_BATCH", "") or 16)
+EPISODES = episode_batch_size()
 CYCLES = 512
 SAMPLE_PERIOD = 64
 BASE_SEED = 1234

@@ -93,19 +93,6 @@ class _EngagedNode:
 class DL2FenceGuard:
     """Attaches DL2Fence to a live simulator and acts on what it localizes."""
 
-    #: PI gains of the adaptive throttle (``MitigationPolicy.adaptive_throttle``):
-    #: the controller tracks a benign recovery ratio of 1.0 against the
-    #: pre-engagement delivery baseline; under-recovery tightens the limit,
-    #: over-recovery relaxes it.
-    _ADAPTIVE_KP = 0.5
-    _ADAPTIVE_KI = 0.1
-    #: Anti-windup clamp on the recovery-error integral.
-    _ADAPTIVE_INTEGRAL_CAP = 5.0
-    #: Adaptive limit bounds, as multiples of ``throttle_factor``.
-    _ADAPTIVE_MIN_SCALE = 0.25
-    _ADAPTIVE_MAX_SCALE = 4.0
-    #: EWMA retention of the pre-engagement benign delivery baseline.
-    _BASELINE_DECAY = 0.8
     #: Per-window retention of an engaged node's shadow-pressure counter.
     _SHADOW_DECAY = 0.8
 
@@ -116,7 +103,6 @@ class DL2FenceGuard:
         attack_start: int | None = None,
         attack_end: int | None = None,
         true_attackers: tuple[int, ...] = (),
-        force_localization: bool = False,
         evidence: EvidenceConfig | bool = True,
         degraded: DegradedModeConfig | bool = True,
     ) -> None:
@@ -141,7 +127,6 @@ class DL2FenceGuard:
         which is why it defaults on; ``False`` disables it."""
         self.fence = fence
         self.policy = policy or MitigationPolicy()
-        self.force_localization = force_localization
         if evidence is True:
             evidence = EvidenceConfig()
         self.evidence_config: EvidenceConfig | None = evidence or None
@@ -189,12 +174,6 @@ class DL2FenceGuard:
         self._last_window_cycle: int | None = None
         self._containment_epoch: int | None = None
         self._last_probe_window: int | None = None
-        # Adaptive-throttle (PI controller) state: the benign delivery
-        # baseline is learned on un-engaged windows, the integral and the
-        # steered limit only live while fences are up.
-        self._baseline_rate: float | None = None
-        self._throttle_integral = 0.0
-        self._adaptive_limit: float | None = None
 
     # -- wiring ------------------------------------------------------------
     def attach(
@@ -225,15 +204,6 @@ class DL2FenceGuard:
     def engaged_nodes(self) -> list[int]:
         """Nodes currently under an active countermeasure."""
         return sorted(self._engaged)
-
-    @property
-    def is_engaged(self) -> bool:
-        return bool(self._engaged)
-
-    @property
-    def localization_round(self) -> int:
-        """Engagement rounds completed so far (0 before the first fence)."""
-        return self._round
 
     # -- the closed loop -----------------------------------------------------
     def on_sample(self, sample: FrameSample, simulator: NoCSimulator) -> None:
@@ -328,9 +298,7 @@ class DL2FenceGuard:
             lag = simulator.cycle - sample.cycle
             fresh_clock = lag <= self.degraded_config.stale_window_tolerance * period
 
-        result = self.fence.process_sample(
-            sample, force_localization=self.force_localization
-        )
+        result = self.fence.process_sample(sample)
         deliveries = self._window_latency(simulator)
 
         convicted: list[int] = []
@@ -353,7 +321,7 @@ class DL2FenceGuard:
                     getattr(self.fence, "detector", None), "benign_calibration", None
                 ),
             )
-            if not result.detected and weight > 0.0 and not self.force_localization:
+            if not result.detected and weight > 0.0:
                 # Sub-threshold window: run segmentation anyway so weak
                 # evidence (partial routes, frontier candidates) enters the
                 # accumulator instead of being discarded with the window.
@@ -420,7 +388,6 @@ class DL2FenceGuard:
             node for node in flagged if node not in detour or node in convicted_set
         ]
         self._update_shadow_pressure(set(flagged))
-        self._update_adaptive_throttle(deliveries, simulator)
 
         if acted:
             if self._consecutive_detections == 0:
@@ -516,7 +483,7 @@ class DL2FenceGuard:
         # the "loudest" attacker of this round.
         eligible.sort(key=lambda item: (-item[1], item[0]))
         newly_engaged = []
-        limit = self._current_limit()
+        limit = self.policy.injection_limit
         for node, _streak in eligible[:budget]:
             previous = simulator.network.injection_limit(node)
             simulator.throttle_node(node, limit)
@@ -687,77 +654,8 @@ class DL2FenceGuard:
         simulator.throttle_node(node, state.previous_limit)
         if not self._engaged:
             self._containment_epoch = None
-            # The PI controller's error history belongs to the episode that
-            # just closed; the next engagement starts from the base factor.
-            self._throttle_integral = 0.0
-            self._adaptive_limit = None
 
-    # -- adaptive throttle & shadow counters ----------------------------------
-    def _current_limit(self) -> float:
-        """Injection limit to apply at the next engagement.
-
-        The policy's static limit, unless the adaptive throttle has steered
-        one (throttle action only — quarantine is absolute by definition).
-        """
-        if (
-            self.policy.adaptive_throttle
-            and self.policy.action == "throttle"
-            and self._adaptive_limit is not None
-        ):
-            return self._adaptive_limit
-        return self.policy.injection_limit
-
-    def _update_adaptive_throttle(
-        self, deliveries: dict, simulator: NoCSimulator
-    ) -> None:
-        """One PI step of the adaptive throttle; re-applies the steered limit.
-
-        Un-engaged windows learn the benign delivery baseline (EWMA of
-        benign packets delivered per window).  Engaged windows measure the
-        *fresh* benign delivery — packets created under the fence, the
-        drain-aware recovery signal — against that baseline and steer the
-        limit: under-recovery (error > 0) tightens it below
-        ``throttle_factor``, sustained full recovery relaxes it above, so
-        a mis-fenced innocent wins its bandwidth back without a release.
-        """
-        if not self.policy.adaptive_throttle or self.policy.action != "throttle":
-            return
-        if not self._engaged:
-            rate = float(deliveries["benign_delivered"])
-            if self._baseline_rate is None:
-                self._baseline_rate = rate
-            else:
-                decay = self._BASELINE_DECAY
-                self._baseline_rate = decay * self._baseline_rate + (1.0 - decay) * rate
-            return
-        baseline = self._baseline_rate
-        if not baseline:
-            return
-        # Cap the ratio: a backlog draining out can briefly over-deliver,
-        # and one such burst must not slam the integral.
-        recovery = min(float(deliveries["benign_fresh_delivered"]) / baseline, 2.0)
-        error = 1.0 - recovery
-        cap = self._ADAPTIVE_INTEGRAL_CAP
-        self._throttle_integral = float(
-            np.clip(self._throttle_integral + error, -cap, cap)
-        )
-        base = self.policy.throttle_factor
-        limit = base * (
-            1.0
-            - self._ADAPTIVE_KP * error
-            - self._ADAPTIVE_KI * self._throttle_integral
-        )
-        limit = float(
-            np.clip(
-                limit,
-                self._ADAPTIVE_MIN_SCALE * base,
-                min(self._ADAPTIVE_MAX_SCALE * base, 0.95),
-            )
-        )
-        self._adaptive_limit = limit
-        for node in self._engaged:
-            simulator.throttle_node(node, limit)
-
+    # -- shadow counters -------------------------------------------------------
     def _update_shadow_pressure(self, flagged: set[int]) -> None:
         """Cool every engaged node's shadow counter; re-heat re-flagged ones.
 

@@ -86,15 +86,6 @@ class MitigationPolicy:
         attacker's congestion to rebuild and break the clean streak before
         the next node is probed.  ``1`` releases on every qualifying clean
         window.
-    adaptive_throttle:
-        Let the guard steer the throttle limit instead of applying
-        ``throttle_factor`` verbatim.  The guard runs a PI controller on
-        the observed benign recovery ratio (fenced-window benign delivery
-        over the pre-engagement baseline): under-recovery tightens the
-        limit, full recovery relaxes it back towards (and above)
-        ``throttle_factor``, so a mis-fenced innocent gets most of its
-        bandwidth back while a still-hot flood is squeezed harder.  Only
-        meaningful for ``action="throttle"``; quarantine stays absolute.
     """
 
     action: str = "throttle"
@@ -106,7 +97,6 @@ class MitigationPolicy:
     reengage_backoff: float = 2.0
     max_engaged_nodes: int | None = None
     release_probe_spacing: int = 1
-    adaptive_throttle: bool = False
 
     def __post_init__(self) -> None:
         if self.action not in _ACTIONS:

@@ -5,9 +5,14 @@ scenarios at FIR 0.8 over 6 synthetic + 3 PARSEC benchmarks and extracting
 directional VCO/BOC feature frames with the global performance monitor.  The
 :class:`DatasetBuilder` reproduces that flow end to end:
 
-1. for every benchmark, run a benign simulation and one or more attacked
-   simulations (1- and 2-attacker scenarios);
-2. sample frames periodically with :class:`GlobalPerformanceMonitor`;
+1. plan, for every benchmark, a benign simulation and one or more attacked
+   simulations (1- and 2-attacker scenarios) as :class:`RunTask` entries
+   (:meth:`DatasetBuilder.plan_runs`);
+2. simulate them, episode-batched where the backend allows, sampling frames
+   periodically with :class:`GlobalPerformanceMonitor`
+   (:meth:`DatasetBuilder.simulate`) — the only code that simulates
+   scenario runs; :class:`repro.runtime.engine.ExperimentEngine` caches the
+   tasks and fans them out;
 3. assemble a frame-level **detection dataset** (four-direction stacks with a
    binary attack label) and a per-direction **localization dataset**
    (directional frames with segmentation ground-truth masks).
@@ -23,6 +28,8 @@ from repro.monitor.features import FeatureKind, normalize_frame
 from repro.monitor.frames import FrameSample, to_canonical
 from repro.monitor.labeling import attack_direction_masks
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
+from repro.noc.backend import episode_batch_size, resolve_backend
+from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import Direction, MeshTopology
 from repro.traffic.parsec import PARSEC_WORKLOADS, make_parsec_workload
@@ -31,6 +38,7 @@ from repro.traffic.synthetic import SYNTHETIC_PATTERNS, make_synthetic_traffic
 
 __all__ = [
     "DatasetConfig",
+    "RunTask",
     "ScenarioRun",
     "DetectionDataset",
     "LocalizationDataset",
@@ -82,6 +90,20 @@ class DatasetConfig:
     def run_cycles(self) -> int:
         """Simulated cycles per run: warmup plus all sampling windows."""
         return self.warmup_cycles + self.sample_period * self.samples_per_run + 1
+
+
+@dataclass(frozen=True)
+class RunTask:
+    """One independent simulation of the dataset-generation plan.
+
+    Also the per-run cache key of
+    :meth:`repro.runtime.engine.ExperimentEngine.build_runs`.
+    """
+
+    config: DatasetConfig
+    benchmark: str
+    scenario: AttackScenario | None
+    seed: int
 
 
 @dataclass
@@ -196,26 +218,97 @@ class DatasetBuilder:
     ) -> ScenarioRun:
         """Simulate one benchmark, optionally overlaid with a flooding attack."""
         seed = self.config.seed if seed is None else seed
-        simulator = NoCSimulator(self.config.simulation_config())
-        simulator.add_source(self.make_workload(benchmark, seed=seed))
-        if scenario is not None:
-            attacker = scenario.build_source(
-                self.topology,
-                seed=seed + 1,
-                packet_size_flits=self.config.packet_size_flits,
+        return self.simulate([RunTask(self.config, benchmark, scenario, seed)])[0]
+
+    def plan_runs(
+        self,
+        benchmarks: list[str] | None = None,
+        scenarios_per_benchmark: int = 1,
+        attacker_counts: tuple[int, ...] = (1, 2),
+        include_benign: bool = True,
+        seed: int | None = None,
+    ) -> list[RunTask]:
+        """The independent simulations behind :meth:`build_runs`, in order.
+
+        Per benchmark: a benign run (``include_benign``), then
+        ``scenarios_per_benchmark`` attacked runs cycling through
+        ``attacker_counts``.  The scenario draws are made here, serially —
+        they are cheap and order-dependent — so the tasks themselves are
+        pure and can be simulated in any grouping.
+        """
+        seed = self.config.seed if seed is None else seed
+        if benchmarks is None:
+            benchmarks = benchmark_names()
+        generator = ScenarioGenerator(self.topology, seed=seed)
+        tasks: list[RunTask] = []
+        for b_index, benchmark in enumerate(benchmarks):
+            run_seed = seed + 101 * (b_index + 1)
+            if include_benign:
+                tasks.append(RunTask(self.config, benchmark, None, run_seed))
+            for s_index in range(scenarios_per_benchmark):
+                count = attacker_counts[s_index % len(attacker_counts)]
+                scenario = generator.random_scenario(
+                    num_attackers=count, fir=self.config.fir, benchmark=benchmark
+                )
+                tasks.append(
+                    RunTask(self.config, benchmark, scenario, run_seed + s_index + 1)
+                )
+        return tasks
+
+    @staticmethod
+    def chunk(tasks: list[RunTask]) -> list[list[RunTask]]:
+        """Group tasks into the episode batches :meth:`simulate` runs at once.
+
+        :func:`~repro.noc.backend.episode_batch_size` tasks per chunk under
+        the ``soa`` backend, one under ``object`` (it has no batch axis).
+        """
+        size = episode_batch_size() if resolve_backend() == "soa" else 1
+        return [tasks[start : start + size] for start in range(0, len(tasks), size)]
+
+    def simulate(self, tasks: list[RunTask]) -> list[ScenarioRun]:
+        """Simulate run tasks side by side on one driver.
+
+        One task runs on a :class:`NoCSimulator`; several run as the lanes of
+        one :class:`~repro.noc.batch_sim.BatchedNoCSimulator`, so every
+        kernel dispatch advances all of them.  Each lane gets the task's
+        workload (seed ``seed``), its attacker (seed ``seed + 1``) and a
+        monitor; per-task results are identical to solo runs
+        (``tests/noc/test_batched_equivalence.py``).
+        """
+        if any(task.config != self.config for task in tasks):
+            raise ValueError("every task must carry this builder's config")
+        if len(tasks) == 1:
+            driver = NoCSimulator(self.config.simulation_config())
+        else:
+            driver = BatchedNoCSimulator(
+                self.config.simulation_config(), episodes=len(tasks)
             )
-            simulator.add_source(attacker)
-        monitor = GlobalPerformanceMonitor(
-            MonitorConfig(sample_period=self.config.sample_period)
-        ).attach(simulator)
-        simulator.run(self.config.run_cycles)
-        samples = monitor.samples[: self.config.samples_per_run]
-        return ScenarioRun(
-            benchmark=benchmark,
-            scenario=scenario,
-            samples=samples,
-            topology=self.topology,
-        )
+        monitors = []
+        for task, lane in zip(tasks, driver.lanes):
+            lane.add_source(self.make_workload(task.benchmark, seed=task.seed))
+            if task.scenario is not None:
+                lane.add_source(
+                    task.scenario.build_source(
+                        self.topology,
+                        seed=task.seed + 1,
+                        packet_size_flits=self.config.packet_size_flits,
+                    )
+                )
+            monitors.append(
+                GlobalPerformanceMonitor(
+                    MonitorConfig(sample_period=self.config.sample_period)
+                ).attach(lane)
+            )
+        driver.run(self.config.run_cycles)
+        return [
+            ScenarioRun(
+                benchmark=task.benchmark,
+                scenario=task.scenario,
+                samples=monitor.samples[: self.config.samples_per_run],
+                topology=self.topology,
+            )
+            for task, monitor in zip(tasks, monitors)
+        ]
 
     def build_runs(
         self,
@@ -225,27 +318,14 @@ class DatasetBuilder:
         include_benign: bool = True,
         seed: int | None = None,
     ) -> list[ScenarioRun]:
-        """Simulate benign and attacked runs for every benchmark."""
-        seed = self.config.seed if seed is None else seed
-        if benchmarks is None:
-            benchmarks = benchmark_names()
-        generator = ScenarioGenerator(self.topology, seed=seed)
-        runs: list[ScenarioRun] = []
-        for b_index, benchmark in enumerate(benchmarks):
-            run_seed = seed + 101 * (b_index + 1)
-            if include_benign:
-                runs.append(self.run_benchmark(benchmark, scenario=None, seed=run_seed))
-            for s_index in range(scenarios_per_benchmark):
-                count = attacker_counts[s_index % len(attacker_counts)]
-                scenario = generator.random_scenario(
-                    num_attackers=count, fir=self.config.fir, benchmark=benchmark
-                )
-                runs.append(
-                    self.run_benchmark(
-                        benchmark, scenario=scenario, seed=run_seed + s_index + 1
-                    )
-                )
-        return runs
+        """Simulate benign and attacked runs for every benchmark.
+
+        Simulates :meth:`plan_runs` chunk by chunk (:meth:`chunk`).
+        """
+        tasks = self.plan_runs(
+            benchmarks, scenarios_per_benchmark, attacker_counts, include_benign, seed
+        )
+        return [run for chunk in self.chunk(tasks) for run in self.simulate(chunk)]
 
     # -- dataset assembly ---------------------------------------------------------
     def detection_dataset(

@@ -45,8 +45,8 @@ def episode_batch_size(default: int = DEFAULT_EPISODE_BATCH) -> int:
 
     Governs how many independent episodes the batched SoA backend advances
     per kernel dispatch when a consumer (e.g.
-    :meth:`repro.runtime.engine.ExperimentEngine.build_runs`) fans out
-    episode sets.  Purely a performance knob: per-episode results are
+    :meth:`repro.monitor.dataset.DatasetBuilder.chunk`) groups episode
+    sets.  Purely a performance knob: per-episode results are
     fingerprint-identical at any width (``tests/noc/test_batched_equivalence.py``).
     """
     raw = os.environ.get("REPRO_EPISODE_BATCH", "").strip()

@@ -52,6 +52,14 @@ class TestRuns:
         attacker_counts = sorted(r.scenario.num_attackers for r in attack_runs)
         assert attacker_counts == [1, 1, 2, 2]
 
+    def test_simulate_rejects_a_foreign_config(self, small_builder):
+        (task,) = small_builder.plan_runs(
+            benchmarks=["uniform_random"], scenarios_per_benchmark=0
+        )
+        other = DatasetBuilder(DatasetConfig(rows=small_builder.config.rows + 1))
+        with pytest.raises(ValueError):
+            other.simulate([task])
+
 
 class TestDetectionDataset:
     def test_shapes_and_labels(self, small_builder, small_runs, small_dataset_config):

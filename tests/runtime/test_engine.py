@@ -9,6 +9,7 @@ from repro.defense.policy import MitigationPolicy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.robustness import run_attack_episode, train_defense_pipeline
 from repro.monitor.dataset import DatasetBuilder, DatasetConfig
+from repro.noc.backend import resolve_backend
 from repro.noc.topology import Direction
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import ExperimentEngine
@@ -50,15 +51,27 @@ def assert_runs_equal(first, second):
 
 
 class TestBuildRuns:
-    def test_matches_dataset_builder_exactly(self):
-        legacy = DatasetBuilder(QUICK_DATASET).build_runs(
+    def test_matches_dataset_builder_exactly(self, monkeypatch):
+        """Chunked (batched) runs equal one solo ``run_benchmark`` per task."""
+        monkeypatch.setenv("REPRO_EPISODE_BATCH", "2")
+        builder = DatasetBuilder(QUICK_DATASET)
+        tasks = builder.plan_runs(
             benchmarks=BENCHMARKS, scenarios_per_benchmark=2, seed=11
         )
-        engine = make_engine()
-        fresh = engine.build_runs(
+        expected_chunks = [2, 1] if resolve_backend() == "soa" else [1, 1, 1]
+        assert [len(chunk) for chunk in builder.chunk(tasks)] == expected_chunks
+        solo = [
+            builder.run_benchmark(task.benchmark, scenario=task.scenario, seed=task.seed)
+            for task in tasks
+        ]
+        built = builder.build_runs(
+            benchmarks=BENCHMARKS, scenarios_per_benchmark=2, seed=11
+        )
+        fresh = make_engine().build_runs(
             QUICK_DATASET, benchmarks=BENCHMARKS, scenarios_per_benchmark=2, seed=11
         )
-        assert_runs_equal(legacy, fresh)
+        assert_runs_equal(solo, built)
+        assert_runs_equal(solo, fresh)
 
     def test_cache_round_trip_is_bit_identical(self, tmp_path):
         engine = make_engine(tmp_path)

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.monitor.dataset import DatasetConfig
+from repro.monitor.dataset import DatasetBuilder, DatasetConfig, RunTask
 from repro.monitor.features import FeatureKind
 from repro.noc.topology import Direction
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import (
     ExperimentEngine,
-    _run_from_bundle,
-    _run_to_bundle,
-    _simulate_run,
-    _simulate_run_bundle,
-    RunTask,
+    _runs_from_bundle,
+    _runs_to_bundle,
+    _simulate_chunk,
 )
 from repro.runtime.parallel import (
     ArrayBundle,
@@ -97,14 +95,27 @@ class TestScenarioRunTransport:
         ]
 
     def test_bundle_round_trip_is_lossless(self):
-        run = _simulate_run(self._tasks()[0])
-        assert_runs_equal(run, _run_from_bundle(_run_to_bundle(run)))
+        builder = DatasetBuilder(CONFIG)
+        runs = [
+            run
+            for chunk in builder.chunk(self._tasks())
+            for run in builder.simulate(chunk)
+        ]
+        rebuilt = _runs_from_bundle(_runs_to_bundle(runs))
+        assert len(rebuilt) == len(runs)
+        for run, run_back in zip(runs, rebuilt):
+            assert_runs_equal(run, run_back)
 
     def test_worker_bundles_match_in_process_runs(self):
-        for task in self._tasks()[:2]:
-            assert_runs_equal(
-                _simulate_run(task), _run_from_bundle(_simulate_run_bundle(task))
-            )
+        builder = DatasetBuilder(CONFIG)
+        tasks = self._tasks()[:2]
+        for task in tasks:
+            (shipped,) = _runs_from_bundle(_simulate_chunk([task]))
+            assert_runs_equal(builder.simulate([task])[0], shipped)
+        # An episode-batched chunk ships every lane's frames in one bundle.
+        for chunk in builder.chunk(tasks):
+            for task, shipped in zip(chunk, _runs_from_bundle(_simulate_chunk(chunk))):
+                assert_runs_equal(builder.simulate([task])[0], shipped)
 
     @pytest.mark.parametrize("shm", ["1", "0"])
     def test_parallel_build_runs_bit_identical(self, shm, monkeypatch):
