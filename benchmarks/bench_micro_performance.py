@@ -262,50 +262,63 @@ def test_nn_dtype_speedup_recorded():
 
     The engine's float32 fast path (dtype-parameterized layers + reused
     im2col GEMM buffers) is what makes retraining cheap at the 16x16 scale;
-    this records the per-step cost under both dtypes so the speedup is
-    tracked alongside the other micro numbers.
+    this records the per-step cost of both 16x16 CNNs under both dtypes so
+    the speedup is tracked alongside the other micro numbers.  The localizer
+    step runs at its training batch size (16); its 'same'-padded convolutions
+    are most of a cold set-up's training time.
     """
     from repro.nn import Adam, BinaryCrossEntropy, use_dtype
+    from repro.nn.losses import combined_bce_dice
 
-    rng = np.random.default_rng(0)
-    x = rng.random((64, 16, 15, 4))
-    y = rng.integers(0, 2, size=(64, 1)).astype(float)
+    def detector_case():
+        rng = np.random.default_rng(0)
+        x = rng.random((64, 16, 15, 4))
+        y = rng.integers(0, 2, size=(64, 1)).astype(float)
+        return build_detector_model, x, y, BinaryCrossEntropy(), 0.005
+
+    def localizer_case():
+        rng = np.random.default_rng(1)
+        x = rng.random((16, 16, 15, 1))
+        y = rng.integers(0, 2, size=(16, 16, 15, 1)).astype(float)
+        loss = combined_bce_dice(bce_weight=0.5, dice_weight=0.5)
+        return build_localizer_model, x, y, loss, 0.01
+
     steps = 30
-    timings = {}
-    for dtype in ("float64", "float32"):
-        with use_dtype(dtype):
-            model = build_detector_model((16, 15, 4))
-        loss = BinaryCrossEntropy()
-        optimizer = Adam(learning_rate=0.005)
-        xt = x.astype(model.dtype)
-        yt = y.astype(model.dtype)
-        model.forward(xt, training=True)  # warm up buffers
-        start = time.perf_counter()
-        for _ in range(steps):
-            predictions = model.forward(xt, training=True)
-            loss.forward(predictions, yt)
-            model.backward(loss.backward(predictions, yt))
-            optimizer.step(model.layers)
-        timings[dtype] = (time.perf_counter() - start) / steps
-    speedup = timings["float64"] / max(timings["float32"], 1e-12)
-    write_result(
-        "micro_nn_dtype",
-        f"16x16 detector, batch 64, {steps} training steps per dtype\n"
-        f"float64 step: {timings['float64'] * 1e3:8.3f} ms\n"
-        f"float32 step: {timings['float32'] * 1e3:8.3f} ms\n"
-        f"speedup     : {speedup:8.2f}x",
-    )
-    write_json_result(
-        "micro_nn_dtype",
-        {
-            "mesh_rows": 16,
-            "batch": 64,
-            "steps": steps,
+    records = {}
+    for name, case in (("detector", detector_case), ("localizer", localizer_case)):
+        build, x, y, loss, learning_rate = case()
+        timings = {}
+        for dtype in ("float64", "float32"):
+            with use_dtype(dtype):
+                model = build(x.shape[1:])
+            optimizer = Adam(learning_rate=learning_rate)
+            xt = x.astype(model.dtype)
+            yt = y.astype(model.dtype)
+            model.forward(xt, training=True)  # warm up buffers
+            start = time.perf_counter()
+            for _ in range(steps):
+                predictions = model.forward(xt, training=True)
+                loss.forward(predictions, yt)
+                model.backward(loss.backward(predictions, yt))
+                optimizer.step(model.layers)
+            timings[dtype] = (time.perf_counter() - start) / steps
+        records[name] = {
+            "input_shape": list(x.shape[1:]),
+            "batch": x.shape[0],
             "float64_ms_per_step": timings["float64"] * 1e3,
             "float32_ms_per_step": timings["float32"] * 1e3,
-            "speedup": speedup,
-        },
-    )
+            "speedup": timings["float64"] / max(timings["float32"], 1e-12),
+        }
+    lines = [f"16x16 CNN training steps, {steps} per model and dtype"]
+    for name, record in records.items():
+        lines.append(
+            f"{name:<9} {tuple(record['input_shape'])}, batch {record['batch']:>2}: "
+            f"float64 {record['float64_ms_per_step']:7.3f} ms  "
+            f"float32 {record['float32_ms_per_step']:7.3f} ms  "
+            f"speedup {record['speedup']:5.2f}x"
+        )
+    write_result("micro_nn_dtype", "\n".join(lines))
+    write_json_result("micro_nn_dtype", {"mesh_rows": 16, "steps": steps, **records})
     # No wall-clock gate (shared runners are noisy); the recorded numbers
     # make a fast-path regression visible.
 

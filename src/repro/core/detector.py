@@ -156,7 +156,7 @@ class DoSDetector:
         return DetectorTrainingSummary(
             epochs=history.epochs,
             final_loss=history.loss[-1],
-            final_accuracy=history.metric[-1],
+            final_accuracy=history.final_metric,
         )
 
     # -- inference -------------------------------------------------------------

@@ -125,7 +125,7 @@ class DoSProfileLocalizer:
         return LocalizerTrainingSummary(
             epochs=history.epochs,
             final_loss=history.loss[-1],
-            final_dice=history.metric[-1],
+            final_dice=history.final_metric,
         )
 
     # -- inference -------------------------------------------------------------

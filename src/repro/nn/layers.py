@@ -40,6 +40,7 @@ _TRANSIENT_STATE = frozenset(
         "_cache",
         "_centered",
         "_col_buffer",
+        "_grad_buffer",
         "_inputs",
         "_input_shape",
         "_mask",
@@ -156,9 +157,15 @@ class Dense(Layer):
 
 
 def _pad_input(inputs: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of an NHWC batch by ``pad`` on each side."""
     if pad == 0:
         return inputs
-    return np.pad(inputs, ((0, 0), (pad, pad), (pad, pad), (0, 0)), mode="constant")
+    batch, height, width, channels = inputs.shape
+    padded = np.zeros(
+        (batch, height + 2 * pad, width + 2 * pad, channels), dtype=inputs.dtype
+    )
+    padded[:, pad:-pad, pad:-pad, :] = inputs
+    return padded
 
 
 def _im2col(
@@ -214,17 +221,32 @@ def _col2im(
     stride: int,
     out_h: int,
     out_w: int,
-) -> np.ndarray:
-    """Scatter-add column gradients back to the (padded) input layout."""
+    buffer: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter-add column gradients back to the (padded) input layout.
+
+    Returns ``(grad_input, buffer)``.  The column gradient is first copied
+    (kh, kw)-major into ``buffer``, a flat scratch array that callers keep and
+    pass back in (as with :func:`_im2col`), so each of the ``kh * kw`` shifted
+    adds reads one contiguous block instead of a strided slice.  The adds run
+    in the same ``(i, j)`` order either way, so every element receives the
+    same float additions in the same sequence.
+    """
     batch, height, width, channels = input_shape
+    if buffer is None or buffer.size < cols.size or buffer.dtype != cols.dtype:
+        buffer = np.empty(cols.size, dtype=cols.dtype)
+    shifted = buffer[: cols.size].reshape(kh, kw, batch, out_h, out_w, channels)
+    np.copyto(
+        shifted,
+        cols.reshape(batch, out_h, out_w, kh, kw, channels).transpose(3, 4, 0, 1, 2, 5),
+    )
     grad_input = np.zeros(input_shape, dtype=cols.dtype)
-    cols6 = cols.reshape(batch, out_h, out_w, kh, kw, channels)
     for i in range(kh):
         for j in range(kw):
             grad_input[:, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :] += (
-                cols6[:, :, :, i, j, :]
+                shifted[i, j]
             )
-    return grad_input
+    return grad_input, buffer
 
 
 class Conv2D(Layer):
@@ -318,7 +340,16 @@ class Conv2D(Layer):
             self.grads["b"] = grad_flat.sum(axis=0)
         weights = self.params["W"].reshape(kh * kw * channels, self.filters)
         grad_cols = grad_flat @ weights.T
-        grad_padded = _col2im(grad_cols, padded_shape, kh, kw, self.stride, out_h, out_w)
+        grad_padded, self._grad_buffer = _col2im(
+            grad_cols,
+            padded_shape,
+            kh,
+            kw,
+            self.stride,
+            out_h,
+            out_w,
+            getattr(self, "_grad_buffer", None),
+        )
         pad = self._pad_amount()
         if pad:
             grad_padded = grad_padded[:, pad:-pad, pad:-pad, :]

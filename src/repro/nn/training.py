@@ -17,12 +17,17 @@ __all__ = ["History", "EarlyStopping", "Trainer", "train_test_split"]
 
 @dataclass
 class History:
-    """Per-epoch training curves produced by :class:`Trainer.fit`."""
+    """Training curves produced by :class:`Trainer.fit`.
+
+    ``loss``, ``val_loss`` and ``val_metric`` hold one value per epoch;
+    ``final_metric`` is the training-set metric of the trained model, measured
+    once after the last epoch (``None`` until :meth:`Trainer.fit` returns).
+    """
 
     loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
-    metric: list[float] = field(default_factory=list)
     val_metric: list[float] = field(default_factory=list)
+    final_metric: float | None = None
 
     @property
     def epochs(self) -> int:
@@ -124,7 +129,7 @@ class Trainer:
         shuffle: bool = True,
         verbose: bool = False,
     ) -> History:
-        """Train the model and return per-epoch history."""
+        """Train the model and return its history (see :class:`History`)."""
         dtype = self._dtype()
         x = np.asarray(x, dtype=dtype)
         y = np.asarray(y, dtype=dtype)
@@ -153,9 +158,6 @@ class Trainer:
             epoch_loss /= max(1, batches)
             history.loss.append(epoch_loss)
 
-            train_pred = self.model.predict(x)
-            history.metric.append(float(self.metric(y, train_pred)))
-
             monitored = epoch_loss
             if validation_data is not None:
                 val_x, val_y = validation_data
@@ -166,14 +168,18 @@ class Trainer:
                 history.val_metric.append(float(self.metric(val_y, val_pred)))
                 monitored = val_loss
 
-            if verbose:  # pragma: no cover - console output only
-                print(
-                    f"epoch {epoch + 1}/{epochs}: loss={epoch_loss:.4f} "
-                    f"metric={history.metric[-1]:.4f}"
-                )
+            if verbose:
+                line = f"epoch {epoch + 1}/{epochs}: loss={epoch_loss:.4f}"
+                if validation_data is not None:
+                    line += (
+                        f" val_loss={history.val_loss[-1]:.4f}"
+                        f" val_metric={history.val_metric[-1]:.4f}"
+                    )
+                print(line)
 
             if early_stopping is not None and early_stopping.update(monitored):
                 break
+        history.final_metric = float(self.metric(y, self.model.predict(x)))
         return history
 
     def _dtype(self) -> np.dtype:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.dtype import use_dtype
 from repro.nn.layers import (
@@ -12,6 +14,8 @@ from repro.nn.layers import (
     Flatten,
     MaxPool2D,
     UpSample2D,
+    _col2im,
+    _pad_input,
 )
 
 
@@ -54,6 +58,38 @@ def numeric_param_gradient(layer, name, x, grad_out, eps=1e-6):
     return grad
 
 
+def reference_pad_input(inputs, pad):
+    """The original ``np.pad`` padding, the reference for ``_pad_input``."""
+    if pad == 0:
+        return inputs
+    return np.pad(inputs, ((0, 0), (pad, pad), (pad, pad), (0, 0)), mode="constant")
+
+
+def reference_col2im(cols, input_shape, kh, kw, stride, out_h, out_w):
+    """The original strided scatter-add, the reference for ``_col2im``."""
+    batch, height, width, channels = input_shape
+    grad_input = np.zeros(input_shape, dtype=cols.dtype)
+    cols6 = cols.reshape(batch, out_h, out_w, kh, kw, channels)
+    for i in range(kh):
+        for j in range(kw):
+            grad_input[:, i : i + out_h * stride : stride, j : j + out_w * stride : stride, :] += (
+                cols6[:, :, :, i, j, :]
+            )
+    return grad_input
+
+
+def mixed_magnitudes(rng, shape, dtype):
+    """Values spanning many orders of magnitude, so float addition order shows."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    return values.astype(dtype)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestPickling:
     def test_scratch_state_dropped_but_behaviour_preserved(self):
         import pickle
@@ -75,6 +111,13 @@ class TestPickling:
         bare = len(pickle.dumps(layer))
         layer.forward(np.random.default_rng(0).random((64, 16, 15, 4)))
         assert len(pickle.dumps(layer)) == bare
+
+    def test_backward_scratch_buffer_not_pickled(self):
+        layer = build(Conv2D(filters=2, kernel_size=3), (5, 4, 1))
+        layer.forward(np.ones((2, 5, 4, 1)))
+        layer.backward(np.ones((2, 3, 2, 2)))
+        assert "_grad_buffer" in vars(layer)
+        assert "_grad_buffer" not in layer.__getstate__()
 
 
 class TestDense:
@@ -171,6 +214,58 @@ class TestConv2D:
         layer.forward(x)
         grad_in = layer.backward(grad_out)
         assert np.allclose(grad_in, numeric_input_gradient(layer, x.copy(), grad_out), atol=1e-4)
+
+
+class TestConvHelpers:
+    """``_col2im`` and ``_pad_input`` are bit-for-bit equal to their references."""
+
+    @given(
+        batch=st.integers(1, 3),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        channels=st.integers(1, 4),
+        kh=st.integers(1, 4),
+        kw=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        dtype=st.sampled_from(["float32", "float64"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_col2im_matches_strided_reference(
+        self, batch, height, width, channels, kh, kw, stride, dtype, seed
+    ):
+        kh, kw = min(kh, height), min(kw, width)
+        out_h = (height - kh) // stride + 1
+        out_w = (width - kw) // stride + 1
+        shape = (batch, height, width, channels)
+        cols = mixed_magnitudes(
+            np.random.default_rng(seed), (batch * out_h * out_w, kh * kw * channels), dtype
+        )
+        want = reference_col2im(cols, shape, kh, kw, stride, out_h, out_w)
+        got, buffer = _col2im(cols, shape, kh, kw, stride, out_h, out_w)
+        assert_bitwise_equal(got, want)
+        # A reused scratch buffer, larger than needed and holding stale values.
+        stale = np.full(cols.size + 7, np.nan, dtype=dtype)
+        got, buffer = _col2im(cols, shape, kh, kw, stride, out_h, out_w, stale)
+        assert buffer is stale
+        assert_bitwise_equal(got, want)
+
+    @given(
+        batch=st.integers(1, 3),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        channels=st.integers(1, 4),
+        pad=st.integers(0, 3),
+        dtype=st.sampled_from(["float32", "float64"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pad_input_matches_np_pad(self, batch, height, width, channels, pad, dtype, seed):
+        inputs = mixed_magnitudes(
+            np.random.default_rng(seed), (batch, height, width, channels), dtype
+        )
+        want = np.pad(inputs, ((0, 0), (pad, pad), (pad, pad), (0, 0)), mode="constant")
+        assert_bitwise_equal(_pad_input(inputs, pad), want)
 
 
 class TestMaxPool2D:
