@@ -3,51 +3,53 @@
 The guard turns the offline DL2Fence pipeline into a runtime system.  It
 subscribes to the :class:`~repro.monitor.sampler.GlobalPerformanceMonitor`
 stream, pushes every sampling window through the trained detector/localizer
-(using the batched single-forward fast path of
-:meth:`repro.core.pipeline.DL2Fence.process_sample`), and pulls the
-injection rate-limit hook on the mesh's source queues for every node the
-Table-Like Method pins as an attacker.
+(:meth:`repro.core.pipeline.DL2Fence.process_sample`), and pulls the
+injection rate-limit hook on the mesh for every node the Table-Like Method
+pins as an attacker.  Each window, :meth:`DL2FenceGuard.on_sample` runs
+three steps:
 
-The countermeasure surface is backend-agnostic: ``set_injection_limit`` /
-``flush_source_queue`` exist on both the object mesh and the vectorized
-structure-of-arrays backend (where a limit update writes the per-node
-limit/credit arrays the injection kernel gates on), and both backends feed
-the guard identical windows and delivered-packet streams — a defended
-episode produces the same :class:`DefenseReport` under either
-``REPRO_SIM_BACKEND`` value (pinned by
-``tests/noc/test_soa_equivalence.py``).  Reports round-trip losslessly
-through :meth:`DefenseReport.to_payload`, which is what the experiment
-engine's per-episode cache stores.
+* **observe** — :meth:`DL2FenceGuard._observe` does everything that reads
+  the outside world (trace context, route-provider sync, detour carriers,
+  the window sanitizer, delivery gaps and clock staleness, the pipeline,
+  delivery latencies) and returns one frozen :class:`Observation`;
+* **decide** — :func:`decide` reads and writes only a :class:`GuardState`,
+  where all decision state lives (streaks, engage counts, engaged nodes
+  and their shadow pressure, the evidence accumulator, ...), and returns
+  the window's record and decisions.  It needs no simulator, network or
+  fence, so tests and offline replays drive it directly;
+* **actuate** — :meth:`DL2FenceGuard._actuate` turns engagements, rollbacks
+  and release probes into throttle, flush and restore calls on the mesh,
+  and :meth:`DL2FenceGuard._record` writes each decision to the report,
+  the trace and the metrics.
 
 Engagement and release follow the hysteresis of the configured
-:class:`~repro.defense.policy.MitigationPolicy` so a single noisy window can
-neither trip nor lift the fence, and nodes that stop being re-flagged roll
-back automatically even while an attack continues elsewhere.
-
-Concurrent multi-attacker floods are handled through **iterative
-localization rounds**, following the paper's Figure-3 multi-attacker rules:
-fencing the loudest localized attacker removes its congestion signature, the
-guard keeps streaming windows through the Table-Like Method, and the next
-rounds surface the remaining attackers one batch at a time.  Per-node engage
-counts drive an exponential re-engage backoff (quarantined attackers leave
-no evidence, so every release is a probe; repeat offenders are held
-exponentially longer), and ``max_engaged_nodes`` bounds the blast radius of
-an over-approximated localization superset.
+:class:`~repro.defense.policy.MitigationPolicy`: one noisy window can
+neither trip nor lift the fence, nodes that stop being re-flagged roll back
+even while an attack continues elsewhere, and only windows with a current
+capture clock earn a release — a stale clean window neither releases a
+fence nor counts toward the clean streak.  Concurrent multi-attacker floods
+are handled through **iterative localization rounds** (the paper's
+Figure-3 rules): fencing the loudest attacker removes its congestion
+signature and the next rounds surface the rest.  Per-node engage counts
+drive an exponential re-engage backoff (a quarantined attacker leaves no
+evidence, so every release is a probe), and ``max_engaged_nodes`` bounds
+the blast radius of an over-approximated localization superset.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.pipeline import DL2Fence
+from repro.core.pipeline import DL2Fence, LocalizationResult
 from repro.defense.degraded import DegradedModeConfig, WindowSanitizer
 from repro.defense.evidence import EvidenceAccumulator, EvidenceConfig
 from repro.defense.policy import MitigationPolicy
-from repro.defense.report import DefenseEvent, DefenseReport, WindowRecord
+from repro.defense.report import COUNTED_EVENTS, DefenseEvent, DefenseReport, WindowRecord
 from repro.faults.monitor import DETOUR_KEY, LOCAL_BOC_KEY
 from repro.monitor.frames import FrameSample
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
@@ -56,15 +58,10 @@ from repro.noc.stats import DeliveredColumns, LatencyStats
 from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS, guard_events_counter
 
-__all__ = ["DL2FenceGuard"]
+__all__ = ["DL2FenceGuard", "Decision", "GuardState", "Observation", "decide"]
 
-#: ``report.event_counts`` tally each counted decision kind adds its nodes to.
-_COUNT_KEYS = {
-    "convicted": "convictions",
-    "engaged": "engagements",
-    "rolled_back": "releases",
-    "released": "releases",
-}
+#: Per-window retention of an engaged node's shadow-pressure counter.
+SHADOW_DECAY = 0.8
 
 
 def _mean_latency(delivered: DeliveredColumns) -> float:
@@ -74,27 +71,369 @@ def _mean_latency(delivered: DeliveredColumns) -> float:
     return LatencyStats.from_columns(delivered).packet_latency
 
 
+@dataclass(frozen=True)
+class Observation:
+    """One sampling window as the decision core sees it."""
+
+    cycle: int
+    #: The pipeline's result on the sanitized window (localized below the
+    #: detector's threshold too when the window bears evidence).
+    result: LocalizationResult
+    #: Evidence weight of the window (0.0 with evidence fusion off).
+    weight: float = 0.0
+    #: Nodes with no trustworthy telemetry this window (silent or stuck).
+    unobservable: frozenset[int] = frozenset()
+    #: Detour carriers whose own injection does not corroborate an accusation.
+    detour: frozenset[int] = frozenset()
+    #: Detour carriers injecting well above the mesh-wide median.
+    corroborated: frozenset[int] = frozenset()
+    #: Sampling windows lost in delivery since the previous window.
+    missed_windows: int = 0
+    #: Whether the capture clock is current (stale windows earn no release).
+    fresh_clock: bool = True
+    imputed_cells: int = 0
+    #: The window's :class:`WindowRecord` delivery fields.
+    deliveries: Mapping[str, float] = field(default_factory=dict)
+
+
 @dataclass
-class _EngagedNode:
+class EngagedNode:
     """Book-keeping for one node under an active countermeasure."""
 
-    node: int
-    previous_limit: float
-    engaged_cycle: int
     windows_since_flagged: int = 0
-    #: Shadow counter: estimated residual pressure behind the fence.  A
-    #: quarantined node emits no congestion evidence, so the guard keeps a
-    #: decaying estimate instead — seeded from the node's suspicion at
-    #: engage time, bumped whenever the node is re-flagged while fenced,
-    #: cooled every quiet window.  Release probes go lowest-pressure first.
+    #: Estimated residual pressure behind the fence (a quarantined node
+    #: emits no evidence): seeded from the node's suspicion at engage time,
+    #: bumped when re-flagged, cooled every window.  Lowest probes first.
     shadow_pressure: float = 0.0
+
+
+@dataclass
+class GuardState:
+    """Everything :func:`decide` reads and writes."""
+
+    policy: MitigationPolicy
+    #: ``None`` turns evidence fusion (resp. degraded mode) off.
+    evidence: EvidenceAccumulator | None = None
+    degraded: DegradedModeConfig | None = None
+    engaged: dict[int, EngagedNode] = field(default_factory=dict)
+    #: Consecutive detection windows each candidate was flagged in: per-node
+    #: engagement hysteresis against one-off localization noise.
+    flag_streaks: dict[int, int] = field(default_factory=dict)
+    #: Lifetime engagements per node, for the re-engage backoff.
+    engage_counts: dict[int, int] = field(default_factory=dict)
+    #: Iterative localization round: one per batch of engagements.
+    round: int = 0
+    consecutive_detections: int = 0
+    #: Clean windows since the last acted-on window.
+    consecutive_clean: int = 0
+    window_index: int = 0
+    last_window_cycle: int | None = None
+    #: First engagement since the mesh was last fully released: where the
+    #: window latencies split fresh deliveries from attack-era backlog.
+    containment_epoch: int | None = None
+    last_probe_window: int | None = None
+
+
+@dataclass(frozen=True)
+class Decision:
+    """One guard decision, as :meth:`DL2FenceGuard._record` writes it."""
+
+    kind: str
+    nodes: tuple[int, ...] = ()
+    detail: str = ""
+    round: int = 0
+    #: The full-rollback ``released`` marker: restates nodes its
+    #: ``rolled_back`` sibling already counted.
+    restated: bool = False
+    #: Nodes the actuator fences (``engaged``) or restores, in this order.
+    actuated: tuple[int, ...] = ()
+    #: Extra trace fields.
+    fields: Mapping[str, object] = field(default_factory=dict)
+
+
+def decide(
+    state: GuardState, observation: Observation
+) -> tuple[WindowRecord, tuple[Decision, ...]]:
+    """Fold one observed window into ``state``: its record and its decisions.
+
+    The window's actionable attacker set is the union of the Table-Like
+    Method's per-window localization and the nodes the cross-window
+    evidence accumulator currently holds convicted.  A window counts as
+    "acted on" when either the detector fires or the evidence convicts a
+    not-yet-fenced node — the latter is what makes stealth, migrating and
+    on-route attacks actionable even though no single window trips the
+    detector.  Convictions on already-fenced nodes deliberately do *not*
+    keep the loop in attack mode: a fenced attacker leaves no fresh
+    evidence, so its stale suspicion must not block release probing.
+
+    Decisions come in a fixed order: fresh convictions, the first detection
+    of a streak, engagements, rollbacks (plus the full-release marker), a
+    release probe.
+    """
+    result, unobservable = observation.result, observation.unobservable
+    index, engaged_at_start = state.window_index, bool(state.engaged)
+    if state.last_window_cycle is None or observation.cycle > state.last_window_cycle:
+        state.last_window_cycle = observation.cycle
+    decisions: list[Decision] = []
+    convicted: list[int] = []
+    if state.evidence is not None:
+        fresh = _accumulate(state, observation)
+        if fresh:
+            detail = "cross-window evidence"
+            decisions.append(Decision("convicted", tuple(sorted(fresh)), detail))
+        convicted = state.evidence.convicted_nodes()
+
+    acted = result.detected or any(
+        node not in state.engaged and node not in unobservable for node in convicted
+    )
+    flagged = set(result.attackers).union(convicted) - unobservable
+    # Detour carriers never engage on raw per-window flag streaks: a reroute
+    # shifts legitimate congestion onto their row/column, so per-frame
+    # naming is expected, not incriminating.  Only a full cross-window
+    # conviction — which discounted evidence cannot deliver unless the
+    # carrier's own injection lifts the discount — makes them eligible.
+    streak_eligible = [
+        node
+        for node in sorted(flagged)
+        if node not in observation.detour or node in convicted
+    ]
+    _update_shadow_pressure(state, flagged)
+
+    if acted:
+        if state.consecutive_detections == 0:
+            detail = f"p={result.detection_probability:.2f}"
+            if not result.detected:
+                detail += " evidence"
+            fields = {
+                "probability": float(result.detection_probability),
+                "via": "detector" if result.detected else "evidence",
+            }
+            decisions.append(Decision("detected", detail=detail, fields=fields))
+        state.consecutive_detections += 1
+        state.consecutive_clean = 0
+        decisions += _engage(state, streak_eligible, observation.cycle)
+        decisions += _roll_back(state, flagged, observation.fresh_clock)
+    else:
+        state.consecutive_clean += 1
+        state.consecutive_detections = 0
+        if not state.engaged:
+            # Before anything engages, a clean window breaks every flag
+            # streak: engagement requires N *consecutive* detections.  While
+            # mitigation is active, clean windows are expected (the fence
+            # suppresses the evidence), so streaks survive there.
+            state.flag_streaks.clear()
+        elif observation.fresh_clock:
+            decisions += _release_probe(state)
+    state.window_index += 1
+    record = WindowRecord(
+        index=index,
+        cycle=observation.cycle,
+        detected=acted,
+        probability=result.detection_probability,
+        phase="mitigated" if engaged_at_start else "attack" if acted else "benign",
+        victims=tuple(result.victims),
+        attackers=tuple(result.attackers),
+        restricted=tuple(sorted(state.engaged)),
+        suspected=tuple(convicted),
+        unobservable=tuple(sorted(unobservable)),
+        **observation.deliveries,
+    )
+    return record, tuple(decisions)
+
+
+def _accumulate(state: GuardState, observation: Observation) -> list[int]:
+    """Fold the window into the evidence accumulator; returns new convictions."""
+    evidence, degraded = state.evidence, state.degraded
+    result, unobservable = observation.result, observation.unobservable
+    detour, corroborated = observation.detour, observation.corroborated
+    if observation.missed_windows:
+        # A delivery gap charges the decay the accumulator missed, capped so
+        # an outage cannot zero it in one hit.
+        cap = (degraded or DegradedModeConfig).max_gap_decay
+        evidence.decay_gap(min(observation.missed_windows, cap))
+    if unobservable:
+        # Hard invariant: a node with no trustworthy telemetry this window
+        # contributes no affirmative evidence — a merely silent or stuck
+        # node can decay out of suspicion but never accrue into it.
+        result = dataclasses.replace(
+            result,
+            attackers=[n for n in result.attackers if n not in unobservable],
+            frontier=[n for n in result.frontier if n not in unobservable],
+        )
+    discount = degraded.detour_discount if detour and degraded is not None else None
+    if BUS.active and (discount or corroborated):
+        BUS.emit(
+            "detour_discount",
+            nodes=detour,
+            discount=discount or 1.0,
+            promoted=corroborated,
+        )
+    return evidence.observe(
+        result,
+        observation.weight,
+        discounts=dict.fromkeys(detour, discount) if discount else None,
+        promotions=corroborated or None,
+    )
+
+
+def _engage(state: GuardState, candidates: list[int], cycle: int) -> list[Decision]:
+    """Fence nodes flagged in ``engage_after`` consecutive detection windows.
+
+    Under ``max_engaged_nodes`` the most persistently flagged candidates
+    are fenced first and the rest wait for the next localization round —
+    the safeguard for a Table-Like Method that over-approximates.
+    """
+    policy, streaks = state.policy, state.flag_streaks
+    for node in list(streaks):
+        if node not in candidates:
+            del streaks[node]
+    eligible: list[tuple[int, int]] = []
+    for node in candidates:
+        if node not in state.engaged:
+            streaks[node] = streaks.get(node, 0) + 1
+            if streaks[node] >= policy.engage_after:
+                eligible.append((node, streaks[node]))
+    budget = len(eligible)
+    if policy.max_engaged_nodes is not None:
+        budget = max(0, policy.max_engaged_nodes - len(state.engaged))
+    # Longest streak first: the most consistently localized candidate is
+    # the "loudest" attacker of this round.
+    eligible.sort(key=lambda item: (-item[1], item[0]))
+    newly_engaged = tuple(node for node, _streak in eligible[:budget])
+    if not newly_engaged:
+        return []
+    for node in newly_engaged:
+        state.engage_counts[node] = state.engage_counts.get(node, 0) + 1
+        # Seed the shadow counter from the suspicion the node built in the
+        # open: the loudest conviction enters quarantine with the most
+        # residual pressure to decay off.
+        evidence = state.evidence
+        pressure = evidence.suspicion_of(node) if evidence is not None else 1.0
+        state.engaged[node] = EngagedNode(shadow_pressure=pressure)
+    if state.containment_epoch is None:
+        state.containment_epoch = cycle
+    state.round += 1
+    # A new localization round restarts every held node's stale clock, so
+    # round churn cannot roll back attacker k right as attacker k+1 engages
+    # (the whack-a-mole failure of multi-source floods).
+    for held in state.engaged.values():
+        held.windows_since_flagged = 0
+    limit = policy.injection_limit
+    return [
+        Decision(
+            "engaged",
+            tuple(sorted(newly_engaged)),
+            f"limit={limit:g}",
+            state.round,
+            actuated=newly_engaged,
+            fields={"limit": float(limit)},
+        )
+    ]
+
+
+def _roll_back(state: GuardState, flagged: set[int], fresh_clock: bool) -> list[Decision]:
+    """Release engaged nodes the localizer has stopped flagging.
+
+    The threshold grows with the node's engagement count (a fenced attacker
+    looks exactly like a false positive).  Stale-clocked windows re-flag as
+    usual but never advance the rollback clocks.
+    """
+    rolled_back: list[int] = []
+    for node, held in list(state.engaged.items()):
+        if node in flagged:
+            held.windows_since_flagged = 0
+        elif fresh_clock:
+            held.windows_since_flagged += 1
+            threshold = state.policy.stale_threshold(state.engage_counts.get(node, 1))
+            if held.windows_since_flagged >= threshold:
+                _release(state, node)
+                rolled_back.append(node)
+    if not rolled_back:
+        return []
+    nodes, remaining = tuple(rolled_back), len(state.engaged)
+    decisions = [
+        Decision(
+            "rolled_back",
+            nodes,
+            "no longer localized",
+            actuated=nodes,
+            fields={"remaining": remaining},
+        )
+    ]
+    if not remaining:
+        # The rollback lifted the last restriction: record a full release so
+        # the report's release_cycle reflects reality.
+        detail = "all restrictions rolled back"
+        decisions.append(
+            Decision("released", nodes, detail, restated=True, fields={"remaining": 0})
+        )
+    return decisions
+
+
+def _release_probe(state: GuardState) -> list[Decision]:
+    """Release ONE engaged node whose clean-window hold has expired.
+
+    The required clean streak grows with the node's re-engage backoff.
+    Releases are **staggered, one fence at a time**: every release is a
+    probe, and lifting all ready fences at once would restart a distributed
+    flood in one window.  The least re-engaged node goes first (most likely
+    an innocent), then the lowest shadow pressure; ``release_probe_spacing``
+    gives a released attacker's congestion time to rebuild and break the
+    streak before the next fence lifts.
+    """
+    policy, counts, clean = state.policy, state.engage_counts, state.consecutive_clean
+    ready = [
+        node
+        for node in sorted(state.engaged)
+        if clean >= policy.release_threshold(counts.get(node, 1))
+    ]
+    if not ready or (
+        state.last_probe_window is not None
+        and state.window_index - state.last_probe_window < policy.release_probe_spacing
+    ):
+        return []
+    probe = min(
+        ready,
+        key=lambda node: (counts.get(node, 1), state.engaged[node].shadow_pressure, node),
+    )
+    _release(state, probe)
+    state.last_probe_window = state.window_index
+    remaining = len(state.engaged)
+    detail = f"{clean} clean windows"
+    if remaining:
+        detail += f"; staggered probe, {remaining} still fenced"
+    else:
+        state.flag_streaks.clear()
+    fields = {"clean_windows": clean, "remaining": remaining}
+    return [Decision("released", (probe,), detail, actuated=(probe,), fields=fields)]
+
+
+def _release(state: GuardState, node: int) -> None:
+    del state.engaged[node]
+    # A released node must rebuild a full engage_after streak before it can
+    # be fenced again, and re-conviction must come from fresh post-release
+    # evidence: whatever suspicion it retained while fenced is stale.
+    state.flag_streaks.pop(node, None)
+    if state.evidence is not None:
+        state.evidence.reset_node(node)
+    if not state.engaged:
+        state.containment_epoch = None
+
+
+def _update_shadow_pressure(state: GuardState, flagged: set[int]) -> None:
+    """Cool every engaged node's shadow counter; re-heat re-flagged ones.
+
+    Runs every window: quiet windows are the only evidence a quarantined
+    source has actually stopped pushing.
+    """
+    for node, held in state.engaged.items():
+        held.shadow_pressure *= SHADOW_DECAY
+        if node in flagged:
+            held.shadow_pressure += 1.0
 
 
 class DL2FenceGuard:
     """Attaches DL2Fence to a live simulator and acts on what it localizes."""
-
-    #: Per-window retention of an engaged node's shadow-pressure counter.
-    _SHADOW_DECAY = 0.8
 
     def __init__(
         self,
@@ -129,51 +468,28 @@ class DL2FenceGuard:
         self.policy = policy or MitigationPolicy()
         if evidence is True:
             evidence = EvidenceConfig()
-        self.evidence_config: EvidenceConfig | None = evidence or None
         if degraded is True:
             degraded = DegradedModeConfig()
-        self.degraded_config: DegradedModeConfig | None = degraded or None
-        # Built lazily on the first window (the scripted test harness wires
-        # a guard to a simulator without attach(), so the mesh size is only
-        # reliably known once a sample arrives).
-        self.evidence: EvidenceAccumulator | None = None
-        self.simulator: NoCSimulator | None = None
-        self.monitor: GlobalPerformanceMonitor | None = None
+        # The accumulator scores the nodes the fence localizes on its mesh.
+        self.state = GuardState(
+            self.policy,
+            EvidenceAccumulator(fence.topology.num_nodes, evidence) if evidence else None,
+            degraded or None,
+        )
+        # Built by attach(), which knows the monitored mesh and period.
+        self._sanitizer: WindowSanitizer | None = None
         self.report = DefenseReport(
             policy=self.policy,
             sample_period=0,
             attack_start=attack_start,
             attack_end=attack_end,
             true_attackers=tuple(true_attackers),
-            event_counts=dict.fromkeys(
-                ("engagements", "releases", "convictions", "clamps", "detour_discounts"),
-                0,
-            ),
+            event_counts=dict.fromkeys(COUNTED_EVENTS.values(), 0),
         )
-        self._engaged: dict[int, _EngagedNode] = {}
-        # Consecutive detection windows each candidate node was flagged in —
-        # per-node engagement hysteresis, so one spurious localization in an
-        # otherwise correct detection streak cannot fence an innocent node.
-        self._flag_streaks: dict[int, int] = {}
-        # Lifetime engagement count per node: feeds the policy's re-engage
-        # backoff so an attacker that oscillates through release probes is
-        # held exponentially longer each time.
-        self._engage_counts: dict[int, int] = {}
-        # Iterative localization round counter: each batch of engagements is
-        # one round of the paper's multi-attacker sampling procedure.
-        self._round = 0
-        self._consecutive_detections = 0
-        self._consecutive_clean = 0
+        # Actuator side: limits to restore on release, and how far into the
+        # simulator's delivery log the window latencies have read.
+        self._previous_limits: dict[int, float] = {}
         self._delivered_index = 0
-        self._window_index = 0
-        # Degraded-mode state: the sanitizer is built lazily (mesh size is
-        # only known once a sample arrives), the last-window cycle detects
-        # delivery gaps, and the containment epoch anchors the drain-aware
-        # fresh/backlog split of the latency accounting.
-        self._sanitizer: WindowSanitizer | None = None
-        self._last_window_cycle: int | None = None
-        self._containment_epoch: int | None = None
-        self._last_probe_window: int | None = None
 
     # -- wiring ------------------------------------------------------------
     def attach(
@@ -190,9 +506,12 @@ class DL2FenceGuard:
         """
         if monitor is None:
             monitor = GlobalPerformanceMonitor(monitor_config).attach(simulator)
-        self.simulator = simulator
-        self.monitor = monitor
-        self.report.sample_period = monitor.config.sample_period
+        period = monitor.config.sample_period
+        self.report.sample_period = period
+        if self.state.degraded is not None:
+            self._sanitizer = WindowSanitizer(
+                simulator.topology, self.state.degraded, sample_period=period or None
+            )
         # The guard is the one listener whose failure must abort the episode
         # (a defense silently detached from its stream is worse than a
         # crash); auxiliary listeners default to isolated dispatch.
@@ -203,25 +522,18 @@ class DL2FenceGuard:
     @property
     def engaged_nodes(self) -> list[int]:
         """Nodes currently under an active countermeasure."""
-        return sorted(self._engaged)
+        return sorted(self.state.engaged)
 
     # -- the closed loop -----------------------------------------------------
     def on_sample(self, sample: FrameSample, simulator: NoCSimulator) -> None:
-        """Process one sampling window: detect, accumulate, localize, mitigate.
+        """Process one sampling window: observe, decide, actuate."""
+        self._actuate(self.decide_window(self._observe(sample, simulator)), simulator)
 
-        The window's actionable attacker set is the union of the Table-Like
-        Method's per-window localization and the nodes the cross-window
-        evidence accumulator currently holds convicted.  A window counts as
-        "acted on" when either the detector fires or the evidence convicts a
-        not-yet-fenced node — the latter is what makes stealth, migrating
-        and on-route attacks actionable even though no single window trips
-        the detector.  Convictions on already-fenced nodes deliberately do
-        *not* keep the loop in attack mode: a fenced attacker leaves no
-        fresh evidence, so its stale suspicion must not block the release
-        probing the hysteresis machinery schedules.
-        """
-        engaged_at_start = bool(self._engaged)
+    def _observe(self, sample: FrameSample, simulator: NoCSimulator) -> Observation:
+        """Read one window off the monitor stream, the pipeline and the mesh."""
+        state = self.state
         period = self.report.sample_period
+        degraded = state.degraded
         if BUS.active:
             # Coordinates for every event this window emits, including from
             # nested emitters (evidence accumulator, sanitizer).  The episode
@@ -230,96 +542,61 @@ class DL2FenceGuard:
             BUS.set_context(
                 episode=simulator.lane_index,
                 cycle=sample.cycle,
-                window=self._window_index,
+                window=state.window_index,
             )
 
         # Keep localization topology-aware: point the pipeline's TLM/VCE at
         # the live (possibly fault-degraded) routing function every window,
         # so a mid-episode link death re-anchors the reverse deduction at
         # the next sample.  ``None`` on a pristine mesh — a no-op.
-        sync_provider = getattr(self.fence, "set_route_provider", None)
-        if sync_provider is not None:
-            sync_provider(simulator.network.route_provider)
+        self.fence.set_route_provider(simulator.network.route_provider)
 
         # Detour carriers of an active data-plane fault: trustworthy
         # telemetry, but congestion partly caused by the reroute itself.
         detour: frozenset[int] = frozenset()
         corroborated: frozenset[int] = frozenset()
-        if self.degraded_config is not None:
-            metadata = getattr(sample, "metadata", None) or {}
-            detour = frozenset(int(node) for node in metadata.get(DETOUR_KEY, ()))
-            # Injection-corroborated carriers: the reroute can shift what a
-            # router forwards, never what its PE injects.  A carrier whose
-            # LOCAL-port activity runs well above the mesh-wide median this
-            # window is injecting a flood of its own, and any accusation
-            # against it keeps full evidence weight — per-window, so one
-            # benign burst never latches an innocent carrier out of the
-            # protections.
-            if detour:
-                local = metadata.get(LOCAL_BOC_KEY)
-                if local:
-                    activity = np.asarray(local, dtype=np.float64)
-                    bar = self.degraded_config.detour_injection_factor * max(
-                        float(np.median(activity)), 1.0
-                    )
-                    corroborated = frozenset(
-                        node for node in detour if activity[node] >= bar
-                    )
-                    detour -= corroborated
+        if degraded is not None:
+            detour = frozenset(int(node) for node in sample.metadata.get(DETOUR_KEY, ()))
+            # The reroute can shift what a router forwards, never what its
+            # PE injects: a carrier whose LOCAL-port activity runs well above
+            # the mesh-wide median this window floods on its own, and keeps
+            # full evidence weight (per window, so no benign burst latches).
+            local = sample.metadata.get(LOCAL_BOC_KEY) if detour else None
+            if local:
+                activity = np.asarray(local, dtype=np.float64)
+                median = max(float(np.median(activity)), 1.0)
+                bar = degraded.detour_injection_factor * median
+                corroborated = frozenset(node for node in detour if activity[node] >= bar)
+                detour -= corroborated
 
-        # -- degraded-mode preprocessing ----------------------------------
-        # Scrub the window against fault signatures (stuck counters,
-        # implausible cells, declared-silent nodes).  Scripted harnesses
-        # push frame-less stub samples; those bypass sanitisation.
+        # Scrub the window against stuck counters, implausible cells and
+        # declared-silent nodes.
         unobservable: frozenset[int] = frozenset()
-        if self.degraded_config is not None and getattr(sample, "vco", None) is not None:
-            if self._sanitizer is None:
-                self._sanitizer = WindowSanitizer(
-                    simulator.topology,
-                    self.degraded_config,
-                    sample_period=period or None,
-                )
+        imputed_cells = 0
+        if self._sanitizer is not None:
             sample, health = self._sanitizer.sanitize(sample)
             unobservable = health.unobservable
-            self.report.event_counts["clamps"] += health.imputed_cells
-        # Delivery-gap and clock-staleness bookkeeping.  A gap (dropped
-        # windows) charges the evidence accumulator the decay it missed; a
-        # stale capture clock (delayed windows arriving in a burst) blocks
-        # release decisions below — stale windows testify about the past,
-        # and fences are only lifted on *current* cleanliness.
+            imputed_cells = health.imputed_cells
+        # A gap (dropped windows) is charged as extra evidence decay; a stale
+        # capture clock (delayed windows arriving in a burst) testifies about
+        # the past, and fences are only lifted on *current* cleanliness.
         missed_windows = 0
-        if period > 0 and self._last_window_cycle is not None:
-            elapsed = int(round((sample.cycle - self._last_window_cycle) / period))
+        if period > 0 and state.last_window_cycle is not None:
+            elapsed = int(round((sample.cycle - state.last_window_cycle) / period))
             missed_windows = max(0, elapsed - 1)
-        if self._last_window_cycle is None or sample.cycle > self._last_window_cycle:
-            self._last_window_cycle = sample.cycle
         fresh_clock = True
-        if period > 0 and self.degraded_config is not None:
+        if period > 0 and degraded is not None:
             lag = simulator.cycle - sample.cycle
-            fresh_clock = lag <= self.degraded_config.stale_window_tolerance * period
+            fresh_clock = lag <= degraded.stale_window_tolerance * period
 
         result = self.fence.process_sample(sample)
         deliveries = self._window_latency(simulator)
-
-        convicted: list[int] = []
-        if self.evidence_config is not None:
-            if self.evidence is None:
-                self.evidence = EvidenceAccumulator(
-                    simulator.topology.num_nodes, self.evidence_config
-                )
-            if missed_windows:
-                cap = (
-                    self.degraded_config.max_gap_decay
-                    if self.degraded_config is not None
-                    else 8
-                )
-                self.evidence.decay_gap(min(missed_windows, cap))
-            weight = self.evidence.window_weight(
+        weight = 0.0
+        if state.evidence is not None:
+            weight = state.evidence.window_weight(
                 result.detected,
                 result.detection_probability,
-                benign_calibration=getattr(
-                    getattr(self.fence, "detector", None), "benign_calibration", None
-                ),
+                benign_calibration=self.fence.detector.benign_calibration,
             )
             if not result.detected and weight > 0.0:
                 # Sub-threshold window: run segmentation anyway so weak
@@ -332,108 +609,24 @@ class DL2FenceGuard:
                     force_localization=True,
                     detection=(result.detected, result.detection_probability),
                 )
-            observed = result
-            if unobservable:
-                # Hard invariant: a node with no trustworthy telemetry this
-                # window contributes no affirmative evidence — a merely
-                # silent or stuck node can decay out of suspicion but never
-                # accrue into it.
-                observed = dataclasses.replace(
-                    result,
-                    attackers=[n for n in result.attackers if n not in unobservable],
-                    frontier=[n for n in result.frontier if n not in unobservable],
-                )
-            discounts = (
-                dict.fromkeys(detour, self.degraded_config.detour_discount)
-                if detour and self.degraded_config is not None
-                else None
-            )
-            if discounts:
-                self.report.event_counts["detour_discounts"] += len(detour)
-            if BUS.active and (discounts or corroborated):
-                BUS.emit(
-                    "detour_discount",
-                    nodes=detour,
-                    discount=(
-                        self.degraded_config.detour_discount if discounts else 1.0
-                    ),
-                    promoted=corroborated,
-                )
-            fresh = self.evidence.observe(
-                observed,
-                weight,
-                discounts=discounts,
-                promotions=corroborated or None,
-            )
-            if fresh:
-                self._record(
-                    "convicted", sample.cycle, sorted(fresh), "cross-window evidence"
-                )
-            convicted = self.evidence.convicted_nodes()
-
-        acted = result.detected or any(
-            node not in self._engaged and node not in unobservable
-            for node in convicted
+        return Observation(
+            sample.cycle, result, weight, unobservable, detour, corroborated,
+            missed_windows, fresh_clock, imputed_cells, deliveries,
         )
-        flagged = sorted(set(result.attackers).union(convicted) - unobservable)
-        # Detour carriers never engage on raw per-window flag streaks: a
-        # reroute shifts legitimate congestion onto their row/column, so
-        # per-frame naming is expected, not incriminating.  Only a full
-        # cross-window conviction — which discounted evidence cannot
-        # deliver unless the carrier's own injection telemetry lifts the
-        # discount — makes them streak-eligible.  (``detour`` here already
-        # excludes injection-corroborated carriers.)
-        convicted_set = set(convicted)
-        streak_eligible = [
-            node for node in flagged if node not in detour or node in convicted_set
-        ]
-        self._update_shadow_pressure(set(flagged))
 
-        if acted:
-            if self._consecutive_detections == 0:
-                detail = f"p={result.detection_probability:.2f}"
-                if not result.detected:
-                    detail += " evidence"
-                self._record(
-                    "detected",
-                    sample.cycle,
-                    detail=detail,
-                    probability=float(result.detection_probability),
-                    via="detector" if result.detected else "evidence",
-                )
-            self._consecutive_detections += 1
-            self._consecutive_clean = 0
-        else:
-            self._consecutive_clean += 1
-            self._consecutive_detections = 0
-            if not self._engaged:
-                # Before anything engages, a clean window breaks every flag
-                # streak: engagement requires N *consecutive* detections.
-                # While mitigation is active, clean windows are expected (the
-                # fence suppresses the evidence), so streaks survive there.
-                self._flag_streaks.clear()
+    def decide_window(self, observation: Observation) -> tuple[Decision, ...]:
+        """Run :func:`decide` on one observed window and record the outcome.
 
-        if acted:
-            self._engage_flagged(streak_eligible, sample.cycle, simulator)
-            self._rollback_stale(
-                set(flagged), sample.cycle, simulator, fresh_clock=fresh_clock
-            )
-        elif self._engaged and fresh_clock:
-            self._release_ready(sample.cycle, simulator)
-
-        record = WindowRecord(
-            index=self._window_index,
-            cycle=sample.cycle,
-            detected=acted,
-            probability=result.detection_probability,
-            phase="mitigated" if engaged_at_start else "attack" if acted else "benign",
-            victims=tuple(result.victims),
-            attackers=tuple(result.attackers),
-            restricted=tuple(sorted(self._engaged)),
-            suspected=tuple(convicted),
-            unobservable=tuple(sorted(unobservable)),
-            **deliveries,
-        )
+        The simulator-free half of :meth:`on_sample`; returns the decisions
+        for the actuator.
+        """
+        state = self.state
+        record, decisions = decide(state, observation)
+        self.report.count("window_sanitized", observation.imputed_cells)
+        if state.evidence is not None and state.degraded is not None:
+            self.report.count("detour_discount", len(observation.detour))
+        for decision in decisions:
+            self._record(decision, observation.cycle)
         self.report.windows.append(record)
         if BUS.active:
             BUS.emit(
@@ -448,277 +641,69 @@ class DL2FenceGuard:
             )
         if METRICS.active:
             guard_events_counter().inc(kind="window")
-        self._window_index += 1
+        return decisions
 
     # -- mitigation mechanics ---------------------------------------------------
-    def _engage_flagged(
-        self, attackers: list[int], cycle: int, simulator: NoCSimulator
-    ) -> None:
-        """Apply the countermeasure to persistently localized attackers.
-
-        A node engages only once it has been flagged in ``engage_after``
-        consecutive detection windows — per-node hysteresis on top of the
-        detection itself, which keeps one-off localization noise from
-        throttling innocents.  When the policy caps simultaneously engaged
-        nodes, the most persistently flagged candidates are fenced first and
-        the rest wait for the next localization round — the superset-recovery
-        safeguard for a Table-Like Method that over-approximates.
-        """
-        flagged = set(attackers)
-        for node in list(self._flag_streaks):
-            if node not in flagged:
-                del self._flag_streaks[node]
-        eligible: list[tuple[int, int]] = []
-        for node in attackers:
-            if node in self._engaged:
-                continue
-            streak = self._flag_streaks.get(node, 0) + 1
-            self._flag_streaks[node] = streak
-            if streak >= self.policy.engage_after:
-                eligible.append((node, streak))
-        budget = len(eligible)
-        if self.policy.max_engaged_nodes is not None:
-            budget = max(0, self.policy.max_engaged_nodes - len(self._engaged))
-        # Longest streak first: the most consistently localized candidate is
-        # the "loudest" attacker of this round.
-        eligible.sort(key=lambda item: (-item[1], item[0]))
-        newly_engaged = []
-        limit = self.policy.injection_limit
-        for node, _streak in eligible[:budget]:
-            previous = simulator.network.injection_limit(node)
-            simulator.throttle_node(node, limit)
-            if self.policy.flush_queue:
-                simulator.network.flush_source_queue(node)
-            self._engage_counts[node] = self._engage_counts.get(node, 0) + 1
-            self._engaged[node] = _EngagedNode(
-                node=node,
-                previous_limit=previous,
-                engaged_cycle=cycle,
-                # Seed the shadow counter from the suspicion the node built
-                # in the open: the loudest conviction enters quarantine with
-                # the most residual pressure to decay off.
-                shadow_pressure=(
-                    float(self.evidence.suspicion_of(node))
-                    if self.evidence is not None
-                    else 1.0
-                ),
-            )
-            newly_engaged.append(node)
-        if newly_engaged:
-            if self._containment_epoch is None:
-                # Anchor of the drain-aware latency split: benign packets
-                # created before this cycle experienced the unmitigated
-                # attack and drain as backlog; packets created after it
-                # measure the fenced network itself.
-                self._containment_epoch = cycle
-            self._round += 1
-            # A new localization round just opened: the attack is still
-            # surfacing attackers, and a fenced attacker is indistinguishable
-            # from a false positive (no evidence either way).  Restart the
-            # stale clocks of every held node so the round churn cannot roll
-            # back attacker k right as attacker k+1 engages — the whack-a-mole
-            # failure of multi-source floods.  Once rounds stop opening, the
-            # stale clocks run again and innocents release as before.
-            for state in self._engaged.values():
-                state.windows_since_flagged = 0
-            self._record(
-                "engaged",
-                cycle,
-                sorted(newly_engaged),
-                f"limit={limit:g}",
-                round=self._round,
-                limit=float(limit),
-            )
-
-    def _rollback_stale(
-        self,
-        flagged: set[int],
-        cycle: int,
-        simulator: NoCSimulator,
-        fresh_clock: bool = True,
-    ) -> None:
-        """Release engaged nodes the localizer has stopped flagging.
-
-        The per-node threshold grows with the node's engagement count: a
-        fenced attacker looks exactly like a false positive (no congestion
-        evidence), so a node that already bounced through a release probe is
-        held longer before the next one.  Stale-clocked windows (delayed
-        delivery) re-flag as usual but never advance the rollback clocks:
-        releases are only earned on current observations.
-        """
-        rolled_back = []
-        for node, state in list(self._engaged.items()):
-            if node in flagged:
-                state.windows_since_flagged = 0
-                continue
-            if not fresh_clock:
-                continue
-            state.windows_since_flagged += 1
-            threshold = self.policy.stale_threshold(self._engage_counts.get(node, 1))
-            if state.windows_since_flagged >= threshold:
-                self._release_node(node, simulator)
-                rolled_back.append(node)
-        if rolled_back:
-            self._record(
-                "rolled_back",
-                cycle,
-                rolled_back,
-                "no longer localized",
-                remaining=len(self._engaged),
-            )
-            if not self._engaged:
-                # The rollback lifted the last restriction: record a full
-                # release so the report's release_cycle reflects reality.
-                self._record(
-                    "released",
-                    cycle,
-                    rolled_back,
-                    "all restrictions rolled back",
-                    restated=True,
-                    remaining=0,
-                )
-
-    def _release_ready(self, cycle: int, simulator: NoCSimulator) -> None:
-        """Release ONE engaged node whose clean-window hold has expired.
-
-        Per-node release state: each node's required clean streak is scaled
-        by the policy's re-engage backoff, so first offenders release after
-        ``release_after`` clean windows exactly as before, while oscillating
-        nodes wait exponentially longer.
-
-        Releases are **staggered, one fence at a time**: a quarantined
-        attacker leaves no evidence, so every release is a probe, and
-        releasing all ready nodes at once would restart a distributed flood
-        in a single window and forfeit containment.  The least re-engaged
-        node goes first (most likely an innocent), ties broken by the
-        lowest shadow-pressure estimate — the node whose residual pressure
-        behind the fence has decayed furthest is the safest probe — and the
-        policy's
-        ``release_probe_spacing`` leaves clean windows between consecutive
-        probes so a released attacker's congestion has time to rebuild and
-        break the streak before the next fence lifts.
-        """
-        ready = [
-            node
-            for node in sorted(self._engaged)
-            if self._consecutive_clean
-            >= self.policy.release_threshold(self._engage_counts.get(node, 1))
-        ]
-        if not ready:
-            return
-        if (
-            self._last_probe_window is not None
-            and self._window_index - self._last_probe_window
-            < self.policy.release_probe_spacing
-        ):
-            return
-        probe = min(
-            ready,
-            key=lambda node: (
-                self._engage_counts.get(node, 1),
-                self._engaged[node].shadow_pressure,
-                node,
-            ),
-        )
-        self._release_node(probe, simulator)
-        self._last_probe_window = self._window_index
-        if not self._engaged:
-            self._flag_streaks.clear()
-        detail = f"{self._consecutive_clean} clean windows"
-        if self._engaged:
-            detail += f"; staggered probe, {len(self._engaged)} still fenced"
-        self._record(
-            "released",
-            cycle,
-            (probe,),
-            detail,
-            clean_windows=self._consecutive_clean,
-            remaining=len(self._engaged),
-        )
-
-    def _release_node(self, node: int, simulator: NoCSimulator) -> None:
-        state = self._engaged.pop(node)
-        # A released node must rebuild a full engage_after streak before it
-        # can be fenced again — without this, a streak surviving a partial
-        # release would let one noisy localization instantly re-engage it.
-        self._flag_streaks.pop(node, None)
-        if self.evidence is not None:
-            # The release is a probe: whatever suspicion the node retained
-            # while fenced is stale (a fenced flood leaves no signature), so
-            # re-conviction must come from fresh post-release evidence.
-            self.evidence.reset_node(node)
-        if self.policy.flush_queue:
-            # Restart the interface cleanly: the backlog accumulated while
-            # fenced would otherwise pour out the moment the limit lifts.
-            simulator.network.flush_source_queue(node)
-        simulator.throttle_node(node, state.previous_limit)
-        if not self._engaged:
-            self._containment_epoch = None
-
-    # -- shadow counters -------------------------------------------------------
-    def _update_shadow_pressure(self, flagged: set[int]) -> None:
-        """Cool every engaged node's shadow counter; re-heat re-flagged ones.
-
-        Runs every window (detected or clean): pressure is an estimate of
-        what the fence is currently holding back, and quiet windows are the
-        only evidence a quarantined source has actually stopped pushing.
-        """
-        for node, state in self._engaged.items():
-            state.shadow_pressure *= self._SHADOW_DECAY
-            if node in flagged:
-                state.shadow_pressure += 1.0
+    def _actuate(self, decisions: tuple[Decision, ...], simulator: NoCSimulator) -> None:
+        """Apply the decisions' countermeasure changes to the mesh, in order."""
+        network = simulator.network
+        flush = self.policy.flush_queue
+        for decision in decisions:
+            for node in decision.actuated:
+                if decision.kind == "engaged":
+                    self._previous_limits[node] = network.injection_limit(node)
+                    simulator.throttle_node(node, self.policy.injection_limit)
+                    if flush:
+                        network.flush_source_queue(node)
+                    continue
+                if flush:
+                    # Restart the interface cleanly: the backlog accumulated
+                    # while fenced would otherwise pour out the moment the
+                    # limit lifts.
+                    network.flush_source_queue(node)
+                simulator.throttle_node(node, self._previous_limits.pop(node))
 
     # -- observability ---------------------------------------------------------
-    def _record(
-        self,
-        kind: str,
-        cycle: int,
-        nodes=(),
-        detail: str = "",
-        round: int = 0,
-        restated: bool = False,
-        **fields,
-    ) -> None:
+    def _record(self, decision: Decision, cycle: int) -> None:
         """Write one decision to the report, the trace and the metrics.
 
         The single write path of every guard decision: it appends the
         :class:`DefenseEvent`, adds the nodes to ``report.event_counts``,
-        emits the bus event (with ``fields``) when tracing is on and bumps
-        ``repro_guard_events_total`` — node-counted, 1 for ``detected`` —
-        when metrics are on.  ``restated`` marks the full-rollback
-        ``released`` marker, which restates nodes its ``rolled_back``
-        sibling already counted: it is logged and traced, never counted.
+        emits the bus event when tracing is on and bumps
+        ``repro_guard_events_total`` (node-counted, 1 for ``detected``) when
+        metrics are on.  A ``restated`` decision is logged and traced, never
+        counted.
         """
-        event = DefenseEvent(cycle, kind, tuple(nodes), detail, round)
+        kind = decision.kind
+        event = DefenseEvent(cycle, kind, decision.nodes, decision.detail, decision.round)
         self.report.events.append(event)
-        if not restated and kind in _COUNT_KEYS:
-            self.report.event_counts[_COUNT_KEYS[kind]] += len(event.nodes)
+        if not decision.restated and kind in COUNTED_EVENTS:
+            self.report.count(kind, len(event.nodes))
         # The evidence accumulator traces its own convictions.
         if BUS.active and kind != "convicted":
+            fields = dict(decision.fields)
             if event.nodes:
                 fields["nodes"] = event.nodes
-            if round:
-                fields["round"] = round
+            if decision.round:
+                fields["round"] = decision.round
             BUS.emit(kind, **fields)
-        if METRICS.active and not restated:
+        if METRICS.active and not decision.restated:
             guard_events_counter().inc(len(event.nodes) or 1, kind=kind)
 
     # -- measurement ----------------------------------------------------------
     def _window_latency(self, simulator: NoCSimulator) -> dict:
         """Benign latency and delivery counts since the last window.
 
-        Alongside the plain benign mean, delivered benign packets are split
-        at the containment epoch (the first engagement of the current
-        episode) into **backlog** — created before the fence went up, so
-        their latency is attack damage draining out — and **fresh** —
-        created under the fence, measuring the quality of the fenced
-        network itself.  Before any engagement everything counts as fresh.
+        Benign deliveries are split at the containment epoch into
+        **backlog** — created before the fence went up, attack damage
+        draining out — and **fresh** — created under the fence, measuring
+        the fenced network itself; before any engagement all are fresh.
         Returned as the window's :class:`WindowRecord` delivery fields.
         """
         new = simulator.stats.columns(self._delivered_index)
         self._delivered_index += len(new)
         benign = new.benign()
-        epoch = self._containment_epoch
+        epoch = self.state.containment_epoch
         fresh = benign if epoch is None else benign.select(benign.created >= epoch)
         return dict(
             benign_latency=_mean_latency(benign),
@@ -727,10 +712,4 @@ class DL2FenceGuard:
             benign_fresh_latency=_mean_latency(fresh),
             benign_fresh_delivered=len(fresh),
             benign_backlog_delivered=len(benign) - len(fresh),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DL2FenceGuard(policy={self.policy.name}, "
-            f"engaged={self.engaged_nodes}, windows={self._window_index})"
         )

@@ -17,10 +17,25 @@ from dataclasses import dataclass, field
 
 from repro.defense.policy import MitigationPolicy
 
-__all__ = ["DefenseEvent", "WindowRecord", "DefenseReport"]
+__all__ = ["COUNTED_EVENTS", "DefenseEvent", "WindowRecord", "DefenseReport"]
 
 #: Window phases, in the order a successful defended run traverses them.
 PHASES = ("benign", "attack", "mitigated")
+
+#: The one table behind ``DefenseReport.event_counts``: the counter each
+#: counted trace event kind adds to.  Every kind adds its node total, except
+#: the sanitizer's ``window_sanitized``, which adds the cells it imputed.
+#: The full-rollback ``released`` marker restates nodes its ``rolled_back``
+#: sibling already counted and adds nothing; in a trace it is the
+#: ``released`` event without ``clean_windows``.
+COUNTED_EVENTS = {
+    "engaged": "engagements",
+    "rolled_back": "releases",
+    "released": "releases",
+    "convicted": "convictions",
+    "window_sanitized": "clamps",
+    "detour_discount": "detour_discounts",
+}
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,10 @@ class DefenseReport:
     #: the guard on every run, traced or not.  Deterministic and
     #: backend-identical: pure functions of the window stream.
     event_counts: dict[str, int] = field(default_factory=dict)
+
+    def count(self, kind: str, amount: int) -> None:
+        """Add ``amount`` to the ``event_counts`` counter of event ``kind``."""
+        self.event_counts[COUNTED_EVENTS[kind]] += amount
 
     # -- event accessors ----------------------------------------------------
     def _first_event_cycle(self, kind: str) -> int | None:

@@ -26,6 +26,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.defense.report import COUNTED_EVENTS
+
 __all__ = ["load_events", "trace_counts", "crosscheck_report", "main"]
 
 #: Decision kinds shown on the default timeline (per-window "window"
@@ -81,44 +83,31 @@ def episodes_of(events: list[dict]) -> list[int]:
 def trace_counts(events: list[dict]) -> dict[str, int]:
     """The report's ``event_counts`` summary, rederived from the trace.
 
-    Definitions mirror the guard's bookkeeping exactly:
-
-    * ``engagements`` / ``convictions`` — node totals of the ``engaged`` /
-      ``convicted`` events;
-    * ``releases`` — node total of ``rolled_back`` events plus one per
-      staggered release probe (``released`` events carrying a
-      ``clean_windows`` field; the full-rollback ``released`` marker
-      restates nodes its ``rolled_back`` sibling already counted);
-    * ``clamps`` — total cells the sanitizer imputed;
-    * ``detour_discounts`` — node total of discounted detour carriers.
+    Reads the guard's own counting table,
+    :data:`repro.defense.report.COUNTED_EVENTS`: each counted event adds its
+    node total (``window_sanitized`` adds its ``imputed_cells``), and the
+    full-rollback ``released`` marker — the ``released`` event without
+    ``clean_windows`` — adds nothing.
     """
-    counts = {
-        "engagements": 0,
-        "releases": 0,
-        "convictions": 0,
-        "clamps": 0,
-        "detour_discounts": 0,
-    }
+    counts = dict.fromkeys(COUNTED_EVENTS.values(), 0)
     for event in events:
         kind = event["kind"]
-        if kind == "engaged":
-            counts["engagements"] += len(event.get("nodes", ()))
-        elif kind == "rolled_back":
-            counts["releases"] += len(event.get("nodes", ()))
-        elif kind == "released" and "clean_windows" in event:
-            counts["releases"] += len(event.get("nodes", ()))
-        elif kind == "convicted":
-            counts["convictions"] += len(event.get("nodes", ()))
-        elif kind == "window_sanitized":
-            counts["clamps"] += int(event.get("imputed_cells", 0))
-        elif kind == "detour_discount":
-            counts["detour_discounts"] += len(event.get("nodes", ()))
+        if kind not in COUNTED_EVENTS:
+            continue
+        if kind == "released" and "clean_windows" not in event:
+            continue
+        if kind == "window_sanitized":
+            amount = int(event.get("imputed_cells", 0))
+        else:
+            amount = len(event.get("nodes", ()))
+        counts[COUNTED_EVENTS[kind]] += amount
     return counts
 
 
-def _report_node_totals(report: dict) -> dict[str, int]:
+def _node_totals(events) -> dict[str, int]:
+    """Node totals of the engaged / rolled_back / convicted events."""
     totals = {"engaged": 0, "rolled_back": 0, "convicted": 0}
-    for event in report.get("events", ()):
+    for event in events:
         if event.get("kind") in totals:
             totals[event["kind"]] += len(event.get("nodes", ()))
     return totals
@@ -139,11 +128,8 @@ def crosscheck_report(events: list[dict], report: dict) -> list[str]:
                 f"event_counts[{key}]: report says {value}, trace says "
                 f"{derived.get(key, 0)}"
             )
-    trace_totals = {"engaged": 0, "rolled_back": 0, "convicted": 0}
-    for event in events:
-        if event["kind"] in trace_totals:
-            trace_totals[event["kind"]] += len(event.get("nodes", ()))
-    for kind, total in _report_node_totals(report).items():
+    trace_totals = _node_totals(events)
+    for kind, total in _node_totals(report.get("events", ())).items():
         if trace_totals[kind] != total:
             problems.append(
                 f"{kind} nodes: report events total {total}, trace total "

@@ -5,6 +5,9 @@ import pytest
 from repro.core.pipeline import LocalizationResult
 from repro.defense.evidence import EvidenceAccumulator, EvidenceConfig
 
+from tests.defense.fakes import StubFence
+from tests.faults.test_monitor_faults import make_sample
+
 
 def result(attackers=(), frontier=(), estimated=None, detected=True, p=0.9):
     return LocalizationResult(
@@ -228,7 +231,7 @@ class TestDetourDiscountsAndPromotions:
 class TestGuardEvidenceIntegration:
     """The guard acting on convictions with no detector support at all."""
 
-    class SubThresholdFence:
+    class SubThresholdFence(StubFence):
         """Stub pipeline: never detects, but persistently names one node.
 
         Idempotent per cycle, because the guard re-runs localization on
@@ -236,6 +239,7 @@ class TestGuardEvidenceIntegration:
         """
 
         def __init__(self, attacker, probability=0.45):
+            super().__init__()
             self.attacker = attacker
             self.probability = probability
 
@@ -248,8 +252,6 @@ class TestGuardEvidenceIntegration:
             )
 
     def test_stealth_conviction_engages_without_any_detection(self):
-        from types import SimpleNamespace
-
         from repro.defense.guard import DL2FenceGuard
         from repro.defense.policy import MitigationPolicy
         from repro.noc.simulator import NoCSimulator, SimulationConfig
@@ -262,9 +264,9 @@ class TestGuardEvidenceIntegration:
                 decay=0.9, conviction_threshold=3.4, probability_floor=0.25
             ),
         )
-        guard.simulator = simulator
         for index in range(6):
-            guard.on_sample(SimpleNamespace(cycle=100 * (index + 1)), simulator)
+            sample = make_sample(simulator.topology, 100 * (index + 1))
+            guard.on_sample(sample, simulator)
         # Conviction lands on the 4th evidence-bearing window; two flagged
         # windows later the streak hysteresis engages the quarantine.
         assert guard.engaged_nodes == [5]
@@ -274,8 +276,6 @@ class TestGuardEvidenceIntegration:
         assert "evidence" in detected_event.detail
 
     def test_evidence_disabled_guard_ignores_sub_threshold_windows(self):
-        from types import SimpleNamespace
-
         from repro.defense.guard import DL2FenceGuard
         from repro.defense.policy import MitigationPolicy
         from repro.noc.simulator import NoCSimulator, SimulationConfig
@@ -286,8 +286,8 @@ class TestGuardEvidenceIntegration:
             MitigationPolicy.quarantine(engage_after=2),
             evidence=False,
         )
-        guard.simulator = simulator
         for index in range(10):
-            guard.on_sample(SimpleNamespace(cycle=100 * (index + 1)), simulator)
+            sample = make_sample(simulator.topology, 100 * (index + 1))
+            guard.on_sample(sample, simulator)
         assert guard.engaged_nodes == []
-        assert guard.evidence is None
+        assert guard.state.evidence is None

@@ -6,97 +6,85 @@ exercised with an oracle pipeline (perfect detection/localization), and the
 full learned pipeline is integrated via the session ``trained_pipeline``.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
-from repro.core.pipeline import LocalizationResult
-from repro.defense.guard import DL2FenceGuard
+from repro.core.pipeline import DL2Fence
+from repro.defense.degraded import DegradedModeConfig, WindowSanitizer
+from repro.defense.evidence import EvidenceAccumulator
+from repro.defense.guard import DL2FenceGuard, GuardState, decide
 from repro.defense.policy import MitigationPolicy
 from repro.monitor.sampler import MonitorConfig
+from repro.noc.network import MeshNetwork
 from repro.noc.packet import Packet
 from repro.noc.simulator import NoCSimulator, SimulationConfig
+from repro.noc.soa import SoAMeshNetwork
 from repro.obs.metrics import METRICS, guard_events_counter
 from repro.traffic.scenario import AttackScenario
 
-
-class ScriptedFence:
-    """Stub pipeline replaying a fixed sequence of (detected, attackers)."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.calls = 0
-
-    def process_sample(self, sample, force_localization=False):
-        detected, attackers = self.script[self.calls]
-        self.calls += 1
-        return LocalizationResult(
-            cycle=sample.cycle,
-            detected=detected,
-            detection_probability=0.9 if detected else 0.1,
-            attackers=list(attackers),
-        )
+from tests.defense.fakes import OracleFence, ScriptedFence, drive, window
+from tests.faults.test_monitor_faults import make_sample
 
 
-class OracleFence:
-    """Perfect pipeline: detects exactly while the attack window is active."""
+class TestDecisionCore:
+    def test_decide_runs_without_simulator_fence_or_sanitizer(self, monkeypatch):
+        """``decide`` folds observations into a bare ``GuardState``.
 
-    def __init__(self, attackers):
-        self.attackers = list(attackers)
+        Every constructor of the outside world raises for the duration, so
+        the run proves none of them is needed.
+        """
 
-    def process_sample(self, sample, force_localization=False):
-        return LocalizationResult(
-            cycle=sample.cycle,
-            detected=sample.attack_active,
-            detection_probability=1.0 if sample.attack_active else 0.0,
-            attackers=list(self.attackers) if sample.attack_active else [],
-        )
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decide must not build the outside world")
 
-
-def drive(script, policy, **guard_kwargs):
-    """Run a scripted sequence through a guard on an idle 4x4 simulator."""
-    simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
-    guard = DL2FenceGuard(ScriptedFence(script), policy, **guard_kwargs)
-    guard.simulator = simulator
-    for index in range(len(script)):
-        guard.on_sample(SimpleNamespace(cycle=100 * (index + 1)), simulator)
-    return guard, simulator
+        outside = (NoCSimulator, MeshNetwork, SoAMeshNetwork, DL2Fence, WindowSanitizer)
+        for cls in outside:
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        policy = MitigationPolicy.quarantine(engage_after=2, release_after=2)
+        state = GuardState(policy, EvidenceAccumulator(16), DegradedModeConfig())
+        script = [(True, [5]), (True, [5]), (False, []), (False, []), (False, [])]
+        decided = []
+        for index, (detected, attackers) in enumerate(script):
+            observation = window(100 * (index + 1), detected, attackers)
+            record, decisions = decide(state, observation)
+            assert record.index == index
+            decided.append([(d.kind, d.nodes, d.actuated) for d in decisions])
+        assert decided == [
+            [("detected", (), ())],
+            [("engaged", (5,), (5,))],
+            [],
+            [("released", (5,), (5,))],
+            [],
+        ]
+        assert state.engaged == {} and state.window_index == 5
 
 
 class TestEngagementHysteresis:
     def test_engages_after_consecutive_flagged_windows(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=2)
-        guard, simulator = drive(
-            [(True, [5]), (True, [5])], policy
-        )
+        guard = drive([(True, [5]), (True, [5])], policy)
         assert guard.engaged_nodes == [5]
-        assert simulator.network.injection_limit(5) == 0.1
 
     def test_single_detection_does_not_engage(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=2)
-        guard, simulator = drive([(True, [5])], policy)
+        guard = drive([(True, [5])], policy)
         assert guard.engaged_nodes == []
-        assert simulator.network.injection_limit(5) == 1.0
 
     def test_one_off_flagged_node_not_engaged(self):
         """A node flagged in only one of the detection windows stays free."""
         policy = MitigationPolicy.throttle(0.1, engage_after=2)
-        guard, simulator = drive(
-            [(True, [5, 7]), (True, [5])], policy
-        )
+        guard = drive([(True, [5, 7]), (True, [5])], policy)
         assert guard.engaged_nodes == [5]
-        assert simulator.network.injection_limit(7) == 1.0
 
     def test_clean_window_breaks_streak_before_engagement(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=2)
-        guard, _ = drive(
-            [(True, [5]), (False, []), (True, [5])], policy
-        )
+        guard = drive([(True, [5]), (False, []), (True, [5])], policy)
         assert guard.engaged_nodes == []
 
     def test_quarantine_applies_zero_limit(self):
         policy = MitigationPolicy.quarantine(engage_after=1)
-        guard, simulator = drive([(True, [3])], policy)
+        simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        guard = DL2FenceGuard(ScriptedFence([(True, [3])]), policy)
+        guard.on_sample(make_sample(simulator.topology, 100), simulator)
         assert guard.engaged_nodes == [3]
         assert simulator.network.injection_limit(3) == 0.0
 
@@ -104,19 +92,14 @@ class TestEngagementHysteresis:
 class TestReleaseHysteresis:
     def test_releases_after_clean_windows(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=1, release_after=2)
-        guard, simulator = drive(
-            [(True, [5]), (False, []), (False, [])], policy
-        )
+        guard = drive([(True, [5]), (False, []), (False, [])], policy)
         assert guard.engaged_nodes == []
-        assert simulator.network.injection_limit(5) == 1.0
         kinds = [event.kind for event in guard.report.events]
         assert kinds == ["detected", "engaged", "released"]
 
     def test_not_released_while_detections_continue(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=1, release_after=2)
-        guard, _ = drive(
-            [(True, [5]), (False, []), (True, [5]), (False, [])], policy
-        )
+        guard = drive([(True, [5]), (False, []), (True, [5]), (False, [])], policy)
         assert guard.engaged_nodes == [5]
 
     def test_stale_node_rolled_back_individually(self):
@@ -124,11 +107,8 @@ class TestReleaseHysteresis:
         policy = MitigationPolicy.throttle(
             0.1, engage_after=1, release_after=10, stale_after=2
         )
-        guard, simulator = drive(
-            [(True, [5, 9]), (True, [5]), (True, [5])], policy
-        )
+        guard = drive([(True, [5, 9]), (True, [5]), (True, [5])], policy)
         assert guard.engaged_nodes == [5]
-        assert simulator.network.injection_limit(9) == 1.0
         assert any(
             event.kind == "rolled_back" and event.nodes == (9,)
             for event in guard.report.events
@@ -139,18 +119,30 @@ class TestReleaseHysteresis:
         policy = MitigationPolicy.throttle(
             0.1, engage_after=1, release_after=10, stale_after=2
         )
-        guard, _ = drive(
-            [(True, [5]), (True, [9]), (True, [9])], policy
-        )
+        guard = drive([(True, [5]), (True, [9]), (True, [9])], policy)
         assert 5 not in guard.engaged_nodes  # 5 rolled back as stale
         report = guard.report
         assert report.release_cycle is None or guard.engaged_nodes
         # drive node 9 out as well: everything disengaged -> full release
-        guard2, _ = drive(
-            [(True, [5]), (True, []), (True, [])], policy
-        )
+        guard2 = drive([(True, [5]), (True, []), (True, [])], policy)
         assert guard2.engaged_nodes == []
         assert guard2.report.release_cycle is not None
+
+    def test_rollback_restores_the_mesh_limit(self):
+        """Engagements and stale rollbacks reach the mesh through on_sample."""
+        policy = MitigationPolicy.throttle(
+            0.1, engage_after=1, release_after=10, stale_after=2
+        )
+        simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
+        script = [(True, [5, 9]), (True, [5]), (True, [5])]
+        guard = DL2FenceGuard(ScriptedFence(script), policy)
+        guard.on_sample(make_sample(simulator.topology, 100), simulator)
+        assert simulator.restricted_nodes == [5, 9]
+        assert simulator.network.injection_limit(9) == 0.1
+        for cycle in (200, 300):
+            guard.on_sample(make_sample(simulator.topology, cycle), simulator)
+        assert simulator.restricted_nodes == [5]
+        assert simulator.network.injection_limit(9) == 1.0
 
     def test_release_restores_previous_limit(self):
         """Rollback restores the limit the node had before engagement."""
@@ -158,10 +150,9 @@ class TestReleaseHysteresis:
         simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
         simulator.network.set_injection_limit(5, 0.8)
         guard = DL2FenceGuard(ScriptedFence([(True, [5]), (False, [])]), policy)
-        guard.simulator = simulator
-        guard.on_sample(SimpleNamespace(cycle=100), simulator)
+        guard.on_sample(make_sample(simulator.topology, 100), simulator)
         assert simulator.network.injection_limit(5) == 0.5
-        guard.on_sample(SimpleNamespace(cycle=200), simulator)
+        guard.on_sample(make_sample(simulator.topology, 200), simulator)
         assert simulator.network.injection_limit(5) == 0.8
 
 
@@ -174,8 +165,7 @@ class TestFlushQueue:
                 Packet(source=5, destination=0, size_flits=4, created_cycle=0)
             )
         guard = DL2FenceGuard(ScriptedFence([(True, [5])]), policy)
-        guard.simulator = simulator
-        guard.on_sample(SimpleNamespace(cycle=100), simulator)
+        guard.on_sample(make_sample(simulator.topology, 100), simulator)
         assert len(simulator.network.source_queues[5]) == 0
         assert simulator.network.dropped_packets == 4
 
@@ -183,7 +173,7 @@ class TestFlushQueue:
 class TestReportContents:
     def test_phases_and_latencies(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=2)
-        guard, _ = drive(
+        guard = drive(
             [(False, []), (True, [5]), (True, [5]), (True, [5])],
             policy,
             attack_start=150,
@@ -202,7 +192,7 @@ class TestReportContents:
 
     def test_collateral_accounting(self):
         policy = MitigationPolicy.throttle(0.1, engage_after=1)
-        guard, _ = drive(
+        guard = drive(
             [(True, [5, 9]), (True, [5, 9])],
             policy,
             true_attackers=(5,),
@@ -216,14 +206,13 @@ class TestReportContents:
             SimulationConfig(rows=4, warmup_cycles=0, backend="object")
         )
         guard = DL2FenceGuard(ScriptedFence([(False, []), (False, [])]))
-        guard.simulator = simulator
 
         benign = Packet(source=0, destination=1, created_cycle=0)
         benign.injected_cycle, benign.ejected_cycle = 2, 10
         malicious = Packet(source=2, destination=1, created_cycle=0, is_malicious=True)
         malicious.injected_cycle, malicious.ejected_cycle = 1, 21
         simulator.stats.delivered.extend([benign, malicious])
-        guard.on_sample(SimpleNamespace(cycle=100), simulator)
+        guard.on_sample(make_sample(simulator.topology, 100), simulator)
 
         window = guard.report.windows[0]
         assert window.benign_latency == 10.0
@@ -231,7 +220,7 @@ class TestReportContents:
         assert window.malicious_delivered == 1
 
         # the second window only sees deliveries that happened after the first
-        guard.on_sample(SimpleNamespace(cycle=200), simulator)
+        guard.on_sample(make_sample(simulator.topology, 200), simulator)
         assert guard.report.windows[1].benign_delivered == 0
 
 
@@ -258,7 +247,7 @@ class TestDecisionMetrics:
         )
         script = [(True, [5, 9]), (True, [5]), (True, [5]), (False, []), (False, [])]
         script += [(True, [3, 7]), (True, []), (True, [])]
-        guard, _ = drive(script, policy, evidence=False)
+        guard = drive(script, policy, evidence=False)
         events = guard.report.events
         assert any(e.kind == "engaged" and len(e.nodes) == 2 for e in events)
         markers = [e for e in events if e.detail == "all restrictions rolled back"]
@@ -309,7 +298,7 @@ class TestClosedLoopWithOracle:
             )
         )
         guard = DL2FenceGuard(
-            OracleFence([attacker]),
+            OracleFence([attacker], rows=self.ROWS),
             policy,
             attack_start=attack_start,
             true_attackers=(attacker,),

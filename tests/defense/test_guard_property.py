@@ -1,20 +1,31 @@
-"""Property tests of the guard's decision invariants over generated scripts.
+"""Property tests of the guard's decision invariants over generated windows.
 
-Hypothesis drives generated ``(detected, attackers)`` window scripts through
-the scripted-fence harness on a 4x4 mesh, under a random engagement cap and
-release-probe spacing, and checks on every sequence that
+Hypothesis generates sequences of :class:`~repro.defense.guard.Observation`
+— detection, localization, evidence weight, unobservable nodes, detour
+carriers with and without injection corroboration, delivery gaps and stale
+capture clocks — and drives them through the guard's decision core and its
+records on a 4x4 mesh, under a random policy.  On every sequence:
 
 * no window fences more nodes than ``max_engaged_nodes``;
 * consecutive staggered release probes are ``release_probe_spacing``
   windows apart or more;
 * the report's ``event_counts`` equal the counts rederived from the run's
-  own trace.
+  own trace;
+* a node in the window's ``unobservable`` set is never newly engaged;
+* an uncorroborated detour carrier the evidence does not hold convicted in
+  that window is never newly engaged;
+* every release probe follows at least ``policy.release_threshold(...)``
+  consecutive fresh-clock clean windows (stale clean windows neither count
+  nor break the streak);
+* a delivery gap of ``k >= max_gap_decay`` missed windows decays suspicion
+  exactly as a gap of ``max_gap_decay`` does.
 
-A second property pins the guard's per-window latency accounting (benign
+A last property pins the guard's per-window latency accounting (benign
 mean plus the fresh/backlog split at the containment epoch) to the
 per-packet loop it replaced, over generated delivered packets.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -22,19 +33,61 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.defense.guard import DL2FenceGuard
+from repro.core.pipeline import LocalizationResult
+from repro.defense.degraded import DegradedModeConfig
+from repro.defense.guard import DL2FenceGuard, Observation
 from repro.defense.policy import MitigationPolicy
 from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
 from repro.obs.bus import RingBufferSink, trace_session
 from repro.obs.summarize import trace_counts
 
-from tests.defense.test_guard import ScriptedFence, drive
+from tests.defense.fakes import ScriptedFence, StubFence
 
-windows = st.tuples(
-    st.booleans(), st.lists(st.integers(0, 15), max_size=6, unique=True)
-)
-scripts = st.lists(windows, min_size=1, max_size=40)
+NODES = 16
+PERIOD = 100
+
+nodes = st.lists(st.integers(0, NODES - 1), max_size=6, unique=True)
+node_sets = st.frozensets(st.integers(0, NODES - 1), max_size=4)
+
+
+@st.composite
+def observation_fields(draw):
+    """Everything one window tells the decision core, except its cycle."""
+    detected = draw(st.booleans())
+    attackers = draw(nodes)
+    detour = draw(node_sets)
+    return dict(
+        result=LocalizationResult(
+            cycle=0,
+            detected=detected,
+            detection_probability=(
+                0.9 if detected else draw(st.sampled_from((0.1, 0.45)))
+            ),
+            attackers=attackers,
+            frontier=draw(nodes),
+            estimated_attacker_count=draw(st.integers(0, 4)),
+        ),
+        weight=1.0 if detected else draw(st.sampled_from((0.0, 1.0))),
+        unobservable=draw(node_sets),
+        detour=detour,
+        corroborated=draw(node_sets) - detour,
+        missed_windows=draw(st.sampled_from((0, 0, 0, 1, 3, 12))),
+        fresh_clock=draw(st.booleans()),
+    )
+
+
+def observations(fields):
+    """Place generated windows one sampling period apart."""
+    stream = []
+    for index, window in enumerate(fields):
+        cycle = PERIOD * (index + 1)
+        result = dataclasses.replace(window["result"], cycle=cycle)
+        stream.append(Observation(cycle=cycle, **dict(window, result=result)))
+    return stream
+
+
+windows = st.lists(observation_fields(), min_size=1, max_size=40)
 policies = st.builds(
     MitigationPolicy.quarantine,
     engage_after=st.integers(1, 3),
@@ -46,12 +99,19 @@ policies = st.builds(
 )
 
 
+def run(stream, policy, **guard_kwargs):
+    """Drive ``stream`` through a guard; returns it and each window's decisions."""
+    guard = DL2FenceGuard(StubFence(), policy, **guard_kwargs)
+    return guard, [guard.decide_window(observation) for observation in stream]
+
+
 @settings(max_examples=150, deadline=None)
-@given(script=scripts, policy=policies)
-def test_guard_decision_invariants(script, policy):
+@given(fields=windows, policy=policies)
+def test_guard_decision_invariants(fields, policy):
+    stream = observations(fields)
     with trace_session(RingBufferSink()) as ring:
-        guard, _ = drive(script, policy)
-    report, trace = guard.report, ring.events()
+        guard, decided = run(stream, policy)
+    report = guard.report
 
     if policy.max_engaged_nodes is not None:
         assert all(
@@ -59,19 +119,65 @@ def test_guard_decision_invariants(script, policy):
             for window in report.windows
         )
 
-    # Staggered probes carry their clean-window count in the trace; the
-    # full-rollback ``released`` marker does not.
     probe_windows = [
-        event["window"]
-        for event in trace
-        if event["kind"] == "released" and "clean_windows" in event
+        index
+        for index, decisions in enumerate(decided)
+        for decision in decisions
+        if decision.kind == "released" and not decision.restated
     ]
     assert all(
         later - earlier >= policy.release_probe_spacing
         for earlier, later in zip(probe_windows, probe_windows[1:])
     )
 
-    assert report.event_counts == trace_counts(trace)
+    assert report.event_counts == trace_counts(ring.events())
+
+    engage_counts: dict[int, int] = {}
+    fresh_clean = 0
+    for observation, record, decisions in zip(stream, report.windows, decided):
+        if record.detected:
+            fresh_clean = 0
+        elif observation.fresh_clock:
+            fresh_clean += 1
+        for decision in decisions:
+            if decision.kind == "engaged":
+                newly = set(decision.nodes)
+                assert not newly & observation.unobservable
+                assert not newly & (observation.detour - set(record.suspected))
+                for node in newly:
+                    engage_counts[node] = engage_counts.get(node, 0) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fields=windows,
+    policy=policies,
+    gap_at=st.integers(0, 39),
+    excess=st.integers(0, 20),
+    cap=st.one_of(st.none(), st.integers(0, 8)),
+)
+def test_gap_decay_is_capped(fields, policy, gap_at, excess, cap):
+    """A gap beyond the cap decays suspicion exactly as the capped gap does.
+
+    ``cap=None`` runs with degraded mode off, where the cap is
+    :class:`DegradedModeConfig`'s default.
+    """
+    degraded = DegradedModeConfig(max_gap_decay=cap) if cap is not None else False
+    cap = cap if cap is not None else DegradedModeConfig.max_gap_decay
+    gap_at %= len(fields)
+
+    def stream(missed):
+        gapped = list(fields)
+        gapped[gap_at] = dict(gapped[gap_at], missed_windows=missed)
+        return observations(gapped)
+
+    capped, _ = run(stream(cap), policy, degraded=degraded)
+    beyond, _ = run(stream(cap + excess), policy, degraded=degraded)
+    np.testing.assert_array_equal(
+        beyond.state.evidence.suspicion, capped.state.evidence.suspicion
+    )
+    assert beyond.report.events == capped.report.events
+    assert beyond.report.windows == capped.report.windows
 
 
 def reference_window(packets, epoch):
@@ -137,7 +243,7 @@ def test_window_fresh_backlog_split_equals_per_packet_loop(first, second, epoch)
     window_a = [packet(*row) for row in first]
     window_b = [packet(*row) for row in second]
     guard = DL2FenceGuard(ScriptedFence([]))
-    guard._containment_epoch = epoch
+    guard.state.containment_epoch = epoch
     simulator = SimpleNamespace(stats=NetworkStats(delivered=list(window_a)))
     same(guard._window_latency(simulator), reference_window(window_a, epoch))
     simulator.stats.delivered.extend(window_b)

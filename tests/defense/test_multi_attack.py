@@ -23,12 +23,15 @@ from repro.noc.stats import LatencyStats
 from repro.traffic.scenario import AttackScenario, MultiAttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
+from tests.defense.fakes import StubFence
+from tests.faults.test_monitor_faults import make_sample
+
 ROWS = 6
 PERIOD = 96
 WARMUP = 32
 
 
-class BlindOracle:
+class BlindOracle(StubFence):
     """Evidence-faithful oracle: sees only attackers that can still inject.
 
     Detection mirrors observable congestion — active, non-quarantined
@@ -38,6 +41,7 @@ class BlindOracle:
     """
 
     def __init__(self, attackers, simulator, reveal_all=False):
+        super().__init__(simulator.topology.rows)
         self.attackers = list(attackers)
         self.simulator = simulator
         self.reveal_all = reveal_all
@@ -247,9 +251,7 @@ class TestEngagementCap:
     """max_engaged_nodes bounds the blast radius of an over-approximation."""
 
     def test_cap_limits_simultaneous_engagements(self):
-        from types import SimpleNamespace
-
-        class SupersetFence:
+        class SupersetFence(StubFence):
             """Stub localizer always over-approximating to five candidates."""
 
             def process_sample(self, sample, force_localization=False):
@@ -263,9 +265,9 @@ class TestEngagementCap:
         simulator = NoCSimulator(SimulationConfig(rows=4, warmup_cycles=0))
         policy = MitigationPolicy.throttle(0.1, engage_after=1, max_engaged_nodes=2)
         guard = DL2FenceGuard(SupersetFence(), policy)
-        guard.simulator = simulator
         for index in range(4):
-            guard.on_sample(SimpleNamespace(cycle=100 * (index + 1)), simulator)
+            sample = make_sample(simulator.topology, 100 * (index + 1))
+            guard.on_sample(sample, simulator)
         assert len(guard.engaged_nodes) == 2
         assert len(simulator.restricted_nodes) == 2
 

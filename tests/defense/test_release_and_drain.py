@@ -19,7 +19,7 @@ from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
-from tests.defense.test_guard import OracleFence, drive
+from tests.defense.fakes import OracleFence, drive
 from repro.defense.guard import DL2FenceGuard
 
 
@@ -33,7 +33,7 @@ def _policy(**overrides):
 
 class TestStaggeredReleaseProbes:
     def test_one_fence_lifts_per_clean_window(self):
-        guard, _ = drive(
+        guard = drive(
             [(True, [5, 9]), (False, []), (False, []), (False, [])], _policy()
         )
         released = [e for e in guard.report.events if e.kind == "released"]
@@ -43,7 +43,7 @@ class TestStaggeredReleaseProbes:
         assert guard.engaged_nodes == []
 
     def test_probe_spacing_delays_the_next_release(self):
-        guard, _ = drive(
+        guard = drive(
             [(True, [5, 9])] + [(False, [])] * 5,
             _policy(release_probe_spacing=2),
         )
@@ -55,7 +55,7 @@ class TestStaggeredReleaseProbes:
 
     def test_least_reengaged_node_probes_first(self):
         """A repeat offender is the *last* fence lifted, not the first."""
-        guard, _ = drive(
+        guard = drive(
             [(True, [9]), (False, []), (False, []), (True, [5, 9])]
             + [(False, [])] * 3,
             _policy(),
@@ -67,7 +67,7 @@ class TestStaggeredReleaseProbes:
         assert [e.nodes for e in released] == [(9,), (5,), (9,)]
 
     def test_no_mass_release_ever(self):
-        guard, _ = drive(
+        guard = drive(
             [(True, [3, 5, 9])] + [(False, [])] * 6, _policy()
         )
         released = [e for e in guard.report.events if e.kind == "released"]
@@ -100,7 +100,7 @@ class TestDrainAwareAccounting:
             )
         )
         guard = DL2FenceGuard(
-            OracleFence([attacker]),
+            OracleFence([attacker], rows=self.ROWS),
             MitigationPolicy.quarantine(
                 engage_after=2, release_after=3, stale_after=99, flush_queue=True
             ),

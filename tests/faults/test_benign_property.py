@@ -33,6 +33,8 @@ from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import Direction
 from repro.traffic.synthetic import UniformRandomTraffic
 
+from tests.defense.fakes import StubFence
+
 SCENARIO_NAMES = (
     "none",
     "dropout",
@@ -46,7 +48,7 @@ SCENARIO_NAMES = (
 BACKENDS = ("soa", "object")
 
 
-class PlausibilityFence:
+class PlausibilityFence(StubFence):
     """Stub pipeline convicting any node owning a physically impossible cell.
 
     VCO is a ratio and BOC is bounded by operations-per-window, so with the
@@ -55,6 +57,7 @@ class PlausibilityFence:
     """
 
     def __init__(self, topology, period):
+        super().__init__(topology.rows)
         self.period = period
         self._owner = {}
         for node in range(topology.num_nodes):

@@ -18,6 +18,7 @@ from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.noc.topology import MeshTopology
 
+from tests.defense.fakes import StubFence
 from tests.faults.test_monitor_faults import make_sample
 
 
@@ -111,10 +112,11 @@ class TestStuckDetection:
         assert health.unobservable == frozenset((5, 9))
 
 
-class FlaggingFence:
+class FlaggingFence(StubFence):
     """Stub pipeline that always detects and names a fixed node."""
 
     def __init__(self, node, detect=True):
+        super().__init__()
         self.node = node
         self.detect = detect
 
@@ -195,8 +197,9 @@ class TestGuardFaultInvariants:
         )
         fence = FlaggingFence(5)
         guard = DL2FenceGuard(fence, policy)
-        guard.simulator = simulator
-        guard.report.sample_period = 100
+        # A monitor that never observes the simulator: windows are hand-fed.
+        monitor = GlobalPerformanceMonitor(MonitorConfig(sample_period=100))
+        guard.attach(simulator, monitor=monitor)
         topology = simulator.topology
         simulator.run(200)
         guard.on_sample(make_sample(topology, 100), simulator)

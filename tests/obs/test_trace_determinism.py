@@ -17,7 +17,6 @@ import json
 import pytest
 
 from repro.attacks import ATTACK_LIBRARY, default_attack_suite
-from repro.core.pipeline import LocalizationResult
 from repro.defense.guard import DL2FenceGuard
 from repro.defense.policy import MitigationPolicy
 from repro.monitor.sampler import MonitorConfig
@@ -27,23 +26,10 @@ from repro.obs.bus import BUS, JsonlSink, RingBufferSink, serialize_event, trace
 from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
+from tests.defense.fakes import OracleFence
+
 SAMPLE_PERIOD = 64
 VARIANTS = ("benign", "flood") + tuple(sorted(ATTACK_LIBRARY))
-
-
-class OracleFence:
-    """Perfect pipeline: detects exactly while the attack window is active."""
-
-    def __init__(self, attackers):
-        self.attackers = list(attackers)
-
-    def process_sample(self, sample, force_localization=False):
-        return LocalizationResult(
-            cycle=sample.cycle,
-            detected=sample.attack_active,
-            detection_probability=1.0 if sample.attack_active else 0.0,
-            attackers=list(self.attackers) if sample.attack_active else [],
-        )
 
 
 def _wire_guarded_episode(simulator, rows, variant, seed):
@@ -64,7 +50,7 @@ def _wire_guarded_episode(simulator, rows, variant, seed):
         model = default_attack_suite(topology, SAMPLE_PERIOD)[variant]
         simulator.add_source(model.build_source(topology, seed=seed + 2))
     guard = DL2FenceGuard(
-        OracleFence((rows * rows - 1, 3)),
+        OracleFence((rows * rows - 1, 3), rows=rows),
         MitigationPolicy.quarantine(engage_after=1, release_after=2, flush_queue=True),
     )
     guard.attach(simulator, monitor_config=MonitorConfig(sample_period=SAMPLE_PERIOD))
