@@ -50,7 +50,7 @@ from repro.defense.degraded import DegradedModeConfig, WindowSanitizer
 from repro.defense.evidence import EvidenceAccumulator, EvidenceConfig
 from repro.defense.policy import MitigationPolicy
 from repro.defense.report import COUNTED_EVENTS, DefenseEvent, DefenseReport, WindowRecord
-from repro.faults.monitor import DETOUR_KEY, LOCAL_BOC_KEY
+from repro.faults.monitor import LOCAL_BOC_KEY
 from repro.monitor.frames import FrameSample
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.simulator import NoCSimulator
@@ -551,32 +551,31 @@ class DL2FenceGuard:
         # the next sample.  ``None`` on a pristine mesh — a no-op.
         self.fence.set_route_provider(simulator.network.route_provider)
 
-        # Detour carriers of an active data-plane fault: trustworthy
-        # telemetry, but congestion partly caused by the reroute itself.
+        # Scrub the window against stuck counters, implausible cells and
+        # declared-silent nodes.  Detour carriers of an active data-plane
+        # fault keep trustworthy telemetry, but their congestion is partly
+        # the reroute's own.
+        unobservable: frozenset[int] = frozenset()
         detour: frozenset[int] = frozenset()
         corroborated: frozenset[int] = frozenset()
-        if degraded is not None:
-            detour = frozenset(int(node) for node in sample.metadata.get(DETOUR_KEY, ()))
-            # The reroute can shift what a router forwards, never what its
-            # PE injects: a carrier whose LOCAL-port activity runs well above
-            # the mesh-wide median this window floods on its own, and keeps
-            # full evidence weight (per window, so no benign burst latches).
-            local = sample.metadata.get(LOCAL_BOC_KEY) if detour else None
-            if local:
+        imputed_cells = 0
+        if self._sanitizer is not None:
+            local = sample.metadata.get(LOCAL_BOC_KEY)
+            sample, health = self._sanitizer.sanitize(sample)
+            unobservable = health.unobservable
+            imputed_cells = health.imputed_cells
+            detour = health.detour_carriers
+            if detour and local:
+                # The reroute can shift what a router forwards, never what
+                # its PE injects: a carrier whose LOCAL-port activity runs
+                # well above the mesh-wide median this window floods on its
+                # own and keeps full evidence weight (per window, so no
+                # benign burst latches).
                 activity = np.asarray(local, dtype=np.float64)
                 median = max(float(np.median(activity)), 1.0)
                 bar = degraded.detour_injection_factor * median
                 corroborated = frozenset(node for node in detour if activity[node] >= bar)
                 detour -= corroborated
-
-        # Scrub the window against stuck counters, implausible cells and
-        # declared-silent nodes.
-        unobservable: frozenset[int] = frozenset()
-        imputed_cells = 0
-        if self._sanitizer is not None:
-            sample, health = self._sanitizer.sanitize(sample)
-            unobservable = health.unobservable
-            imputed_cells = health.imputed_cells
         # A gap (dropped windows) is charged as extra evidence decay; a stale
         # capture clock (delayed windows arriving in a burst) testifies about
         # the past, and fences are only lifted on *current* cleanliness.
@@ -610,8 +609,16 @@ class DL2FenceGuard:
                     detection=(result.detected, result.detection_probability),
                 )
         return Observation(
-            sample.cycle, result, weight, unobservable, detour, corroborated,
-            missed_windows, fresh_clock, imputed_cells, deliveries,
+            cycle=sample.cycle,
+            result=result,
+            weight=weight,
+            unobservable=unobservable,
+            detour=detour,
+            corroborated=corroborated,
+            missed_windows=missed_windows,
+            fresh_clock=fresh_clock,
+            imputed_cells=imputed_cells,
+            deliveries=deliveries,
         )
 
     def decide_window(self, observation: Observation) -> tuple[Decision, ...]:
