@@ -124,7 +124,7 @@ class GuardState:
     #: Iterative localization round: one per batch of engagements.
     round: int = 0
     consecutive_detections: int = 0
-    #: Clean windows since the last acted-on window.
+    #: Fresh-clock clean windows since the last acted-on window.
     consecutive_clean: int = 0
     window_index: int = 0
     last_window_cycle: int | None = None
@@ -214,7 +214,10 @@ def decide(
         decisions += _engage(state, streak_eligible, observation.cycle)
         decisions += _roll_back(state, flagged, observation.fresh_clock)
     else:
-        state.consecutive_clean += 1
+        # A stale clean window describes the past: it neither counts toward
+        # the clean streak nor releases a fence.
+        if observation.fresh_clock:
+            state.consecutive_clean += 1
         state.consecutive_detections = 0
         if not state.engaged:
             # Before anything engages, a clean window breaks every flag

@@ -21,7 +21,7 @@ from repro.noc.soa import SoAMeshNetwork
 from repro.obs.metrics import METRICS, guard_events_counter
 from repro.traffic.scenario import AttackScenario
 
-from tests.defense.fakes import OracleFence, ScriptedFence, drive, window
+from tests.defense.fakes import OracleFence, ScriptedFence, StubFence, drive, window
 from tests.faults.test_monitor_faults import make_sample
 
 
@@ -101,6 +101,19 @@ class TestReleaseHysteresis:
         policy = MitigationPolicy.throttle(0.1, engage_after=1, release_after=2)
         guard = drive([(True, [5]), (False, []), (True, [5]), (False, [])], policy)
         assert guard.engaged_nodes == [5]
+
+    def test_stale_clean_windows_do_not_count_toward_release(self):
+        """Two late clean windows plus one fresh one are one clean window."""
+        policy = MitigationPolicy.quarantine(engage_after=1, release_after=3)
+        guard = DL2FenceGuard(StubFence(), policy, evidence=False)
+        guard.decide_window(window(100, True, [5]))
+        guard.decide_window(window(200, False, fresh_clock=False))
+        guard.decide_window(window(300, False, fresh_clock=False))
+        guard.decide_window(window(600, False))
+        assert guard.engaged_nodes == [5]
+        guard.decide_window(window(700, False))
+        guard.decide_window(window(800, False))
+        assert guard.engaged_nodes == []
 
     def test_stale_node_rolled_back_individually(self):
         """An engaged node the localizer stops flagging is released early."""

@@ -146,6 +146,9 @@ def test_guard_decision_invariants(fields, policy):
                 assert not newly & (observation.detour - set(record.suspected))
                 for node in newly:
                     engage_counts[node] = engage_counts.get(node, 0) + 1
+            elif decision.kind == "released" and not decision.restated:
+                (probe,) = decision.nodes
+                assert fresh_clean >= policy.release_threshold(engage_counts[probe])
 
 
 @settings(max_examples=100, deadline=None)

@@ -211,8 +211,11 @@ class TestGuardFaultInvariants:
         guard.on_sample(make_sample(topology, 300), simulator)
         guard.on_sample(make_sample(topology, 400), simulator)
         assert guard.engaged_nodes == [5]
-        # Fresh clean windows release as usual.
+        # Stale clean windows do not count toward the clean streak either:
+        # the first fresh one is one clean window, not four.
         guard.on_sample(make_sample(topology, 900), simulator)
+        assert guard.engaged_nodes == [5]
+        # The second fresh clean window completes release_after.
         guard.on_sample(make_sample(topology, 1000), simulator)
         assert guard.engaged_nodes == []
 
