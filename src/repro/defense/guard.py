@@ -16,7 +16,7 @@ three steps:
   where all decision state lives (streaks, engage counts, engaged nodes
   and their shadow pressure, the evidence accumulator, ...), and returns
   the window's record and decisions.  It needs no simulator, network or
-  fence, so tests and offline replays drive it directly;
+  fence, so tests drive it directly;
 * **actuate** — :meth:`DL2FenceGuard._actuate` turns engagements, rollbacks
   and release probes into throttle, flush and restore calls on the mesh,
   and :meth:`DL2FenceGuard._record` writes each decision to the report,
