@@ -1,9 +1,10 @@
 """Tests for the closed-loop defense guard.
 
-Hysteresis and rollback mechanics are exercised with a scripted stub
-pipeline (deterministic, no CNNs); the closed loop against live traffic is
-exercised with an oracle pipeline (perfect detection/localization), and the
-full learned pipeline is integrated via the session ``trained_pipeline``.
+Hysteresis and rollback mechanics are exercised on the decision core with
+scripted observations (deterministic, no simulator or CNNs); actuation on
+the mesh with a scripted stub pipeline; the closed loop against live
+traffic with an oracle pipeline (perfect detection/localization), and the
+full learned pipeline via the session ``trained_pipeline``.
 """
 
 import pytest
