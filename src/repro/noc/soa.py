@@ -3,14 +3,14 @@
 :class:`SoAMeshNetwork` is a drop-in replacement for
 :class:`repro.noc.network.MeshNetwork` whose per-cycle state lives in flat
 NumPy arrays — per-VC ring buffers of packed flit words, per-port
-occupancy/BOC counters, per-node source-queue rings, injection credits and
-a precomputed XY next-hop table — updated by the vectorized kernels of
-:mod:`repro.noc.soa_step`.  It exposes the same ``MeshNetwork``-facing
-surface the monitor and defense layers use (``enqueue_packet``, ``step``,
-``set_injection_limit`` / ``flush_source_queue``, stats, frame counters) and
-is pinned behavior-fingerprint-identical to the object backend: the same
-seeds produce the same feature frames and the same
-``DefenseReport.as_dict()``.
+free-VC bitmasks and BOC counters, per-node source-queue rings, injection
+credits and a precomputed XY next-hop table — updated by the vectorized
+kernels of :mod:`repro.noc.soa_step`.  It exposes the same
+``MeshNetwork``-facing surface the monitor and defense layers use
+(``enqueue_packet``, ``step``, ``set_injection_limit`` /
+``flush_source_queue``, stats, frame counters) and is pinned
+behavior-fingerprint-identical to the object backend: the same seeds
+produce the same feature frames and the same ``DefenseReport.as_dict()``.
 
 Packets are rows of one columnar registry (the network's ``_pkt_*``
 columns): a packet is written once at enqueue — its source and
@@ -122,6 +122,10 @@ class _VcTables:
       arbitration slot id ``node * 5 + out_dir`` in a single gather, or
       ``None`` past the route-table cut-over (the switch kernel then
       derives the slot from coordinates on the fly).
+
+    Indexed by a port's free-VC bitmask: ``first_free[mask]`` — the offset
+    of its first free VC, or :data:`NO_FREE_VC`; ``alloc_count[mask]`` —
+    its allocated-VC count.
     """
 
     q_node: np.ndarray
@@ -131,6 +135,8 @@ class _VcTables:
     key_table: np.ndarray
     down_port: np.ndarray
     route_slot: np.ndarray | None
+    first_free: np.ndarray
+    alloc_count: np.ndarray
 
 
 #: Keyed by (rows, columns, with_route_table) — the route-table cut-over is
@@ -139,6 +145,11 @@ class _VcTables:
 _TABLES_CACHE: dict[tuple[int, int, bool], MeshTables] = {}
 #: Keyed by (rows, columns, num_vcs, with_route_table).
 _VC_TABLES_CACHE: dict[tuple[int, int, int, bool], _VcTables] = {}
+
+#: Most VCs per port (free-VC bitmasks index 2^num_vcs-entry tables).
+MAX_VCS = 16
+#: ``first_free`` of a full port: ``port * num_vcs + NO_FREE_VC`` < 0.
+NO_FREE_VC = -(1 << 40)
 
 
 def mesh_tables(topology: MeshTopology) -> MeshTables:
@@ -249,6 +260,14 @@ def _vc_tables(topology: MeshTopology, num_vcs: int) -> _VcTables:
             (node_ids[:, None] * 5 + tables.route).reshape(-1).astype(np.int32)
         )
 
+    masks = np.arange(1 << num_vcs, dtype=np.int64)
+    first_free = np.full(masks.size, NO_FREE_VC, dtype=np.int64)
+    alloc_count = np.full(masks.size, num_vcs, dtype=np.int64)
+    for vc in reversed(range(num_vcs)):
+        free = (masks >> vc) & 1 == 1
+        first_free[free] = vc
+        alloc_count -= free
+
     built = _VcTables(
         q_node=q_node,
         q_port=q // num_vcs,
@@ -257,6 +276,8 @@ def _vc_tables(topology: MeshTopology, num_vcs: int) -> _VcTables:
         key_table=key_table,
         down_port=down_port,
         route_slot=route_slot,
+        first_free=first_free,
+        alloc_count=alloc_count,
     )
     _VC_TABLES_CACHE[cache_key] = built
     return built
@@ -432,7 +453,7 @@ class _EpisodeBlock:
         if kind is FeatureKind.VCO:
             samples = net._occ_samples_for_port(p0)
             if samples == 0:
-                values = net._occupied[p0:p1] / float(net.num_vcs)
+                values = net._alloc_count[net._port_free[p0:p1]] / float(net.num_vcs)
             elif net._occ_exact:
                 values = (net._occ_sum_int[p0:p1] / float(net.num_vcs)) / samples
             else:
@@ -543,8 +564,14 @@ class SoAMeshNetwork(_EpisodeBlock):
             raise ValueError("source_queue_capacity must be >= 1")
         if num_vcs < 1:
             raise ValueError("num_vcs must be >= 1")
+        if num_vcs > MAX_VCS:
+            raise ValueError(
+                f"num_vcs > {MAX_VCS} is too large for the SoA free-VC bitmask"
+            )
         if vc_depth < 1:
             raise ValueError("virtual channel depth must be >= 1")
+        if vc_depth >= 1 << 15:
+            raise ValueError("vc_depth too large for the SoA VC count dtype")
         self.topology = topology
         self.num_vcs = num_vcs
         self.vc_depth = vc_depth
@@ -561,40 +588,40 @@ class SoAMeshNetwork(_EpisodeBlock):
         num_nodes = self._nodes
         num_ports = num_nodes * 5
         num_vc_slots = num_ports * num_vcs
-        self._arange_vcs = np.arange(num_vcs, dtype=np.int64)
         self._best_key = np.empty(num_ports, dtype=np.int32)
-        # Power-of-two fast paths for the kernels: ring-index wraps become a
-        # bitwise AND instead of numpy's runtime-divisor ``%`` (a hardware
-        # integer division per element), and the LOCAL-output test becomes a
-        # gather from a cache-resident bool table instead of ``slot_id % 5``.
-        self._depth_mask = vc_depth - 1 if vc_depth & (vc_depth - 1) == 0 else None
-        self._cap_mask = (
-            source_queue_capacity - 1
-            if source_queue_capacity & (source_queue_capacity - 1) == 0
-            else None
-        )
+        # The LOCAL-output test: a gather from a cache-resident bool table.
         self._slot_is_local = np.zeros(num_ports, dtype=bool)
         self._slot_is_local[::5] = True
         # Continuation-VC cache per node: the LOCAL VC the most recent head
         # flit was injected into (see soa_step._inject_pass).
         self._node_vc = np.zeros(num_nodes, dtype=np.int64)
-        # First free (= unallocated) VC index per port, or num_vcs when the
-        # port has no free VC.  Maintained incrementally by the kernels:
-        # head pushes trigger a recompute of their port, tail pops lower the
-        # index.  Replaces the per-candidate free-VC grid search.
-        self._port_first_free = np.zeros(num_ports, dtype=np.int16)
+        # Free-VC bitmask per port: bit v is set iff VC v is unallocated
+        # (hence empty and free for a new head).  A head push clears its
+        # VC's bit and a tail release sets it; _vc_tables maps a mask to
+        # the first free VC and the allocated-VC count (VCO numerator).
+        self._port_free = np.full(num_ports, (1 << num_vcs) - 1, dtype=np.int32)
+        self._vc_bit = (1 << (np.arange(num_vc_slots) % num_vcs)).astype(np.int32)
+        vc_tables = _vc_tables(topology, num_vcs)
+        self._first_free = vc_tables.first_free
+        self._alloc_count = vc_tables.alloc_count
 
         # Virtual channels: fixed-depth ring buffers of packed flit words
-        # (packet id << 21 | tail bit << 20 | flit index).
-        if vc_depth >= 1 << 15:
-            raise ValueError("vc_depth too large for the SoA ring index dtype")
-        self._vc_slots = np.zeros(num_vc_slots * vc_depth, dtype=np.int64)
-        self._vc_head = np.zeros(num_vc_slots, dtype=np.int16)
+        # (packet id << 21 | tail bit << 20 | flit index).  VC q owns slots
+        # [q * depth, (q + 1) * depth); its front (next pop) and tail (next
+        # push) are absolute slot ids stepped through the successor table
+        # ``_slot_next``.  The int16 flit count tells full from empty.
+        num_flit_slots = num_vc_slots * vc_depth
+        self._vc_slots = np.zeros(num_flit_slots, dtype=np.int64)
+        self._slot_next = np.arange(1, num_flit_slots + 1, dtype=np.int64)
+        self._slot_next[vc_depth - 1 :: vc_depth] -= vc_depth
+        self._vc_front = np.arange(0, num_flit_slots, vc_depth, dtype=np.int64)
+        self._vc_tail = self._vc_front.copy()
         self._vc_count = np.zeros(num_vc_slots, dtype=np.int16)
         self._vc_alloc = np.full(num_vc_slots, -1, dtype=np.int32)
         self._vc_down = np.full(num_vc_slots, -1, dtype=np.int32)
 
-        # Per-port observables (VCO/BOC counters of the DL2Fence monitor).
+        # Per-port observables (VCO/BOC counters of the DL2Fence monitor;
+        # the occupied-VC count is read off the free-VC bitmask).
         # When num_vcs is a power of two, every per-cycle ``occupied/V``
         # term — and every partial sum of them — is exactly representable
         # in float64, so windowed occupancy can accumulate as plain integers
@@ -602,7 +629,6 @@ class SoAMeshNetwork(_EpisodeBlock):
         # backend's per-cycle float accumulation.
         self._buf_writes = np.zeros(num_ports, dtype=np.int64)
         self._buf_reads = np.zeros(num_ports, dtype=np.int64)
-        self._occupied = np.zeros(num_ports, dtype=np.int64)
         self._occ_exact = num_vcs & (num_vcs - 1) == 0
         self._occ_sum_int = np.zeros(num_ports, dtype=np.int64)
         self._occ_sum = np.zeros(num_ports, dtype=np.float64)
@@ -763,7 +789,7 @@ class SoAMeshNetwork(_EpisodeBlock):
             doomed[bound[~alive[local_node[bound], out_dir]]] = True
         # Head flit at the front of its VC: stranded when its travel state
         # can no longer reach the destination under the turn model.
-        hol = self._vc_slots[active * self.vc_depth + self._vc_head[active]]
+        hol = self._vc_slots[self._vc_front[active]]
         head_front = (self._vc_count[active] > 0) & ((hol & FIDX_MASK) == 0)
         route3 = provider.route_table3
         doomed |= head_front & (route3[local_node * 5 + state, dest_local] < 0)
@@ -775,13 +801,13 @@ class SoAMeshNetwork(_EpisodeBlock):
         # Whole-VC clears are exact: a VC only ever holds flits of its single
         # allocated packet, so no ring surgery is needed.
         victims = active[np.isin(pid, doomed_pids)]
-        ports = self._q_port[victims]
-        np.add.at(self._occupied, ports, -1)
+        np.bitwise_or.at(
+            self._port_free, self._q_port[victims], self._vc_bit[victims]
+        )
         self._vc_count[victims] = 0
-        self._vc_head[victims] = 0
+        self._vc_front[victims] = self._vc_tail[victims]
         self._vc_alloc[victims] = -1
         self._vc_down[victims] = -1
-        soa_step._refresh_first_free(self, np.unique(ports))
         return int(doomed_pids.size)
 
     def _purge_unroutable_queued(self, provider, doomed_pids: np.ndarray) -> None:
@@ -918,9 +944,10 @@ class SoAMeshNetwork(_EpisodeBlock):
         sweep.  Returns the number of packets accepted.
         """
         count = nodes.size
-        if count < 12 or np.unique(nodes).size != count:
-            # Small batches (or duplicate sources): the per-packet path beats
-            # the fixed cost of the array sweep.
+        if count < 12 or not (nodes[1:] > nodes[:-1]).all():
+            # Small batches, or sources that are not strictly increasing (so
+            # possibly repeated): the per-packet path beats the fixed cost of
+            # the array sweep, and the sweep needs distinct sources.
             accepted = 0
             for node, destination in zip(nodes.tolist(), destinations.tolist()):
                 pid = self._enqueue_row(node, destination, size, cycle, malicious)
@@ -1015,10 +1042,11 @@ class SoAMeshNetwork(_EpisodeBlock):
             soa_step.switch(self, cycle)
         # Garnet-style windowed occupancy: accumulate this cycle's occupied
         # fraction per port, exactly as the object backend's per-port sweep.
+        occupied = self._alloc_count[self._port_free]
         if self._occ_exact:
-            self._occ_sum_int += self._occupied
+            self._occ_sum_int += occupied
         else:
-            np.divide(self._occupied, float(self.num_vcs), out=self._occ_tmp)
+            np.divide(occupied, float(self.num_vcs), out=self._occ_tmp)
             self._occ_sum += self._occ_tmp
         self._occ_samples += 1
         self._cycles = cycle + 1
@@ -1251,7 +1279,7 @@ class SoAPortView:
 
     @property
     def occupied_vcs(self) -> int:
-        return int(self._net._occupied[self._flat])
+        return int(self._net._alloc_count[self._net._port_free[self._flat]])
 
     @property
     def occupancy_samples(self) -> int:

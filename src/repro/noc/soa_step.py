@@ -26,14 +26,20 @@ order.  The key structural facts that make flat vectorization exact:
   sequential move execution, because a FIFO pop and a push into the same
   ring buffer commute.
 
-Flits are packed into single int64 slot values —
-``packet_id << 21 | is_tail << 20 | flit_index`` — so a head-of-line peek
-is one gather and a link traversal one scatter.  Per-candidate routing and
-arbitration lookups come from tables precomputed per topology (see
-:class:`repro.noc.soa.SoAMeshNetwork`): the XY next-hop table, the
-downstream-port base per ``(router, output)`` pair, and the rotation
-priority key per VC for each of the 60 (= lcm of 3/4/5-port routers)
-arbitration phases.
+Up to 16x16 a cycle's cost is mostly NumPy's fixed per-call dispatch, so
+the state is laid out for few calls per cycle.  Flits are packed into int64
+slot values — ``packet_id << 21 | is_tail << 20 | flit_index`` — and each
+VC ring keeps absolute front/tail slot ids, so a peek is one gather.  Each
+port keeps a free-VC bitmask: a head push is one XOR, a tail release one
+``bitwise_or.at``, and lookup tables give the first free VC and the VCO
+numerator.  A move has one target VC — the wormhole binding, else the
+downstream port's first free VC — and one occupancy test.
+
+Per-candidate routing and arbitration lookups come from tables precomputed
+per topology (see :class:`repro.noc.soa.SoAMeshNetwork`): the XY next-hop
+table, the downstream-port base per ``(router, output)`` pair, and the
+rotation priority key per VC for each of the 60 (= lcm of 3/4/5-port
+routers) arbitration phases.
 """
 
 from __future__ import annotations
@@ -56,15 +62,6 @@ KEY_PERIOD = 60
 _BIG = np.int32(1 << 30)
 
 
-def _wrap(value: np.ndarray, modulus: int, mask: int | None) -> np.ndarray:
-    """Ring-buffer index wrap: bitmask when the modulus is a power of two.
-
-    numpy's ``%`` with a runtime divisor issues a hardware integer division
-    per element; the masked form is a single cheap op on the hot arrays.
-    """
-    return value & mask if mask is not None else value % modulus
-
-
 # -- phase 1: injection -------------------------------------------------------
 
 
@@ -84,7 +81,7 @@ def inject(net, cycle: int) -> None:
             net._allowance[limited] + net._limits[limited] * bandwidth,
             float(bandwidth),
         )
-    active = np.nonzero(net._sq_count > 0)[0]
+    active = (net._sq_count > 0).nonzero()[0]
     if active.size == 0:
         return
     active = _inject_pass(net, active, cycle)
@@ -96,15 +93,12 @@ def inject(net, cycle: int) -> None:
 
 def _inject_pass(net, nodes: np.ndarray, cycle: int) -> np.ndarray:
     """One flit-injection attempt per node; returns nodes worth revisiting."""
-    num_vcs = net.num_vcs
-    depth = net.vc_depth
     capacity = net.source_queue_capacity
 
     front = net._sq_head[nodes]
     val = net._sq_flat[nodes * capacity + front]
-    fidx = val & FIDX_MASK
     pkt = val >> PKT_SHIFT
-    is_head = fidx == 0
+    is_head = (val & FIDX_MASK) == 0
     # A flit starts a new packet when it is the head flit of a packet that
     # has not entered the network yet; only those are gated by the policy
     # limit (continuation flits must never strand a partial worm).
@@ -124,21 +118,13 @@ def _inject_pass(net, nodes: np.ndarray, cycle: int) -> np.ndarray:
             new_head = new_head[passes]
             throttled = throttled[passes]
 
-    # Pick a VC on the LOCAL input port.  Body/tail flits continue in the VC
-    # their packet's head was injected into (cached per node — at most one
-    # partially injected packet exists per source queue, and its VC stays
-    # allocated until the tail flit leaves the router); head flits search
-    # the port for a free VC.
-    vc = net._node_vc[nodes]
-    has_vc = net._vc_count[vc] < depth
-    heads = np.nonzero(is_head)[0]
-    if heads.size:
-        # First unallocated (⟺ empty, head-ready) VC of the LOCAL port, from
-        # the incrementally maintained per-port cache.
-        local_port = nodes[heads] * 5
-        first_free = net._port_first_free[local_port]
-        vc[heads] = local_port * num_vcs + first_free
-        has_vc[heads] = first_free < num_vcs
+    # Target LOCAL VC, as in the switch kernel: a head takes the port's
+    # first free VC; body/tail flits continue in their head's VC (cached per
+    # node: a source queue holds at most one partially injected packet).
+    local_port = nodes * 5
+    free_vc = local_port * net.num_vcs + net._first_free[net._port_free[local_port]]
+    vc = np.where(is_head, free_vc, net._node_vc[nodes])
+    has_vc = (vc >= 0) & (net._vc_count.take(vc, mode="clip") < net.vc_depth)
     if not has_vc.all():
         if not has_vc.any():
             return nodes[:0]
@@ -149,32 +135,28 @@ def _inject_pass(net, nodes: np.ndarray, cycle: int) -> np.ndarray:
         is_head = is_head[has_vc]
         new_head = new_head[has_vc]
         vc = vc[has_vc]
-        heads = np.nonzero(is_head)[0]
+        local_port = local_port[has_vc]
         if throttled is not None:
             throttled = throttled[has_vc]
 
     # Pop the source queue, push into the chosen VC.
-    net._sq_head[nodes] = _wrap(front + 1, capacity, net._cap_mask)
+    net._sq_head[nodes] = (front + 1) % capacity
     net._sq_count[nodes] -= 1
-    slot = vc * depth + _wrap(
-        net._vc_head[vc] + net._vc_count[vc], depth, net._depth_mask
-    )
+    slot = net._vc_tail[vc]
     net._vc_slots[slot] = val
+    net._vc_tail[vc] = net._slot_next[slot]
     net._vc_count[vc] += 1
-    local_ports = nodes * 5
-    net._buf_writes[local_ports] += 1
+    net._buf_writes[local_port] += 1
+    heads = is_head.nonzero()[0]
     if heads.size:
         head_vc = vc[heads]
         net._vc_alloc[head_vc] = pkt[heads]
-        net._vc_down[head_vc] = -1
         net._node_vc[nodes[heads]] = head_vc
-        head_ports = local_ports[heads]
-        net._occupied[head_ports] += 1
-        _refresh_first_free(net, head_ports)
+        net._port_free[local_port[heads]] ^= net._vc_bit[head_vc]
     if throttled is not None and throttled.any():
         net._allowance[nodes[throttled]] -= 1.0
 
-    new_idx = np.nonzero(new_head)[0]
+    new_idx = new_head.nonzero()[0]
     if new_idx.size:
         net._record_injected_ids(pkt[new_idx], cycle)
 
@@ -183,31 +165,24 @@ def _inject_pass(net, nodes: np.ndarray, cycle: int) -> np.ndarray:
     return nodes[net._sq_count[nodes] > 0]
 
 
-def _refresh_first_free(net, ports: np.ndarray) -> None:
-    """Recompute the first-free-VC cache for ``ports`` (post head-push)."""
-    num_vcs = net.num_vcs
-    grid = ports[:, None] * num_vcs + net._arange_vcs[None, :]
-    free = net._vc_alloc[grid] == -1
-    first = np.argmax(free, axis=1)
-    net._port_first_free[ports] = np.where(free.any(axis=1), first, num_vcs)
-
-
 # -- phases 2 + 3: switch allocation and link traversal ----------------------
 
 
 def switch(net, cycle: int) -> None:
     """Allocate and execute this cycle's flit moves over the whole mesh."""
     num_vcs = net.num_vcs
-    depth = net.vc_depth
 
-    q = np.nonzero(net._vc_count > 0)[0]
+    q = (net._vc_count > 0).nonzero()[0]
     if q.size == 0:
         return
 
     # Peek every occupied VC's head-of-line flit (one packed gather).
-    val = net._vc_slots[q * depth + net._vc_head[q]]
+    val = net._vc_slots[net._vc_front[q]]
     pkt = val >> PKT_SHIFT
     is_head = (val & FIDX_MASK) == 0
+    # Wormhole binding: the downstream VC the packet's head took, -1 while
+    # unbound (always for a head front: a tail pop resets the binding).
+    cached = net._vc_down[q]
     # Fused XY lookup: the table directly yields the (router, output) slot
     # id ``node * 5 + out_dir``; LOCAL outputs are the slots ≡ 0 (mod 5).
     # Past the route-table cut-over (O(nodes²) memory) the direction is
@@ -224,10 +199,9 @@ def switch(net, cycle: int) -> None:
         # their travel state; fault-activation excision guarantees the
         # lookup never yields "unroutable".
         out_dir = net._route3[net._q_state_base[q] + dest].astype(np.int64)
-        cached_down = net._vc_down[q]
-        bound = cached_down >= 0
+        bound = cached >= 0
         if bound.any():
-            bound_dir = net._tables.opposite[(cached_down // net.num_vcs) % 5]
+            bound_dir = net._tables.opposite[(cached // num_vcs) % 5]
             out_dir = np.where(bound, bound_dir, out_dir)
         if (out_dir < 0).any():  # pragma: no cover - excision invariant
             raise RuntimeError("unroutable head reached the switch kernel")
@@ -258,51 +232,34 @@ def switch(net, cycle: int) -> None:
     eject = net._slot_is_local[slot_id]
     key = net._key_table[cycle % KEY_PERIOD][q]
 
-    # Downstream VC per candidate (-1 when the move is not possible).  Body
-    # and tail flits follow their VC's cached wormhole binding; a head-front
-    # VC always carries ``vc_down == -1`` (the binding is reset both when a
-    # tail pops and when a head pushes), so the cached path yields -1 for
-    # heads and the free-VC search below only needs to fill those in.
-    cached = net._vc_down[q]
-    valid = cached >= 0
-    down = np.where(
-        valid & (net._vc_count.take(cached, mode="clip") < depth), cached, -1
+    # One target VC per candidate: its binding, else the downstream port's
+    # first free (unallocated, hence empty) VC; negative when there is none
+    # and for ejections, whose target is never read.
+    down_port = net._down_port[slot_id]
+    free_vc = down_port * num_vcs + net._first_free[net._port_free[down_port]]
+    target = np.where(cached >= 0, cached, free_vc)
+    eligible = eject | (
+        (target >= 0) & (net._vc_count.take(target, mode="clip") < net.vc_depth)
     )
-    head_idx = np.nonzero(is_head & ~eject)[0]
-    if head_idx.size:
-        # A VC is free to accept a new head iff it is unallocated: an
-        # allocated VC may be empty (its flits forwarded, tail still
-        # upstream) but an unallocated one is always empty.  The first free
-        # VC per port comes from the incrementally maintained cache.
-        down_port = net._down_port[slot_id[head_idx]]
-        first_free = net._port_first_free[down_port]
-        down[head_idx] = np.where(
-            first_free < num_vcs, down_port * num_vcs + first_free, -1
-        )
-
-    eligible = eject | (down >= 0)
-    if not eligible.any():
-        return
 
     # Winner per (router, output direction): minimum priority key among the
     # eligible candidates.  Keys are unique within a slot (distinct ports
     # differ in rotation rank, distinct VCs of one port in vc index);
-    # ineligible candidates carry the sentinel so they can never win.
+    # ineligible ones carry the sentinel, above every slot's reset value.
     masked_key = np.where(eligible, key, _BIG)
     best = net._best_key
-    best[slot_id] = _BIG
+    best[slot_id] = _BIG - 1
     np.minimum.at(best, slot_id, masked_key)
-    winners = np.nonzero(eligible & (masked_key == best[slot_id]))[0]
+    winners = (masked_key == best[slot_id]).nonzero()[0]
 
     src = q[winners]
     win_val = val[winners]
     win_tail = (win_val & TAIL_BIT) != 0
-    win_down = down[winners]
     src_port = net._q_port[src]
-    tail_idx = np.nonzero(win_tail)[0]
+    tail_idx = win_tail.nonzero()[0]
 
     # Pops (every winning move reads its source VC's head-of-line flit).
-    net._vc_head[src] = _wrap(net._vc_head[src] + 1, depth, net._depth_mask)
+    net._vc_front[src] = net._slot_next[net._vc_front[src]]
     net._vc_count[src] -= 1
     released = src[tail_idx]
     net._vc_alloc[released] = -1
@@ -310,16 +267,13 @@ def switch(net, cycle: int) -> None:
     # bincount + whole-array add beats np.add.at's per-element dispatch once
     # the winner set is more than a handful of moves (the batched case).
     net._buf_reads += np.bincount(src_port, minlength=net._buf_reads.size)
-    tail_ports = src_port[tail_idx]
-    np.add.at(net._occupied, tail_ports, -1)
-    # A released VC may now be the port's first free one (two tails can pop
-    # from one port in a cycle, hence minimum.at).
-    np.minimum.at(net._port_first_free, tail_ports, released % net.num_vcs)
+    # Released VCs are free again (.at: two tails can leave one port).
+    np.bitwise_or.at(net._port_free, src_port[tail_idx], net._vc_bit[released])
 
     # Ejections (at most one per router per cycle, in ascending node order —
     # the same order the object backend records deliveries in).
     win_eject = eject[winners]
-    eject_idx = np.nonzero(win_eject)[0]
+    eject_idx = win_eject.nonzero()[0]
     if eject_idx.size:
         net._record_ejections(
             net._q_node[src[eject_idx]],
@@ -329,26 +283,22 @@ def switch(net, cycle: int) -> None:
         )
 
     # Link traversals (pushes; distinct destination VCs by construction).
-    fwd_idx = np.nonzero(~win_eject)[0]
+    fwd_idx = (~win_eject).nonzero()[0]
     if fwd_idx.size:
-        dst = win_down[fwd_idx]
+        fwd = winners[fwd_idx]
+        dst = target[fwd]
         fwd_val = win_val[fwd_idx]
-        fwd_tail = win_tail[fwd_idx]
-        head_idx2 = np.nonzero(is_head[winners[fwd_idx]])[0]
-        slot2 = dst * depth + _wrap(
-            net._vc_head[dst] + net._vc_count[dst], depth, net._depth_mask
-        )
-        net._vc_slots[slot2] = fwd_val
+        slot = net._vc_tail[dst]
+        net._vc_slots[slot] = fwd_val
+        net._vc_tail[dst] = net._slot_next[slot]
         net._vc_count[dst] += 1
-        head_dst = dst[head_idx2]
-        net._vc_alloc[head_dst] = fwd_val[head_idx2] >> PKT_SHIFT
-        net._vc_down[head_dst] = -1
         dst_port = net._q_port[dst]
         net._buf_writes += np.bincount(dst_port, minlength=net._buf_writes.size)
-        if head_idx2.size:
-            head_ports = dst_port[head_idx2]
-            net._occupied[head_ports] += 1
-            _refresh_first_free(net, head_ports)
+        head_idx = is_head[fwd].nonzero()[0]
+        if head_idx.size:
+            head_dst = dst[head_idx]
+            net._vc_alloc[head_dst] = fwd_val[head_idx] >> PKT_SHIFT
+            net._port_free[dst_port[head_idx]] ^= net._vc_bit[head_dst]
         # Wormhole: body/tail flits must follow the head into the same
         # downstream VC; the tail releases the binding.
-        net._vc_down[src[fwd_idx]] = np.where(fwd_tail, -1, dst)
+        net._vc_down[src[fwd_idx]] = np.where(win_tail[fwd_idx], -1, dst)
