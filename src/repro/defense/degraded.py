@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.faults.base import clone_sample, node_port_cells
 from repro.faults.monitor import DETOUR_KEY, UNOBSERVABLE_KEY
-from repro.monitor.features import FeatureKind
+from repro.monitor.features import FeatureKind, frame_shape
 from repro.monitor.frames import FrameSample
 from repro.noc.topology import Direction, MeshTopology
 from repro.obs.bus import BUS
@@ -159,10 +159,24 @@ class WindowSanitizer:
         self._cells = [
             node_port_cells(topology, node) for node in range(topology.num_nodes)
         ]
+        # A node's signature, its cells' (VCO, BOC) value pairs, is one take
+        # from the window's frames flattened in (kind, direction) order;
+        # nodes with fewer than four ports pad with a trailing 0.0.
+        starts, size = {}, 0
+        for direction in Direction.cardinal():
+            starts[direction] = size
+            size += int(np.prod(frame_shape(topology, direction)))
+        self._signature_index = np.full((topology.num_nodes, 8), 2 * size)
+        for node, cells in enumerate(self._cells):
+            for cell, (direction, row, col) in enumerate(cells):
+                width = frame_shape(topology, direction)[1]
+                vco = starts[direction] + row * width + col
+                self._signature_index[node, 2 * cell : 2 * cell + 2] = vco, vco + size
         self._streaks = np.zeros(topology.num_nodes, dtype=np.int64)
-        self._stuck: set[int] = set()
-        #: Previous delivered raw (clamped, unmasked) signature per node.
-        self._previous: list[tuple | None] = [None] * topology.num_nodes
+        self._stuck = np.zeros(topology.num_nodes, dtype=bool)
+        #: Previous delivered raw (clamped, unmasked) signatures; NaN before
+        #: the first window, so nothing repeats it.
+        self._previous = np.full(self._signature_index.shape, np.nan)
         #: Previous sanitized frames, for corrupted-cell imputation.
         self._last_frames: dict[tuple, np.ndarray] = {}
 
@@ -202,33 +216,24 @@ class WindowSanitizer:
         # Stuck-signature detection on the clamped (pre-mask) values: the
         # raw stream keeps being compared even while a node is held stuck,
         # which is what lets a healed counter rejoin the observable set.
-        for node in range(self.topology.num_nodes):
-            signature = tuple(
-                float(
-                    (sample.vco if kind is FeatureKind.VCO else sample.boc)
-                    .frames[direction]
-                    .values[row, col]
-                )
-                for direction, row, col in self._cells[node]
-                for kind in (FeatureKind.VCO, FeatureKind.BOC)
-            )
-            previous = self._previous[node]
-            self._previous[node] = signature
-            if (
-                previous is not None
-                and signature == previous
-                and any(value != 0.0 for value in signature)
-            ):
-                self._streaks[node] += 1
-            else:
-                self._streaks[node] = 0
-                self._stuck.discard(node)
-            if self._streaks[node] >= self.config.stuck_after - 1:
-                self._stuck.add(node)
+        frames = [
+            frame_set.frames[direction].values.ravel()
+            for frame_set in (sample.vco, sample.boc)
+            for direction in Direction.cardinal()
+        ]
+        signature = np.concatenate(frames + [np.zeros(1)])[self._signature_index]
+        same = (signature == self._previous).all(axis=1)
+        repeated = same & (signature != 0.0).any(axis=1)
+        self._previous = signature
+        self._streaks = np.where(repeated, self._streaks + 1, 0)
+        self._stuck = (self._stuck & repeated) | (
+            self._streaks >= self.config.stuck_after - 1
+        )
+        stuck = frozenset(self._stuck.nonzero()[0].tolist())
 
         # Mask the cells of every stuck node: frozen counters are noise the
         # localizer must not see (and must not convict on).
-        for node in self._stuck:
+        for node in stuck:
             for direction, row, col in self._cells[node]:
                 sample.vco.frames[direction].values[row, col] = 0.0
                 sample.boc.frames[direction].values[row, col] = 0.0
@@ -241,7 +246,7 @@ class WindowSanitizer:
 
         health = WindowHealth(
             declared_silent=declared,
-            stuck=frozenset(self._stuck),
+            stuck=stuck,
             imputed_cells=imputed,
             detour_carriers=detour,
         )
