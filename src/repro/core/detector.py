@@ -153,6 +153,7 @@ class DoSDetector:
             self.benign_calibration = float(
                 np.percentile(self.predict_proba(benign), 95)
             )
+            self.model.release_scratch()
         return DetectorTrainingSummary(
             epochs=history.epochs,
             final_loss=history.loss[-1],

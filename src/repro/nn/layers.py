@@ -31,8 +31,8 @@ __all__ = [
 
 #: Scratch attributes produced by forward/backward passes (cached input
 #: batches, im2col buffers, pooling argmax maps, ...).  They are dropped when
-#: a layer is pickled: worker processes and serialized artifacts only need
-#: parameters and configuration, not megabytes of stale activations.
+#: a layer is pickled and when training ends: workers, artifacts and trained
+#: models only need parameters and configuration, not stale activations.
 _TRANSIENT_STATE = frozenset(
     {
         "_argmax",
@@ -73,6 +73,10 @@ class Layer:
             for key, value in self.__dict__.items()
             if key not in _TRANSIENT_STATE
         }
+
+    def release_scratch(self) -> None:
+        """Drop forward/backward scratch state (the next pass rebuilds it)."""
+        self.__dict__ = self.__getstate__()
 
     # -- lifecycle -----------------------------------------------------
     def build(self, input_shape: Sequence[int], rng: np.random.Generator) -> None:

@@ -101,6 +101,11 @@ class Sequential:
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs, training=False)
 
+    def release_scratch(self) -> None:
+        """Drop every layer's forward/backward scratch state."""
+        for layer in self.layers:
+            layer.release_scratch()
+
     # -- bookkeeping ------------------------------------------------------
     @property
     def num_parameters(self) -> int:

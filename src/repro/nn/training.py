@@ -180,6 +180,7 @@ class Trainer:
             if early_stopping is not None and early_stopping.update(monitored):
                 break
         history.final_metric = float(self.metric(y, self.model.predict(x)))
+        self.model.release_scratch()
         return history
 
     def _dtype(self) -> np.dtype:
