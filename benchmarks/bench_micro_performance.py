@@ -96,6 +96,38 @@ def test_feature_frames_batched_16x16(benchmark):
         )
 
 
+def test_simulator_step_cost_8x8_recorded():
+    """Per-cycle cost of the 8x8 simulator under flood, per backend.
+
+    At 8x8 a SoA cycle moves a few dozen flits, so its cost is almost all
+    NumPy per-call dispatch: this is the size where cutting kernel calls
+    shows most.  Recorded only; timings on shared runners are too noisy to
+    gate a dispatch-bound number on.
+    """
+    cycles = 400
+    object_ms = _step_cost_ms(8, "object", cycles)
+    soa_ms = _step_cost_ms(8, "soa", cycles)
+    write_result(
+        "micro_simulator_step_8x8",
+        f"8x8 mesh, uniform_random 0.02 + FIR-0.8 flood, {cycles} cycles, "
+        f"best of 3\n"
+        f"object backend: {object_ms:8.3f} ms/cycle\n"
+        f"soa backend   : {soa_ms:8.3f} ms/cycle\n"
+        f"speedup       : {object_ms / soa_ms:8.2f}x",
+    )
+    write_json_result(
+        "micro_simulator_step_8x8",
+        {
+            "mesh_rows": 8,
+            "workload": "uniform_random 0.02 + FIR-0.8 flood",
+            "cycles": cycles,
+            "object_ms_per_cycle": object_ms,
+            "soa_ms_per_cycle": soa_ms,
+            "soa_speedup": object_ms / soa_ms,
+        },
+    )
+
+
 def test_simulator_step_cost_recorded():
     """Per-cycle cost of the 16x16 simulator under flood, per backend.
 
