@@ -20,6 +20,7 @@ from repro.monitor.dataset import DetectionDataset
 from repro.monitor.frames import FrameSet
 from repro.nn import (
     Adam,
+    BinaryCrossEntropy,
     ClassificationReport,
     Conv2D,
     Dense,
@@ -30,11 +31,17 @@ from repro.nn import (
     Sequential,
     Sigmoid,
     Trainer,
+    accuracy_score,
     load_model,
     save_model,
 )
 
 __all__ = ["effective_pool_size", "build_detector_model", "DoSDetector"]
+
+#: Training hyper-parameters of the detector (Adam on BCE).
+_BATCH_SIZE = 16
+_LEARNING_RATE = 0.005
+_PATIENCE = 15
 
 
 def effective_pool_size(
@@ -122,30 +129,21 @@ class DoSDetector:
         self.benign_calibration: float | None = None
 
     # -- training ------------------------------------------------------------
-    def fit(
-        self,
-        dataset: DetectionDataset,
-        epochs: int = 60,
-        batch_size: int = 16,
-        learning_rate: float = 0.005,
-        validation_data: tuple[np.ndarray, np.ndarray] | None = None,
-        patience: int = 15,
-    ) -> DetectorTrainingSummary:
+    def fit(self, dataset: DetectionDataset, epochs: int = 60) -> DetectorTrainingSummary:
         """Train the detector on a :class:`DetectionDataset`."""
         trainer = Trainer(
             self.model,
-            loss="bce",
-            optimizer=Adam(learning_rate=learning_rate),
-            metric="accuracy",
+            BinaryCrossEntropy(),
+            Adam(learning_rate=_LEARNING_RATE),
+            accuracy_score,
             seed=self.config.seed,
         )
         history = trainer.fit(
             dataset.inputs,
             dataset.labels,
             epochs=epochs,
-            batch_size=batch_size,
-            validation_data=validation_data,
-            early_stopping=EarlyStopping(patience=patience),
+            batch_size=_BATCH_SIZE,
+            early_stopping=EarlyStopping(patience=_PATIENCE),
         )
         self.trained = True
         benign = dataset.inputs[dataset.labels.reshape(-1) < 0.5]

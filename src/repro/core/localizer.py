@@ -37,6 +37,11 @@ from repro.noc.topology import Direction
 
 __all__ = ["build_localizer_model", "DoSProfileLocalizer"]
 
+#: Training hyper-parameters of the localizer (Adam on BCE + Dice).
+_BATCH_SIZE = 16
+_LEARNING_RATE = 0.01
+_PATIENCE = 20
+
 
 def build_localizer_model(
     input_shape: tuple[int, int, int],
@@ -97,29 +102,22 @@ class DoSProfileLocalizer:
 
     # -- training ------------------------------------------------------------
     def fit(
-        self,
-        dataset: LocalizationDataset,
-        epochs: int = 80,
-        batch_size: int = 16,
-        learning_rate: float = 0.01,
-        validation_data: tuple[np.ndarray, np.ndarray] | None = None,
-        patience: int = 20,
+        self, dataset: LocalizationDataset, epochs: int = 80
     ) -> LocalizerTrainingSummary:
         """Train the localizer on a :class:`LocalizationDataset`."""
         trainer = Trainer(
             self.model,
-            loss=combined_bce_dice(bce_weight=0.5, dice_weight=0.5),
-            optimizer=Adam(learning_rate=learning_rate),
-            metric="dice",
+            combined_bce_dice(bce_weight=0.5, dice_weight=0.5),
+            Adam(learning_rate=_LEARNING_RATE),
+            dice_coefficient,
             seed=self.config.seed,
         )
         history = trainer.fit(
             dataset.inputs,
             dataset.masks,
             epochs=epochs,
-            batch_size=batch_size,
-            validation_data=validation_data,
-            early_stopping=EarlyStopping(patience=patience),
+            batch_size=_BATCH_SIZE,
+            early_stopping=EarlyStopping(patience=_PATIENCE),
         )
         self.trained = True
         return LocalizerTrainingSummary(

@@ -1,46 +1,22 @@
 """NumPy deep-learning substrate used to train the DL2Fence CNN models.
 
 The paper trains its detector and localizer with TensorFlow 2.0.  This
-reproduction runs fully offline, so an equivalent — deliberately small but
-complete — deep-learning framework is provided here.  It supports the layer
-types the paper's two CNNs need (2-D convolution, max pooling, dense layers,
-ReLU/Sigmoid activations), binary cross-entropy and Dice losses, SGD /
-momentum / Adam optimizers, and a training loop with early stopping.
+reproduction runs fully offline, so a deliberately small deep-learning
+framework for the two CNNs is provided here.  It has the layer types they
+need (2-D convolution, max pooling, dense layers, ReLU/Sigmoid activations),
+binary cross-entropy and Dice losses, the Adam optimizer, and a training loop
+with early stopping.
 
 Everything operates on ``numpy.ndarray`` batches in NHWC layout
 (``(batch, height, width, channels)``), which matches how the feature frames
 of Section 3 are naturally expressed.
 """
 
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.dtype import default_dtype, resolve_dtype, set_default_dtype, use_dtype
-from repro.nn.initializers import (
-    Constant,
-    GlorotUniform,
-    HeNormal,
-    Initializer,
-    RandomNormal,
-    Zeros,
-    get_initializer,
-)
-from repro.nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    Layer,
-    MaxPool2D,
-    UpSample2D,
-)
-from repro.nn.losses import (
-    BinaryCrossEntropy,
-    DiceLoss,
-    Loss,
-    MeanSquaredError,
-    combined_bce_dice,
-    get_loss,
-)
+from repro.nn.initializers import GlorotUniform, HeNormal, Initializer, Zeros
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D
+from repro.nn.losses import BinaryCrossEntropy, DiceLoss, Loss, combined_bce_dice
 from repro.nn.metrics import (
     ClassificationReport,
     accuracy_score,
@@ -53,20 +29,17 @@ from repro.nn.metrics import (
     segmentation_report,
 )
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam, Momentum, Optimizer, get_optimizer
+from repro.nn.optimizers import Adam
 from repro.nn.serialization import load_model, save_model
-from repro.nn.training import EarlyStopping, History, Trainer, train_test_split
+from repro.nn.training import EarlyStopping, History, Trainer
 
 __all__ = [
     "Adam",
-    "BatchNorm",
     "BinaryCrossEntropy",
     "ClassificationReport",
-    "Constant",
     "Conv2D",
     "Dense",
     "DiceLoss",
-    "Dropout",
     "EarlyStopping",
     "Flatten",
     "GlorotUniform",
@@ -74,21 +47,12 @@ __all__ = [
     "History",
     "Initializer",
     "Layer",
-    "LeakyReLU",
     "Loss",
     "MaxPool2D",
-    "MeanSquaredError",
-    "Momentum",
-    "Optimizer",
-    "RandomNormal",
     "ReLU",
-    "SGD",
     "Sequential",
     "Sigmoid",
-    "Softmax",
-    "Tanh",
     "Trainer",
-    "UpSample2D",
     "Zeros",
     "accuracy_score",
     "combined_bce_dice",
@@ -96,9 +60,6 @@ __all__ = [
     "default_dtype",
     "dice_coefficient",
     "f1_score",
-    "get_initializer",
-    "get_loss",
-    "get_optimizer",
     "iou_score",
     "load_model",
     "precision_score",
@@ -107,6 +68,5 @@ __all__ = [
     "save_model",
     "segmentation_report",
     "set_default_dtype",
-    "train_test_split",
     "use_dtype",
 ]

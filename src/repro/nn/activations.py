@@ -13,13 +13,13 @@ import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax"]
+__all__ = ["ReLU", "Sigmoid"]
 
 
 class ReLU(Layer):
     """Rectified linear unit: ``max(x, 0)``."""
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._mask = inputs > 0
         return np.where(self._mask, inputs, 0.0)
 
@@ -27,32 +27,10 @@ class ReLU(Layer):
         return grad_output * self._mask
 
 
-class LeakyReLU(Layer):
-    """Leaky ReLU with a configurable negative slope."""
-
-    def __init__(self, alpha: float = 0.01) -> None:
-        super().__init__()
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        self.alpha = float(alpha)
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, self.alpha * inputs)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_output, self.alpha * grad_output)
-
-    def get_config(self) -> dict:
-        config = super().get_config()
-        config["alpha"] = self.alpha
-        return config
-
-
 class Sigmoid(Layer):
     """Logistic sigmoid, numerically stabilised for large magnitude inputs."""
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not np.issubdtype(np.asarray(inputs).dtype, np.floating):
             inputs = np.asarray(inputs, dtype=np.float64)
         out = np.empty_like(inputs)
@@ -66,28 +44,3 @@ class Sigmoid(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output * self._output * (1.0 - self._output)
 
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._output**2)
-
-
-class Softmax(Layer):
-    """Softmax over the last axis (provided for multi-class extensions)."""
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        shifted = inputs - np.max(inputs, axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        self._output = exp / np.sum(exp, axis=-1, keepdims=True)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        # Jacobian-vector product of softmax, batched over leading axes.
-        dot = np.sum(grad_output * self._output, axis=-1, keepdims=True)
-        return self._output * (grad_output - dot)

@@ -33,10 +33,8 @@ _SUPPORTED = {
 }
 
 
-def resolve_dtype(spec: str | np.dtype | type | None) -> np.dtype:
+def resolve_dtype(spec: str | np.dtype | type) -> np.dtype:
     """Normalise a dtype spec (name, dtype or scalar type) to a supported dtype."""
-    if spec is None:
-        return default_dtype()
     name = np.dtype(spec).name
     if name not in _SUPPORTED:
         raise ValueError(

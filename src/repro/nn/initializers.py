@@ -2,9 +2,8 @@
 
 The tiny CNNs of DL2Fence (eight 3x3 kernels per convolutional layer) are
 sensitive to initial weight scale because the feature frames are small
-(R x (R-1) pixels) and the training sets are modest.  Glorot and He schemes
-are provided and used as the defaults for sigmoid- and ReLU-activated layers
-respectively.
+(R x (R-1) pixels) and the training sets are modest.  Dense layers draw
+Glorot-uniform kernels and Conv2D layers He-normal ones; biases start at zero.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Initializer",
-    "Zeros",
-    "Constant",
-    "RandomNormal",
-    "GlorotUniform",
-    "HeNormal",
-    "get_initializer",
-]
+__all__ = ["Initializer", "Zeros", "GlorotUniform", "HeNormal"]
 
 
 def _fan_in_fan_out(shape: Sequence[int]) -> tuple[int, int]:
@@ -64,37 +55,8 @@ class Zeros(Initializer):
         return np.zeros(shape, dtype=np.float64)
 
 
-class Constant(Initializer):
-    """Fill with a constant value."""
-
-    def __init__(self, value: float = 0.0) -> None:
-        self.value = float(value)
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        return np.full(shape, self.value, dtype=np.float64)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"Constant(value={self.value})"
-
-
-class RandomNormal(Initializer):
-    """Gaussian initializer with configurable standard deviation."""
-
-    def __init__(self, stddev: float = 0.05, mean: float = 0.0) -> None:
-        if stddev < 0:
-            raise ValueError("stddev must be non-negative")
-        self.stddev = float(stddev)
-        self.mean = float(mean)
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mean, self.stddev, size=shape).astype(np.float64)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"RandomNormal(stddev={self.stddev}, mean={self.mean})"
-
-
 class GlorotUniform(Initializer):
-    """Glorot / Xavier uniform initializer (default for sigmoid outputs)."""
+    """Glorot / Xavier uniform initializer (Dense kernels)."""
 
     def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         fan_in, fan_out = _fan_in_fan_out(shape)
@@ -103,28 +65,10 @@ class GlorotUniform(Initializer):
 
 
 class HeNormal(Initializer):
-    """He normal initializer (default for ReLU-activated conv/dense layers)."""
+    """He normal initializer (Conv2D kernels)."""
 
     def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         fan_in, _ = _fan_in_fan_out(shape)
         stddev = math.sqrt(2.0 / max(1, fan_in))
         return rng.normal(0.0, stddev, size=shape).astype(np.float64)
 
-
-_REGISTRY: dict[str, type[Initializer]] = {
-    "zeros": Zeros,
-    "constant": Constant,
-    "random_normal": RandomNormal,
-    "glorot_uniform": GlorotUniform,
-    "he_normal": HeNormal,
-}
-
-
-def get_initializer(spec: str | Initializer) -> Initializer:
-    """Resolve a string name (or pass through an instance) to an initializer."""
-    if isinstance(spec, Initializer):
-        return spec
-    key = str(spec).lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"unknown initializer {spec!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[key]()

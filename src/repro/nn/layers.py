@@ -10,23 +10,14 @@ enough to run inside the test suite.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.nn.dtype import default_dtype
-from repro.nn.initializers import GlorotUniform, HeNormal, Initializer, Zeros, get_initializer
+from repro.nn.initializers import GlorotUniform, HeNormal, Zeros
 
-__all__ = [
-    "Layer",
-    "Dense",
-    "Conv2D",
-    "MaxPool2D",
-    "UpSample2D",
-    "Flatten",
-    "Dropout",
-    "BatchNorm",
-]
+__all__ = ["Layer", "Dense", "Conv2D", "MaxPool2D", "Flatten"]
 
 
 #: Scratch attributes produced by forward/backward passes (cached input
@@ -36,19 +27,14 @@ __all__ = [
 _TRANSIENT_STATE = frozenset(
     {
         "_argmax",
-        "_axes",
         "_cache",
-        "_centered",
         "_col_buffer",
         "_grad_buffer",
         "_inputs",
         "_input_shape",
         "_mask",
-        "_n",
-        "_normed",
         "_out_dims",
         "_output",
-        "_std_inv",
     }
 )
 
@@ -88,7 +74,7 @@ class Layer:
         return tuple(input_shape)
 
     # -- computation ---------------------------------------------------
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -111,17 +97,11 @@ class Layer:
 class Dense(Layer):
     """Fully-connected layer: ``y = x @ W + b``."""
 
-    def __init__(
-        self,
-        units: int,
-        kernel_initializer: str | Initializer = "glorot_uniform",
-        use_bias: bool = True,
-    ) -> None:
+    def __init__(self, units: int, use_bias: bool = True) -> None:
         super().__init__()
         if units <= 0:
             raise ValueError("units must be positive")
         self.units = int(units)
-        self.kernel_initializer = get_initializer(kernel_initializer)
         self.use_bias = bool(use_bias)
 
     def build(self, input_shape: Sequence[int], rng: np.random.Generator) -> None:
@@ -131,7 +111,7 @@ class Dense(Layer):
             )
         in_features = int(input_shape[0])
         dtype = default_dtype()
-        self.params["W"] = self.kernel_initializer((in_features, self.units), rng).astype(
+        self.params["W"] = GlorotUniform()((in_features, self.units), rng).astype(
             dtype, copy=False
         )
         if self.use_bias:
@@ -141,7 +121,7 @@ class Dense(Layer):
     def output_shape(self, input_shape: Sequence[int]) -> tuple[int, ...]:
         return (self.units,)
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._inputs = inputs
         out = inputs @ self.params["W"]
         if self.use_bias:
@@ -268,7 +248,6 @@ class Conv2D(Layer):
         kernel_size: int | tuple[int, int] = 3,
         stride: int = 1,
         padding: str = "valid",
-        kernel_initializer: str | Initializer = "he_normal",
         use_bias: bool = True,
     ) -> None:
         super().__init__()
@@ -288,7 +267,6 @@ class Conv2D(Layer):
         self.kernel_size = (int(kernel_size[0]), int(kernel_size[1]))
         self.stride = int(stride)
         self.padding = padding
-        self.kernel_initializer = get_initializer(kernel_initializer)
         self.use_bias = bool(use_bias)
 
     def _pad_amount(self) -> int:
@@ -305,9 +283,9 @@ class Conv2D(Layer):
         channels = int(input_shape[2])
         kh, kw = self.kernel_size
         dtype = default_dtype()
-        self.params["W"] = self.kernel_initializer(
-            (kh, kw, channels, self.filters), rng
-        ).astype(dtype, copy=False)
+        self.params["W"] = HeNormal()((kh, kw, channels, self.filters), rng).astype(
+            dtype, copy=False
+        )
         if self.use_bias:
             self.params["b"] = Zeros()((self.filters,), rng).astype(dtype, copy=False)
         super().build(input_shape, rng)
@@ -320,7 +298,7 @@ class Conv2D(Layer):
         out_w = (width + 2 * pad - kw) // self.stride + 1
         return (out_h, out_w, self.filters)
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         pad = self._pad_amount()
         padded = _pad_input(inputs, pad)
         kh, kw = self.kernel_size
@@ -398,7 +376,7 @@ class MaxPool2D(Layer):
             )
         return (out_h, out_w, channels)
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         batch, height, width, channels = inputs.shape
         ph, pw = self.pool_size
         out_h = (height - ph) // self.stride + 1
@@ -448,36 +426,6 @@ class MaxPool2D(Layer):
         return config
 
 
-class UpSample2D(Layer):
-    """Nearest-neighbour spatial upsampling (for deeper segmentation variants)."""
-
-    def __init__(self, factor: int = 2) -> None:
-        super().__init__()
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        self.factor = int(factor)
-
-    def output_shape(self, input_shape: Sequence[int]) -> tuple[int, ...]:
-        height, width, channels = input_shape
-        return (height * self.factor, width * self.factor, channels)
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input_shape = inputs.shape
-        return inputs.repeat(self.factor, axis=1).repeat(self.factor, axis=2)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        batch, height, width, channels = self._input_shape
-        reshaped = grad_output.reshape(
-            batch, height, self.factor, width, self.factor, channels
-        )
-        return reshaped.sum(axis=(2, 4))
-
-    def get_config(self) -> dict:
-        config = super().get_config()
-        config["factor"] = self.factor
-        return config
-
-
 class Flatten(Layer):
     """Flatten all per-sample dimensions into a single feature vector."""
 
@@ -487,105 +435,10 @@ class Flatten(Layer):
             size *= int(dim)
         return (size,)
 
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._input_shape = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output.reshape(self._input_shape)
 
-
-class Dropout(Layer):
-    """Inverted dropout; active only when ``training=True``."""
-
-    def __init__(self, rate: float = 0.5) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = float(rate)
-        self._rng = np.random.default_rng(0)
-
-    def seed(self, seed: int) -> None:
-        """Reseed the dropout mask generator (used by the Trainer)."""
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return inputs
-        keep = 1.0 - self.rate
-        mask = (self._rng.random(inputs.shape) < keep).astype(inputs.dtype)
-        mask /= np.asarray(keep, dtype=inputs.dtype)
-        self._mask = mask
-        return inputs * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-    def get_config(self) -> dict:
-        config = super().get_config()
-        config["rate"] = self.rate
-        return config
-
-
-class BatchNorm(Layer):
-    """Batch normalisation over the channel (last) axis."""
-
-    def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5) -> None:
-        super().__init__()
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
-
-    def build(self, input_shape: Sequence[int], rng: np.random.Generator) -> None:
-        channels = int(input_shape[-1])
-        dtype = default_dtype()
-        self.params["gamma"] = np.ones(channels, dtype=dtype)
-        self.params["beta"] = np.zeros(channels, dtype=dtype)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
-        super().build(input_shape, rng)
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        axes = tuple(range(inputs.ndim - 1))
-        if training:
-            mean = inputs.mean(axis=axes)
-            var = inputs.var(axis=axes)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        self._std_inv = 1.0 / np.sqrt(var + self.epsilon)
-        self._centered = inputs - mean
-        self._normed = self._centered * self._std_inv
-        self._axes = axes
-        self._n = inputs.size // inputs.shape[-1]
-        return self.params["gamma"] * self._normed + self.params["beta"]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        axes = self._axes
-        gamma = self.params["gamma"]
-        self.grads["gamma"] = np.sum(grad_output * self._normed, axis=axes)
-        self.grads["beta"] = np.sum(grad_output, axis=axes)
-        n = self._n
-        grad_normed = grad_output * gamma
-        grad_var = np.sum(
-            grad_normed * self._centered * -0.5 * self._std_inv**3, axis=axes
-        )
-        grad_mean = np.sum(-grad_normed * self._std_inv, axis=axes) + grad_var * np.mean(
-            -2.0 * self._centered, axis=axes
-        )
-        return (
-            grad_normed * self._std_inv
-            + grad_var * 2.0 * self._centered / n
-            + grad_mean / n
-        )
-
-    def get_config(self) -> dict:
-        config = super().get_config()
-        config.update({"momentum": self.momentum, "epsilon": self.epsilon})
-        return config

@@ -3,8 +3,8 @@
 The detector (binary classification of "attack frame" vs "benign frame") is
 trained with binary cross-entropy; the localizer (per-pixel segmentation of
 the attacking route) is trained with a Dice loss — the paper explicitly names
-"dice accuracy" as the feedback signal for the segmentation model — optionally
-blended with BCE for smoother gradients early in training.
+"dice accuracy" as the feedback signal for the segmentation model — blended
+evenly with BCE for smoother gradients early in training.
 """
 
 from __future__ import annotations
@@ -13,16 +13,11 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = [
-    "Loss",
-    "MeanSquaredError",
-    "BinaryCrossEntropy",
-    "DiceLoss",
-    "combined_bce_dice",
-    "get_loss",
-]
+__all__ = ["Loss", "BinaryCrossEntropy", "DiceLoss", "combined_bce_dice"]
 
 _EPS = 1e-7
+#: Dice smoothing term: keeps the ratio defined (and 1) for empty masks.
+_SMOOTH = 1.0
 
 
 class Loss(ABC):
@@ -36,9 +31,6 @@ class Loss(ABC):
     def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Gradient of the loss with respect to ``predictions``."""
 
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -48,18 +40,6 @@ def _validate(predictions: np.ndarray, targets: np.ndarray) -> None:
         raise ValueError(
             f"prediction shape {predictions.shape} != target shape {targets.shape}"
         )
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error; used by some baseline regressors and tests."""
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        _validate(predictions, targets)
-        return float(np.mean((predictions - targets) ** 2))
-
-    def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        _validate(predictions, targets)
-        return 2.0 * (predictions - targets) / predictions.size
 
 
 class BinaryCrossEntropy(Loss):
@@ -83,17 +63,12 @@ class DiceLoss(Loss):
     soft version keeps the loss differentiable on sigmoid probabilities.
     """
 
-    def __init__(self, smooth: float = 1.0) -> None:
-        if smooth <= 0:
-            raise ValueError("smooth must be positive")
-        self.smooth = float(smooth)
-
     def _per_sample(self, predictions: np.ndarray, targets: np.ndarray):
         flat_p = predictions.reshape(predictions.shape[0], -1)
         flat_t = targets.reshape(targets.shape[0], -1)
         intersection = np.sum(flat_p * flat_t, axis=1)
         denom = np.sum(flat_p, axis=1) + np.sum(flat_t, axis=1)
-        dice = (2.0 * intersection + self.smooth) / (denom + self.smooth)
+        dice = (2.0 * intersection + _SMOOTH) / (denom + _SMOOTH)
         return flat_p, flat_t, intersection, denom, dice
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -106,15 +81,12 @@ class DiceLoss(Loss):
         flat_p, flat_t, intersection, denom, _ = self._per_sample(predictions, targets)
         batch = predictions.shape[0]
         # d(dice)/dp = (2*t*(denom+s) - (2*I+s)) / (denom+s)^2
-        numerator = 2.0 * flat_t * (denom + self.smooth)[:, None] - (
-            2.0 * intersection + self.smooth
+        numerator = 2.0 * flat_t * (denom + _SMOOTH)[:, None] - (
+            2.0 * intersection + _SMOOTH
         )[:, None]
-        grad_dice = numerator / (denom + self.smooth)[:, None] ** 2
+        grad_dice = numerator / (denom + _SMOOTH)[:, None] ** 2
         grad = -grad_dice / batch
         return grad.reshape(predictions.shape)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DiceLoss(smooth={self.smooth})"
 
 
 class combined_bce_dice(Loss):
@@ -143,21 +115,3 @@ class combined_bce_dice(Loss):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"combined_bce_dice(bce={self.bce_weight}, dice={self.dice_weight})"
 
-
-_REGISTRY: dict[str, type[Loss]] = {
-    "mse": MeanSquaredError,
-    "bce": BinaryCrossEntropy,
-    "binary_crossentropy": BinaryCrossEntropy,
-    "dice": DiceLoss,
-    "bce_dice": combined_bce_dice,
-}
-
-
-def get_loss(spec: str | Loss) -> Loss:
-    """Resolve a loss by name or pass an instance through unchanged."""
-    if isinstance(spec, Loss):
-        return spec
-    key = str(spec).lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"unknown loss {spec!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[key]()

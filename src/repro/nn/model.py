@@ -13,6 +13,9 @@ from repro.obs.metrics import METRICS, nn_forward_histogram
 
 __all__ = ["Sequential"]
 
+#: Samples per forward pass in :meth:`Sequential.predict`.
+_PREDICT_BATCH = 256
+
 
 class Sequential:
     """A linear stack of layers with forward/backward propagation.
@@ -22,21 +25,14 @@ class Sequential:
     hardware-cost accounting straightforward.
     """
 
-    def __init__(self, layers: Iterable[Layer] | None = None, seed: int = 0) -> None:
-        self.layers: list[Layer] = list(layers) if layers is not None else []
+    def __init__(self, layers: Iterable[Layer], seed: int = 0) -> None:
+        self.layers: list[Layer] = list(layers)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
         self.input_shape: tuple[int, ...] | None = None
         self.dtype: np.dtype = default_dtype()
 
     # -- construction ---------------------------------------------------
-    def add(self, layer: Layer) -> "Sequential":
-        """Append a layer; returns self for chaining."""
-        if self.input_shape is not None:
-            raise RuntimeError("cannot add layers after the model has been built")
-        self.layers.append(layer)
-        return self
-
     def build(self, input_shape: Sequence[int]) -> "Sequential":
         """Allocate all layer parameters for a per-sample ``input_shape``."""
         shape = tuple(int(d) for d in input_shape)
@@ -61,7 +57,10 @@ class Sequential:
 
     # -- computation ----------------------------------------------------
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run a forward pass over a batch (in the model's build-time dtype)."""
+        """Run a forward pass over a batch (in the model's build-time dtype).
+
+        ``training`` only labels the pass in the forward-time metric.
+        """
         inputs = np.asarray(inputs)
         self._ensure_built(inputs)
         inputs = inputs.astype(self.dtype, copy=False)
@@ -69,14 +68,14 @@ class Sequential:
             start = perf_counter()
             out = inputs
             for layer in self.layers:
-                out = layer.forward(out, training=training)
+                out = layer.forward(out)
             nn_forward_histogram().observe(
                 perf_counter() - start, mode="train" if training else "infer"
             )
             return out
         out = inputs
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            out = layer.forward(out)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -86,20 +85,17 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
-    def predict(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Inference-mode forward pass, processed in mini-batches."""
         inputs = np.asarray(inputs)
         if inputs.shape[0] == 0:
             self._ensure_built(inputs)
             return np.zeros((0,) + tuple(self.output_shape), dtype=self.dtype)
         chunks = [
-            self.forward(inputs[start : start + batch_size], training=False)
-            for start in range(0, inputs.shape[0], batch_size)
+            self.forward(inputs[start : start + _PREDICT_BATCH])
+            for start in range(0, inputs.shape[0], _PREDICT_BATCH)
         ]
         return np.concatenate(chunks, axis=0)
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs, training=False)
 
     def release_scratch(self) -> None:
         """Drop every layer's forward/backward scratch state."""
@@ -111,43 +107,6 @@ class Sequential:
     def num_parameters(self) -> int:
         """Total trainable parameter count (used by the hardware area model)."""
         return int(sum(layer.num_parameters for layer in self.layers))
-
-    def summary(self) -> str:
-        """Human-readable architecture summary."""
-        if self.input_shape is None:
-            raise RuntimeError("build the model (or run a forward pass) before summary()")
-        lines = [f"Sequential: input {self.input_shape}"]
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-            lines.append(
-                f"  {type(layer).__name__:<12} -> {shape}  params={layer.num_parameters}"
-            )
-        lines.append(f"Total parameters: {self.num_parameters}")
-        return "\n".join(lines)
-
-    def get_weights(self) -> list[dict[str, np.ndarray]]:
-        """Copy of every layer's parameter dictionary."""
-        return [{k: v.copy() for k, v in layer.params.items()} for layer in self.layers]
-
-    def set_weights(self, weights: list[dict[str, np.ndarray]]) -> None:
-        """Load parameters previously produced by :meth:`get_weights`."""
-        if len(weights) != len(self.layers):
-            raise ValueError(
-                f"expected weights for {len(self.layers)} layers, got {len(weights)}"
-            )
-        for layer, layer_weights in zip(self.layers, weights):
-            for name, value in layer_weights.items():
-                if name not in layer.params:
-                    raise KeyError(
-                        f"layer {type(layer).__name__} has no parameter {name!r}"
-                    )
-                if layer.params[name].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {type(layer).__name__}.{name}: "
-                        f"{layer.params[name].shape} vs {value.shape}"
-                    )
-                layer.params[name] = np.asarray(value, dtype=self.dtype).copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Sequential(layers={len(self.layers)}, params={self.num_parameters})"

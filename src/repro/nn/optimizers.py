@@ -1,133 +1,55 @@
-"""Gradient-descent optimizers for the NumPy neural-network substrate."""
+"""The Adam optimizer that trains both DL2Fence CNNs."""
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Iterable
 
 import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adam", "get_optimizer"]
+__all__ = ["Adam"]
+
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
-class Optimizer(ABC):
-    """Base optimizer: updates every trainable parameter of a layer stack."""
+class Adam:
+    """Adam (Kingma & Ba) with the usual betas (0.9, 0.999) and epsilon 1e-8."""
 
-    def __init__(self, learning_rate: float = 0.01, clip_norm: float | None = None) -> None:
+    def __init__(self, learning_rate: float = 0.001) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if clip_norm is not None and clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when given")
         self.learning_rate = float(learning_rate)
-        self.clip_norm = clip_norm
-        self.iterations = 0
-
-    def step(self, layers: Iterable[Layer]) -> None:
-        """Apply one update using the gradients currently stored on layers."""
-        self.iterations += 1
-        for layer_index, layer in enumerate(layers):
-            for name, param in layer.params.items():
-                grad = layer.grads.get(name)
-                if grad is None:
-                    continue
-                if self.clip_norm is not None:
-                    norm = float(np.linalg.norm(grad))
-                    if norm > self.clip_norm:
-                        grad = grad * (self.clip_norm / norm)
-                key = (layer_index, name)
-                self._update(key, param, grad)
-
-    @abstractmethod
-    def _update(self, key: tuple, param: np.ndarray, grad: np.ndarray) -> None:
-        """Update ``param`` in place."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(lr={self.learning_rate})"
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def _update(self, key: tuple, param: np.ndarray, grad: np.ndarray) -> None:
-        param -= self.learning_rate * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        momentum: float = 0.9,
-        clip_norm: float | None = None,
-    ) -> None:
-        super().__init__(learning_rate, clip_norm)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity: dict[tuple, np.ndarray] = {}
-
-    def _update(self, key: tuple, param: np.ndarray, grad: np.ndarray) -> None:
-        velocity = self._velocity.get(key)
-        if velocity is None:
-            velocity = np.zeros_like(param)
-        velocity = self.momentum * velocity - self.learning_rate * grad
-        self._velocity[key] = velocity
-        param += velocity
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba), the default for the DL2Fence CNNs."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        clip_norm: float | None = None,
-    ) -> None:
-        super().__init__(learning_rate, clip_norm)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self._m: dict[tuple, np.ndarray] = {}
         self._v: dict[tuple, np.ndarray] = {}
         self._t: dict[tuple, int] = {}
 
+    def step(self, layers: Iterable[Layer]) -> None:
+        """Apply one update using the gradients currently stored on layers."""
+        for layer_index, layer in enumerate(layers):
+            for name, param in layer.params.items():
+                grad = layer.grads.get(name)
+                if grad is not None:
+                    self._update((layer_index, name), param, grad)
+
     def _update(self, key: tuple, param: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``param`` in place."""
         m = self._m.get(key)
         v = self._v.get(key)
         if m is None:
             m = np.zeros_like(param)
             v = np.zeros_like(param)
         t = self._t.get(key, 0) + 1
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad**2
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
         self._m[key] = m
         self._v[key] = v
         self._t[key] = t
 
-
-_REGISTRY: dict[str, type[Optimizer]] = {
-    "sgd": SGD,
-    "momentum": Momentum,
-    "adam": Adam,
-}
-
-
-def get_optimizer(spec: str | Optimizer, **kwargs) -> Optimizer:
-    """Resolve an optimizer by name or pass an instance through unchanged."""
-    if isinstance(spec, Optimizer):
-        return spec
-    key = str(spec).lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"unknown optimizer {spec!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[key](**kwargs)
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Adam(lr={self.learning_rate})"

@@ -13,24 +13,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn import activations as _activations
-from repro.nn import layers as _layers
+from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.dtype import use_dtype
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer, MaxPool2D
 from repro.nn.model import Sequential
 
 __all__ = ["save_model", "load_model"]
 
 _LAYER_CLASSES = {
-    name: getattr(module, name)
-    for module in (_layers, _activations)
-    for name in dir(module)
-    if isinstance(getattr(module, name), type)
-    and issubclass(getattr(module, name), _layers.Layer)
-    and getattr(module, name) is not _layers.Layer
+    cls.__name__: cls for cls in (Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sigmoid)
 }
 
 
-def _layer_from_config(config: dict) -> _layers.Layer:
+def _layer_from_config(config: dict) -> Layer:
     config = dict(config)
     layer_type = config.pop("type")
     if layer_type not in _LAYER_CLASSES:

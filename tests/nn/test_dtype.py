@@ -13,9 +13,27 @@ from repro.core.detector import build_detector_model
 from repro.core.localizer import build_localizer_model
 from repro.nn.dtype import default_dtype, resolve_dtype, set_default_dtype, use_dtype
 from repro.nn.layers import Conv2D
+from repro.nn.losses import BinaryCrossEntropy
+from repro.nn.metrics import accuracy_score
 from repro.nn.model import Sequential
+from repro.nn.optimizers import Adam
 from repro.nn.serialization import load_model, save_model
-from repro.nn.training import Trainer
+from repro.nn.training import EarlyStopping, Trainer
+
+
+def train(model, x, y, epochs, batch_size, seed):
+    """Train on BCE with Adam (lr 0.005) for exactly ``epochs`` epochs."""
+    trainer = Trainer(
+        model, BinaryCrossEntropy(), Adam(learning_rate=0.005), accuracy_score, seed=seed
+    )
+    trainer.fit(x, y, epochs, batch_size, EarlyStopping(patience=epochs))
+
+
+def copy_weights(source, target):
+    """Copy ``source``'s parameters into ``target``, cast to its dtype."""
+    for src, dst in zip(source.layers, target.layers):
+        for name, value in src.params.items():
+            dst.params[name] = value.astype(target.dtype)
 
 
 class TestDtypeControls:
@@ -94,7 +112,7 @@ def _weight_equivalent_pair(builder, shape):
         reference = builder(shape, seed=5)
     with use_dtype("float32"):
         fast = builder(shape, seed=5)
-    fast.set_weights(reference.get_weights())  # cast float64 -> float32
+    copy_weights(reference, fast)  # cast float64 -> float32
     return reference, fast
 
 
@@ -103,14 +121,15 @@ class TestDecisionEquivalence:
         shape = small_detection_dataset.inputs.shape[1:]
         reference, fast = _weight_equivalent_pair(build_detector_model, shape)
         # Train the float64 reference briefly so weights are non-trivial...
-        trainer = Trainer(reference, loss="bce", seed=0)
-        trainer.fit(
+        train(
+            reference,
             small_detection_dataset.inputs,
             small_detection_dataset.labels,
             epochs=5,
             batch_size=16,
+            seed=0,
         )
-        fast.set_weights(reference.get_weights())
+        copy_weights(reference, fast)
         p64 = reference.predict(small_detection_dataset.inputs).reshape(-1)
         p32 = fast.predict(small_detection_dataset.inputs).reshape(-1)
         assert np.allclose(p64, p32, atol=1e-5)
@@ -160,7 +179,7 @@ class TestIm2colBufferReuse:
         x = rng.random((32, 6, 5, 2))
         y = (rng.random((32, 1)) > 0.5).astype(float)
 
-        def train(dtype):
+        def trained_predictions(dtype):
             with use_dtype(dtype):
                 from repro.nn.activations import ReLU, Sigmoid
                 from repro.nn.layers import Dense, Flatten
@@ -169,9 +188,9 @@ class TestIm2colBufferReuse:
                     [Conv2D(4, 3), ReLU(), Flatten(), Dense(1), Sigmoid()], seed=7
                 )
                 model.build((6, 5, 2))
-            Trainer(model, loss="bce", seed=7).fit(x, y, epochs=3, batch_size=8)
+            train(model, x, y, epochs=3, batch_size=8, seed=7)
             return model.predict(x).reshape(-1)
 
-        p64 = train("float64")
-        p32 = train("float32")
+        p64 = trained_predictions("float64")
+        p32 = trained_predictions("float32")
         assert np.allclose(p64, p32, atol=1e-3)

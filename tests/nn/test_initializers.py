@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.initializers import (
-    Constant,
-    GlorotUniform,
-    HeNormal,
-    RandomNormal,
-    Zeros,
-    _fan_in_fan_out,
-    get_initializer,
-)
+from repro.nn.initializers import GlorotUniform, HeNormal, Zeros, _fan_in_fan_out
 
 
 @pytest.fixture()
@@ -37,26 +29,11 @@ class TestFanInFanOut:
             _fan_in_fan_out(())
 
 
-class TestZerosAndConstant:
+class TestZeros:
     def test_zeros(self, rng):
         out = Zeros()((3, 4), rng)
         assert out.shape == (3, 4)
         assert np.all(out == 0.0)
-
-    def test_constant(self, rng):
-        out = Constant(2.5)((2, 2), rng)
-        assert np.all(out == 2.5)
-
-
-class TestRandomNormal:
-    def test_shape_and_spread(self, rng):
-        out = RandomNormal(stddev=0.5)((1000,), rng)
-        assert out.shape == (1000,)
-        assert 0.3 < out.std() < 0.7
-
-    def test_negative_stddev_rejected(self):
-        with pytest.raises(ValueError):
-            RandomNormal(stddev=-1.0)
 
 
 class TestGlorotAndHe:
@@ -78,17 +55,3 @@ class TestGlorotAndHe:
         out = GlorotUniform()((rows, cols), rng)
         limit = np.sqrt(6.0 / (rows + cols))
         assert np.all(np.abs(out) <= limit + 1e-12)
-
-
-class TestRegistry:
-    def test_lookup_by_name(self):
-        assert isinstance(get_initializer("he_normal"), HeNormal)
-        assert isinstance(get_initializer("glorot_uniform"), GlorotUniform)
-
-    def test_passthrough_instance(self):
-        init = Constant(1.0)
-        assert get_initializer(init) is init
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            get_initializer("not_a_real_initializer")

@@ -6,17 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.dtype import use_dtype
-from repro.nn.layers import (
-    BatchNorm,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool2D,
-    UpSample2D,
-    _col2im,
-    _pad_input,
-)
+from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, _col2im, _pad_input
 
 
 def build(layer, shape, seed=0):
@@ -177,7 +167,7 @@ class TestConv2D:
 
     def test_known_convolution_value(self):
         # A single 2x2 kernel of ones over a constant image sums 4 pixels.
-        layer = Conv2D(filters=1, kernel_size=2, kernel_initializer="zeros", use_bias=False)
+        layer = Conv2D(filters=1, kernel_size=2, use_bias=False)
         build(layer, (3, 3, 1))
         layer.params["W"] = np.ones_like(layer.params["W"])
         out = layer.forward(np.full((1, 3, 3, 1), 2.0))
@@ -303,22 +293,6 @@ class TestMaxPool2D:
         assert np.allclose(grad_in, numeric_input_gradient(layer, x.copy(), grad_out), atol=1e-4)
 
 
-class TestUpSample2D:
-    def test_repeats_pixels(self):
-        layer = UpSample2D(factor=2)
-        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
-        out = layer.forward(x)
-        assert out.shape == (1, 4, 4, 1)
-        assert np.allclose(out[0, :2, :2, 0], 1.0)
-
-    def test_backward_sums_contributions(self):
-        layer = UpSample2D(factor=2)
-        x = np.ones((1, 2, 2, 1))
-        layer.forward(x)
-        grad = layer.backward(np.ones((1, 4, 4, 1)))
-        assert np.allclose(grad, 4.0)
-
-
 class TestFlatten:
     def test_round_trip(self):
         layer = Flatten()
@@ -327,71 +301,3 @@ class TestFlatten:
         assert out.shape == (2, 12)
         back = layer.backward(out)
         assert np.allclose(back, x)
-
-
-class TestDropout:
-    def test_inference_is_identity(self):
-        layer = Dropout(0.5)
-        x = np.ones((4, 10))
-        assert np.allclose(layer.forward(x, training=False), x)
-
-    def test_training_zeroes_some_units(self):
-        layer = Dropout(0.5)
-        layer.seed(0)
-        out = layer.forward(np.ones((10, 100)), training=True)
-        dropped = np.mean(out == 0.0)
-        assert 0.3 < dropped < 0.7
-
-    def test_expected_value_preserved(self):
-        layer = Dropout(0.25)
-        layer.seed(1)
-        out = layer.forward(np.ones((50, 200)), training=True)
-        assert 0.9 < out.mean() < 1.1
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-
-class TestBatchNorm:
-    def test_training_normalises(self):
-        layer = build(BatchNorm(), (8,))
-        rng = np.random.default_rng(0)
-        x = rng.normal(5.0, 3.0, size=(64, 8))
-        out = layer.forward(x, training=True)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-6)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_inference_uses_running_stats(self):
-        layer = build(BatchNorm(momentum=0.0), (4,))
-        rng = np.random.default_rng(1)
-        x = rng.normal(2.0, 1.0, size=(128, 4))
-        layer.forward(x, training=True)
-        out = layer.forward(x, training=False)
-        assert abs(out.mean()) < 0.2
-
-    def test_gradient_matches_numeric(self):
-        layer = build(BatchNorm(), (3,))
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(6, 3))
-        grad_out = rng.normal(size=(6, 3))
-
-        def forward_train(inputs):
-            return layer.forward(inputs, training=True)
-
-        layer.forward(x, training=True)
-        grad_in = layer.backward(grad_out)
-
-        eps = 1e-6
-        numeric = np.zeros_like(x)
-        flat_x = x.reshape(-1)
-        flat_g = numeric.reshape(-1)
-        for i in range(flat_x.size):
-            orig = flat_x[i]
-            flat_x[i] = orig + eps
-            plus = float(np.sum(forward_train(x) * grad_out))
-            flat_x[i] = orig - eps
-            minus = float(np.sum(forward_train(x) * grad_out))
-            flat_x[i] = orig
-            flat_g[i] = (plus - minus) / (2 * eps)
-        assert np.allclose(grad_in, numeric, atol=1e-4)

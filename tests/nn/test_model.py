@@ -34,11 +34,6 @@ class TestBuild:
         assert out.shape == (2, 1)
         assert model.input_shape == (8, 7, 4)
 
-    def test_add_after_build_rejected(self):
-        model = detector_like_model().build((8, 7, 4))
-        with pytest.raises(RuntimeError):
-            model.add(Dense(2))
-
     def test_shape_mismatch_rejected(self):
         model = detector_like_model().build((8, 7, 4))
         with pytest.raises(ValueError):
@@ -76,34 +71,14 @@ class TestForwardBackward:
 class TestPredict:
     def test_batched_predict_matches_forward(self):
         model = detector_like_model().build((8, 7, 4))
-        x = np.random.default_rng(2).normal(size=(10, 8, 7, 4))
-        assert np.allclose(model.predict(x, batch_size=3), model.forward(x))
+        # More samples than one predict mini-batch (256).
+        x = np.random.default_rng(2).normal(size=(300, 8, 7, 4))
+        assert np.allclose(model.predict(x), model.forward(x))
 
     def test_empty_batch(self):
         model = detector_like_model().build((8, 7, 4))
         out = model.predict(np.zeros((0, 8, 7, 4)))
         assert out.shape == (0, 1)
-
-
-class TestWeights:
-    def test_get_set_round_trip(self):
-        model_a = detector_like_model(seed=1).build((8, 7, 4))
-        model_b = detector_like_model(seed=2).build((8, 7, 4))
-        model_b.set_weights(model_a.get_weights())
-        x = np.random.default_rng(3).normal(size=(2, 8, 7, 4))
-        assert np.allclose(model_a.forward(x), model_b.forward(x))
-
-    def test_set_weights_shape_check(self):
-        model = detector_like_model().build((8, 7, 4))
-        weights = model.get_weights()
-        weights[0]["W"] = np.zeros((1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            model.set_weights(weights)
-
-    def test_set_weights_layer_count_check(self):
-        model = detector_like_model().build((8, 7, 4))
-        with pytest.raises(ValueError):
-            model.set_weights([])
 
 
 class TestIntrospection:
@@ -113,12 +88,3 @@ class TestIntrospection:
         dense_params = (3 * 2 * 8) * 1 + 1
         assert model.num_parameters == conv_params + dense_params
 
-    def test_summary_contains_layers(self):
-        model = detector_like_model().build((8, 7, 4))
-        text = model.summary()
-        assert "Conv2D" in text
-        assert "Total parameters" in text
-
-    def test_summary_requires_build(self):
-        with pytest.raises(RuntimeError):
-            detector_like_model().summary()

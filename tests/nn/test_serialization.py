@@ -1,8 +1,12 @@
 """Unit tests for model save/load."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.detector import build_detector_model
+from repro.core.localizer import build_localizer_model
 from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.model import Sequential
@@ -69,3 +73,54 @@ class TestSaveLoad:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "does_not_exist.npz")
+
+
+def conv_config(filters, padding):
+    return {
+        "type": "Conv2D",
+        "filters": filters,
+        "kernel_size": [3, 3],
+        "stride": 1,
+        "padding": padding,
+        "use_bias": True,
+    }
+
+
+class TestSavedFormat:
+    """The layer configs are the on-disk model format the artifact cache holds."""
+
+    def test_detector_config_pinned(self):
+        model = build_detector_model((16, 15, 4))
+        assert [layer.get_config() for layer in model.layers] == [
+            conv_config(8, "valid"),
+            {"type": "ReLU"},
+            {"type": "MaxPool2D", "pool_size": [2, 2], "stride": 2},
+            {"type": "Flatten"},
+            {"type": "Dense", "units": 1, "use_bias": True},
+            {"type": "Sigmoid"},
+        ]
+
+    def test_localizer_config_pinned(self):
+        model = build_localizer_model((16, 15, 1))
+        assert [layer.get_config() for layer in model.layers] == [
+            conv_config(8, "same"),
+            {"type": "ReLU"},
+            conv_config(8, "same"),
+            {"type": "ReLU"},
+            conv_config(1, "same"),
+            {"type": "Sigmoid"},
+        ]
+
+    def test_unknown_layer_type_rejected(self, tmp_path):
+        path = save_model(build_model(), tmp_path / "model.npz")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        architecture = json.loads(bytes(arrays["architecture"]).decode("utf-8"))
+        architecture["layers"].insert(1, {"type": "BatchNorm", "momentum": 0.9, "epsilon": 1e-5})
+        arrays["architecture"] = np.frombuffer(
+            json.dumps(architecture).encode("utf-8"), dtype=np.uint8
+        )
+        stale = tmp_path / "stale.npz"
+        np.savez(stale, **arrays)
+        with pytest.raises(KeyError, match="BatchNorm"):
+            load_model(stale)

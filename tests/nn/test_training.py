@@ -1,4 +1,4 @@
-"""Unit tests for the training loop and dataset utilities."""
+"""Unit tests for the training loop."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,11 @@ import pytest
 from repro.nn import layers
 from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.layers import Conv2D, Dense, Flatten
+from repro.nn.losses import BinaryCrossEntropy
+from repro.nn.metrics import accuracy_score
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.training import EarlyStopping, Trainer, train_test_split
+from repro.nn.training import EarlyStopping, Trainer
 from tests.nn.test_layers import reference_col2im, reference_pad_input
 
 
@@ -25,6 +27,17 @@ def make_separable_dataset(n=120, seed=0):
 
 def make_mlp(seed=0):
     return Sequential([Dense(8), ReLU(), Dense(1), Sigmoid()], seed=seed)
+
+
+def make_trainer(model, learning_rate=0.05, seed=0):
+    return Trainer(
+        model, BinaryCrossEntropy(), Adam(learning_rate=learning_rate), accuracy_score, seed=seed
+    )
+
+
+def full_run(epochs):
+    """An early stopper that cannot fire within ``epochs`` epochs."""
+    return EarlyStopping(patience=epochs)
 
 
 def make_conv_dataset(n=48, seed=0):
@@ -56,15 +69,15 @@ def unbuffered_reference_col2im(cols, input_shape, kh, kw, stride, out_h, out_w,
     return reference_col2im(cols, input_shape, kh, kw, stride, out_h, out_w), None
 
 
-def per_epoch_metric_fit(trainer, x, y, epochs, batch_size, validation_data=None, early_stopping=None):
+def per_epoch_metric_fit(trainer, x, y, epochs, batch_size, early_stopping):
     """The earlier training loop, which predicted the training set every epoch.
 
-    Returns ``(loss, val_loss, metric)`` curves, one entry per epoch.
+    Returns ``(loss, metric)`` curves, one entry per epoch.
     """
-    dtype = trainer._dtype()
+    dtype = trainer.model.dtype
     x = np.asarray(x, dtype=dtype)
     y = np.asarray(y, dtype=dtype)
-    loss_curve, val_loss_curve, metric_curve = [], [], []
+    loss_curve, metric_curve = [], []
     n = x.shape[0]
     for _ in range(epochs):
         order = trainer._rng.permutation(n)
@@ -81,59 +94,22 @@ def per_epoch_metric_fit(trainer, x, y, epochs, batch_size, validation_data=None
         epoch_loss /= max(1, batches)
         loss_curve.append(epoch_loss)
         metric_curve.append(float(trainer.metric(y, trainer.model.predict(x))))
-        monitored = epoch_loss
-        if validation_data is not None:
-            val_x, val_y = validation_data
-            val_pred = trainer.model.predict(np.asarray(val_x, dtype=dtype))
-            val_loss = trainer.loss.forward(val_pred, np.asarray(val_y, dtype=dtype))
-            val_loss_curve.append(val_loss)
-            monitored = val_loss
-        if early_stopping is not None and early_stopping.update(monitored):
+        if early_stopping.update(epoch_loss):
             break
-    return loss_curve, val_loss_curve, metric_curve
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        x = np.arange(40).reshape(20, 2)
-        y = np.arange(20)
-        x_tr, x_te, y_tr, y_te = train_test_split(x, y, test_fraction=0.25, seed=0)
-        assert x_te.shape[0] == 5
-        assert x_tr.shape[0] == 15
-        assert y_tr.shape[0] == 15
-
-    def test_partition_is_disjoint_and_complete(self):
-        x = np.arange(30)
-        x_tr, x_te = train_test_split(x, test_fraction=0.3, seed=1)
-        assert sorted(np.concatenate([x_tr, x_te]).tolist()) == list(range(30))
-
-    def test_rows_stay_aligned(self):
-        x = np.arange(20)
-        y = np.arange(20) * 10
-        x_tr, x_te, y_tr, y_te = train_test_split(x, y, test_fraction=0.2, seed=2)
-        assert np.all(y_tr == x_tr * 10)
-        assert np.all(y_te == x_te * 10)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.arange(10), test_fraction=1.5)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.arange(10), np.arange(5))
+    return loss_curve, metric_curve
 
 
 class TestEarlyStopping:
     def test_stops_after_patience(self):
-        stopper = EarlyStopping(patience=2, min_delta=0.0)
+        stopper = EarlyStopping(patience=2)
         assert not stopper.update(1.0)
         assert not stopper.update(1.0)
         assert stopper.update(1.0)
 
     def test_reset_on_improvement(self):
-        stopper = EarlyStopping(patience=2, min_delta=0.01)
+        stopper = EarlyStopping(patience=2)
         assert not stopper.update(1.0)
-        assert not stopper.update(0.99)  # no real improvement vs min_delta? (1.0-0.99 < ...)
+        assert not stopper.update(0.99995)  # within the 1e-4 minimum improvement
         assert not stopper.update(0.5)  # big improvement resets the counter
         assert not stopper.update(0.5)
         assert stopper.update(0.5)
@@ -142,61 +118,28 @@ class TestEarlyStopping:
 class TestTrainer:
     def test_learns_separable_data(self):
         x, y = make_separable_dataset()
-        model = make_mlp()
-        trainer = Trainer(model, loss="bce", optimizer=Adam(learning_rate=0.05))
-        history = trainer.fit(x, y, epochs=60, batch_size=16)
+        trainer = make_trainer(make_mlp())
+        history = trainer.fit(x, y, epochs=60, batch_size=16, early_stopping=full_run(60))
         assert history.final_metric > 0.95
         assert history.loss[-1] < history.loss[0]
 
-    def test_history_tracks_validation(self):
-        x, y = make_separable_dataset()
-        x_tr, x_te, y_tr, y_te = train_test_split(x, y, test_fraction=0.25, seed=0)
-        model = make_mlp()
-        trainer = Trainer(model, loss="bce", optimizer=Adam(learning_rate=0.05))
-        history = trainer.fit(
-            x_tr, y_tr, epochs=20, batch_size=16, validation_data=(x_te, y_te)
-        )
-        assert len(history.val_loss) == history.epochs
-        assert len(history.val_metric) == history.epochs
-
     def test_early_stopping_cuts_training(self):
         x, y = make_separable_dataset()
-        model = make_mlp()
-        trainer = Trainer(model, loss="bce", optimizer=Adam(learning_rate=0.05))
+        trainer = make_trainer(make_mlp())
         history = trainer.fit(
             x, y, epochs=500, batch_size=16, early_stopping=EarlyStopping(patience=3)
         )
         assert history.epochs < 500
 
-    def test_evaluate_returns_loss_and_metric(self):
-        x, y = make_separable_dataset()
-        model = make_mlp()
-        trainer = Trainer(model, loss="bce", optimizer=Adam(learning_rate=0.05))
-        trainer.fit(x, y, epochs=40, batch_size=16)
-        loss, metric = trainer.evaluate(x, y)
-        assert loss < 0.3
-        assert metric > 0.9
-
     def test_rejects_empty_dataset(self):
-        trainer = Trainer(make_mlp())
+        trainer = make_trainer(make_mlp())
         with pytest.raises(ValueError):
-            trainer.fit(np.zeros((0, 2)), np.zeros((0, 1)))
+            trainer.fit(np.zeros((0, 2)), np.zeros((0, 1)), 1, 16, full_run(1))
 
     def test_rejects_misaligned_data(self):
-        trainer = Trainer(make_mlp())
+        trainer = make_trainer(make_mlp())
         with pytest.raises(ValueError):
-            trainer.fit(np.zeros((4, 2)), np.zeros((3, 1)))
-
-    def test_best_epoch(self):
-        x, y = make_separable_dataset()
-        model = make_mlp()
-        trainer = Trainer(model, loss="bce", optimizer=Adam(learning_rate=0.05))
-        history = trainer.fit(x, y, epochs=10, batch_size=16)
-        assert 0 <= history.best_epoch() < history.epochs
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            Trainer(make_mlp(), metric="auc")
+            trainer.fit(np.zeros((4, 2)), np.zeros((3, 1)), 1, 16, full_run(1))
 
 
 class TestTrainerMatchesPerEpochMetricLoop:
@@ -205,37 +148,23 @@ class TestTrainerMatchesPerEpochMetricLoop:
     @pytest.mark.parametrize("early_stop", [False, True], ids=["full", "early-stop"])
     def test_params_and_final_metric_match(self, monkeypatch, early_stop):
         x, y = make_conv_dataset()
-        x_tr, x_val, y_tr, y_val = train_test_split(x, y, test_fraction=0.25, seed=1)
         epochs = 60 if early_stop else 6
 
         def stopper():
-            return EarlyStopping(patience=2, min_delta=1e-3) if early_stop else None
+            return EarlyStopping(patience=2) if early_stop else full_run(epochs)
 
         def trainer():
-            return Trainer(make_conv_net(seed=3), optimizer=Adam(learning_rate=0.02), seed=5)
+            return make_trainer(make_conv_net(seed=3), learning_rate=0.02, seed=5)
 
         new = trainer()
-        history = new.fit(
-            x_tr,
-            y_tr,
-            epochs=epochs,
-            batch_size=8,
-            validation_data=(x_val, y_val),
-            early_stopping=stopper(),
-        )
+        history = new.fit(x, y, epochs=epochs, batch_size=8, early_stopping=stopper())
 
         old = trainer()
         with monkeypatch.context() as patch:
             patch.setattr(layers, "_col2im", unbuffered_reference_col2im)
             patch.setattr(layers, "_pad_input", reference_pad_input)
-            loss, val_loss, metric = per_epoch_metric_fit(
-                old,
-                x_tr,
-                y_tr,
-                epochs=epochs,
-                batch_size=8,
-                validation_data=(x_val, y_val),
-                early_stopping=stopper(),
+            loss, metric = per_epoch_metric_fit(
+                old, x, y, epochs=epochs, batch_size=8, early_stopping=stopper()
             )
 
         if early_stop:
@@ -243,40 +172,8 @@ class TestTrainerMatchesPerEpochMetricLoop:
         else:
             assert history.epochs == epochs
         assert history.loss == loss
-        assert history.val_loss == val_loss
         assert history.final_metric == metric[-1]
         for new_layer, old_layer in zip(new.model.layers, old.model.layers):
             assert new_layer.params.keys() == old_layer.params.keys()
             for name, value in new_layer.params.items():
                 assert value.tobytes() == old_layer.params[name].tobytes()
-
-
-class TestVerbose:
-    def test_one_line_per_epoch(self, capsys):
-        x, y = make_separable_dataset()
-        trainer = Trainer(make_mlp(), loss="bce", optimizer=Adam(learning_rate=0.05))
-        history = trainer.fit(x, y, epochs=3, batch_size=16, verbose=True)
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == history.epochs == 3
-        for epoch, line in enumerate(lines, start=1):
-            assert line == f"epoch {epoch}/3: loss={history.loss[epoch - 1]:.4f}"
-
-    def test_validation_values_printed(self, capsys):
-        x, y = make_separable_dataset()
-        x_tr, x_te, y_tr, y_te = train_test_split(x, y, test_fraction=0.25, seed=0)
-        trainer = Trainer(make_mlp(), loss="bce", optimizer=Adam(learning_rate=0.05))
-        history = trainer.fit(
-            x_tr,
-            y_tr,
-            epochs=500,
-            batch_size=16,
-            validation_data=(x_te, y_te),
-            early_stopping=EarlyStopping(patience=2),
-            verbose=True,
-        )
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == history.epochs < 500
-        assert lines[-1] == (
-            f"epoch {history.epochs}/500: loss={history.loss[-1]:.4f} "
-            f"val_loss={history.val_loss[-1]:.4f} val_metric={history.val_metric[-1]:.4f}"
-        )
