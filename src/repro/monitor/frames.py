@@ -113,10 +113,6 @@ class DirectionalFrame:
             cycle=self.cycle,
         )
 
-    def to_full_mesh(self, topology: MeshTopology) -> np.ndarray:
-        """Zero-pad the frame to the full mesh geometry."""
-        return pad_to_full_mesh(self.values, topology, self.direction)
-
     def max_value(self) -> float:
         return float(self.values.max()) if self.values.size else 0.0
 

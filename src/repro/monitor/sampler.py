@@ -70,10 +70,6 @@ class GlobalPerformanceMonitor:
         ]
         return self
 
-    def watch_attacker(self, attacker) -> None:
-        """Track an attacker (any ``is_active_at`` source) for ground truth."""
-        self._attackers.append(attacker)
-
     def add_listener(
         self,
         callback: Callable[[FrameSample, NoCSimulator], None],
@@ -139,7 +135,6 @@ class GlobalPerformanceMonitor:
         # Window-level ground truth: the flag covers every cycle since the
         # previous sample, not just the sampling instant — a pulsed attack
         # bursting between two instants still marks its windows active.
-        # Sources without the interval API fall back to the instant probe.
         window_start = (
             self._window_start
             if self._window_start is not None
@@ -147,8 +142,6 @@ class GlobalPerformanceMonitor:
         )
         attack_active = any(
             attacker.is_active_in(window_start, cycle + 1)
-            if hasattr(attacker, "is_active_in")
-            else attacker.is_active_at(cycle)
             for attacker in self._attackers
         )
         self._window_start = cycle + 1

@@ -239,13 +239,6 @@ class RouteProvider:
             path.append(current)
         raise UnroutableError(source, destination, "no progress")  # pragma: no cover
 
-    def route_victims(
-        self, source: int, destination: int, include_source: bool = False
-    ) -> list[int]:
-        """Live-route equivalent of :func:`repro.noc.routing.xy_route_victims`."""
-        path = self.route_path(source, destination)
-        return path if include_source else path[1:]
-
     # -- degraded-mesh introspection ----------------------------------------
     @cached_property
     def detour_nodes(self) -> frozenset[int]:

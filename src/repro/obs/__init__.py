@@ -12,7 +12,7 @@ adds the always-on telemetry substrate a runtime defense needs:
   window sanitizer, fault activation and the monitor capture path, into a
   pluggable sink (in-memory ring buffer, JSONL file, or nothing).
   Selected via ``REPRO_TRACE`` / ``REPRO_TRACE_DIR``.
-* :mod:`repro.obs.metrics` — a **metrics registry** (counters, gauges,
+* :mod:`repro.obs.metrics` — a **metrics registry** (counters and
   histograms with label support) fed by both simulator backends (per-phase
   kernel timings), the parallel runner, the artifact cache and the NN
   forward path; exportable as Prometheus text format and merged into
@@ -48,7 +48,6 @@ from repro.obs.bus import (
 from repro.obs.metrics import (
     METRICS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     configure_metrics_from_environment,
@@ -59,7 +58,6 @@ __all__ = [
     "METRICS",
     "TRACE_SCHEMA_VERSION",
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",

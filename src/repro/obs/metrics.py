@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms with label support.
+"""Metrics registry: counters and histograms with label support.
 
 Wall-clock and throughput telemetry lives here — per-phase kernel timings
 of both simulator backends, parallel-runner task latency/retries/timeouts,
@@ -36,7 +36,6 @@ from pathlib import Path
 __all__ = [
     "METRICS",
     "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSeries",
     "MetricsRegistry",
@@ -91,44 +90,6 @@ class Counter(_Metric):
             raise ValueError("counters only go up")
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def render(self) -> list[str]:
-        lines = self._header()
-        for key in sorted(self._values):
-            lines.append(f"{self.name}{_format_labels(key)} {self._values[key]:g}")
-        return lines
-
-    def snapshot(self) -> dict:
-        return {
-            "type": self.kind,
-            "values": {
-                _format_labels(key) or "": value
-                for key, value in sorted(self._values.items())
-            },
-        }
-
-
-class Gauge(_Metric):
-    """A value that can go up and down (last-write-wins per label set)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[tuple, float] = {}
-
-    def set(self, value: float, **labels) -> None:
-        self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels) -> float:
         return self._values.get(_label_key(labels), 0.0)
@@ -280,9 +241,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(Gauge, name, help)
 
     def histogram(
         self, name: str, help: str = "", buckets: tuple = DEFAULT_TIME_BUCKETS

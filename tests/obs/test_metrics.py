@@ -5,7 +5,6 @@ import pytest
 from repro.obs.metrics import (
     METRICS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     configure_metrics_from_environment,
@@ -34,22 +33,6 @@ class TestCounter:
             "# TYPE events_total counter",
             'events_total{event="task",mode="pool"} 3',
         ]
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("depth")
-        gauge.set(5)
-        gauge.inc(2)
-        gauge.dec()
-        assert gauge.value() == 6
-
-    def test_labelled_series_independent(self):
-        gauge = Gauge("depth")
-        gauge.set(1, queue="a")
-        gauge.set(9, queue="b")
-        assert gauge.value(queue="a") == 1
-        assert gauge.value(queue="b") == 9
 
 
 class TestHistogram:
@@ -111,8 +94,11 @@ class TestRegistry:
     def test_kind_mismatch_rejected(self):
         registry = MetricsRegistry()
         registry.counter("c")
+        registry.histogram("h")
         with pytest.raises(TypeError):
-            registry.gauge("c")
+            registry.histogram("c")
+        with pytest.raises(TypeError):
+            registry.counter("h")
 
     def test_reset_keeps_handles(self):
         registry = MetricsRegistry(active=True)
