@@ -24,6 +24,10 @@ class TestFanInFanOut:
     def test_bias_shape(self):
         assert _fan_in_fan_out((7,)) == (7, 7)
 
+    def test_three_dim_shape(self):
+        # A 1-D kernel of width 5 over 4 input and 3 output channels.
+        assert _fan_in_fan_out((5, 4, 3)) == (20, 15)
+
     def test_empty_shape_rejected(self):
         with pytest.raises(ValueError):
             _fan_in_fan_out(())
@@ -55,3 +59,24 @@ class TestGlorotAndHe:
         out = GlorotUniform()((rows, cols), rng)
         limit = np.sqrt(6.0 / (rows + cols))
         assert np.all(np.abs(out) <= limit + 1e-12)
+
+    def test_he_uses_receptive_field_fan_in(self, rng):
+        out = HeNormal()((3, 3, 16, 64), rng)
+        expected_std = np.sqrt(2.0 / (3 * 3 * 16))
+        assert 0.9 * expected_std < out.std() < 1.1 * expected_std
+        assert abs(out.mean()) < 0.1 * expected_std
+
+    def test_same_seed_same_draws(self):
+        first = GlorotUniform()((6, 4), np.random.default_rng(11))
+        second = GlorotUniform()((6, 4), np.random.default_rng(11))
+        assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize(
+    "initializer", [Zeros(), GlorotUniform(), HeNormal()], ids=["zeros", "glorot", "he"]
+)
+def test_draws_float64(initializer, rng):
+    # Layers cast to the model dtype afterwards, so draws are the same in either.
+    out = initializer((3, 3, 2, 4), rng)
+    assert out.shape == (3, 3, 2, 4)
+    assert out.dtype == np.float64

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.dtype import use_dtype
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, _col2im, _pad_input
+from repro.nn.layers import (
+    _TRANSIENT_STATE,
+    Conv2D,
+    Dense,
+    Flatten,
+    MaxPool2D,
+    _col2im,
+    _pad_input,
+)
 
 
 def build(layer, shape, seed=0):
@@ -66,6 +75,34 @@ def reference_col2im(cols, input_shape, kh, kw, stride, out_h, out_w):
                 cols6[:, :, :, i, j, :]
             )
     return grad_input
+
+
+def reference_convolution(x, weights, bias, stride, pad):
+    """Direct nested-loop cross-correlation over an NHWC batch."""
+    x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    kh, kw, _, filters = weights.shape
+    out_h = (x.shape[1] - kh) // stride + 1
+    out_w = (x.shape[2] - kw) // stride + 1
+    out = np.zeros((x.shape[0], out_h, out_w, filters))
+    for r in range(out_h):
+        for c in range(out_w):
+            patch = x[:, r * stride : r * stride + kh, c * stride : c * stride + kw, :]
+            out[:, r, c, :] = np.tensordot(patch, weights, axes=([1, 2, 3], [0, 1, 2]))
+    if bias is not None:
+        out += bias
+    return out
+
+
+def reference_max_pool(x, ph, pw, stride):
+    """Direct nested-loop max pooling over an NHWC batch."""
+    out_h = (x.shape[1] - ph) // stride + 1
+    out_w = (x.shape[2] - pw) // stride + 1
+    out = np.zeros((x.shape[0], out_h, out_w, x.shape[3]))
+    for r in range(out_h):
+        for c in range(out_w):
+            window = x[:, r * stride : r * stride + ph, c * stride : c * stride + pw, :]
+            out[:, r, c, :] = window.max(axis=(1, 2))
+    return out
 
 
 def mixed_magnitudes(rng, shape, dtype):
@@ -148,6 +185,30 @@ class TestDense:
             layer.grads["b"], numeric_param_gradient(layer, "b", x, grad_out), atol=1e-5
         )
 
+    def test_gradients_match_numeric_without_bias(self):
+        rng = np.random.default_rng(4)
+        layer = build(Dense(2, use_bias=False), (3,))
+        x = rng.normal(size=(4, 3))
+        grad_out = rng.normal(size=(4, 2))
+        layer.forward(x)
+        grad_in = layer.backward(grad_out)
+        assert "b" not in layer.grads
+        assert np.allclose(grad_in, numeric_input_gradient(layer, x.copy(), grad_out), atol=1e-5)
+        assert np.allclose(
+            layer.grads["W"], numeric_param_gradient(layer, "W", x, grad_out), atol=1e-5
+        )
+
+    def test_get_config(self):
+        assert Dense(3, use_bias=False).get_config() == {
+            "type": "Dense",
+            "units": 3,
+            "use_bias": False,
+        }
+
+    def test_bias_starts_at_zero(self):
+        layer = build(Dense(5), (4,))
+        assert np.all(layer.params["b"] == 0.0)
+
 
 class TestConv2D:
     def test_valid_output_shape(self):
@@ -204,6 +265,89 @@ class TestConv2D:
         layer.forward(x)
         grad_in = layer.backward(grad_out)
         assert np.allclose(grad_in, numeric_input_gradient(layer, x.copy(), grad_out), atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "kernel_size, stride, padding, use_bias",
+        [
+            (3, 1, "valid", True),
+            (3, 1, "same", True),
+            ((2, 3), 1, "valid", True),
+            (1, 1, "valid", True),
+            (3, 2, "valid", True),
+            (3, 1, "same", False),
+        ],
+        ids=["3x3-valid", "3x3-same", "2x3-valid", "1x1", "stride-2", "same-no-bias"],
+    )
+    def test_forward_matches_direct_convolution(self, kernel_size, stride, padding, use_bias):
+        rng = np.random.default_rng(5)
+        layer = Conv2D(
+            filters=3, kernel_size=kernel_size, stride=stride, padding=padding, use_bias=use_bias
+        )
+        build(layer, (7, 6, 2))
+        if use_bias:
+            layer.params["b"] = rng.normal(size=3)
+        x = rng.normal(size=(2, 7, 6, 2))
+        want = reference_convolution(
+            x, layer.params["W"], layer.params.get("b"), stride, layer._pad_amount()
+        )
+        got = layer.forward(x)
+        assert got.shape == (2,) + layer.output_shape((7, 6, 2))
+        assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kernel_size, stride, use_bias, shape",
+        [
+            (3, 2, True, (7, 6, 2)),
+            ((2, 3), 1, True, (4, 5, 2)),
+            (1, 1, True, (3, 4, 3)),
+            (3, 1, False, (5, 4, 2)),
+        ],
+        ids=["stride-2", "2x3-kernel", "1x1", "no-bias"],
+    )
+    def test_gradients_match_numeric(self, kernel_size, stride, use_bias, shape):
+        rng = np.random.default_rng(6)
+        layer = build(
+            Conv2D(filters=2, kernel_size=kernel_size, stride=stride, use_bias=use_bias), shape
+        )
+        x = rng.normal(size=(2,) + shape)
+        grad_out = rng.normal(size=(2,) + layer.output_shape(shape))
+        layer.forward(x)
+        grad_in = layer.backward(grad_out)
+        assert np.allclose(grad_in, numeric_input_gradient(layer, x.copy(), grad_out), atol=1e-4)
+        assert np.allclose(
+            layer.grads["W"], numeric_param_gradient(layer, "W", x, grad_out), atol=1e-4
+        )
+        assert ("b" in layer.grads) == use_bias
+
+    def test_invalid_kernel_size(self):
+        with pytest.raises(ValueError):
+            Conv2D(filters=2, kernel_size=0)
+        with pytest.raises(ValueError):
+            Conv2D(filters=2, kernel_size=(3, 0))
+
+    def test_invalid_stride(self):
+        with pytest.raises(ValueError):
+            Conv2D(filters=2, stride=0)
+
+    def test_build_rejects_flat_input(self):
+        with pytest.raises(ValueError):
+            build(Conv2D(filters=2), (12,))
+
+    def test_kernel_too_large_rejected(self):
+        layer = build(Conv2D(filters=1, kernel_size=5), (4, 4, 1))
+        with pytest.raises(ValueError):
+            layer.forward(np.ones((1, 4, 4, 1)))
+
+    def test_get_config(self):
+        layer = Conv2D(filters=4, kernel_size=(3, 2), stride=2, use_bias=False)
+        assert layer.get_config() == {
+            "type": "Conv2D",
+            "filters": 4,
+            "kernel_size": [3, 2],
+            "stride": 2,
+            "padding": "valid",
+            "use_bias": False,
+        }
 
 
 class TestConvHelpers:
@@ -292,6 +436,55 @@ class TestMaxPool2D:
         grad_in = layer.backward(grad_out)
         assert np.allclose(grad_in, numeric_input_gradient(layer, x.copy(), grad_out), atol=1e-4)
 
+    def test_overlapping_windows_match_reference(self):
+        rng = np.random.default_rng(7)
+        layer = MaxPool2D(pool_size=2, stride=1)
+        x = rng.normal(size=(2, 5, 4, 3))
+        assert layer.output_shape((5, 4, 3)) == (4, 3, 3)
+        assert np.array_equal(layer.forward(x), reference_max_pool(x, 2, 2, 1))
+
+    def test_non_square_pool_matches_reference(self):
+        rng = np.random.default_rng(8)
+        layer = MaxPool2D(pool_size=(2, 3))
+        x = rng.normal(size=(2, 6, 7, 2))
+        # The stride defaults to the pool height.
+        assert layer.stride == 2
+        assert np.array_equal(layer.forward(x), reference_max_pool(x, 2, 3, 2))
+
+    def test_odd_input_drops_trailing_rows_and_columns(self):
+        layer = MaxPool2D(pool_size=2)
+        x = np.arange(25, dtype=float).reshape(1, 5, 5, 1)
+        assert layer.output_shape((5, 5, 1)) == (2, 2, 1)
+        assert np.array_equal(layer.forward(x)[0, :, :, 0], [[6, 8], [16, 18]])
+
+    def test_gradient_matches_numeric_overlapping(self):
+        # Overlapping windows send several gradients to one input pixel.
+        rng = np.random.default_rng(9)
+        layer = MaxPool2D(pool_size=2, stride=1)
+        x = rng.normal(size=(2, 4, 4, 2))
+        grad_out = rng.normal(size=(2, 3, 3, 2))
+        layer.forward(x)
+        grad_in = layer.backward(grad_out)
+        assert np.allclose(grad_in, numeric_input_gradient(layer, x.copy(), grad_out), atol=1e-4)
+        assert np.isclose(grad_in.sum(), grad_out.sum())
+
+    def test_invalid_pool_size(self):
+        with pytest.raises(ValueError):
+            MaxPool2D(pool_size=0)
+        with pytest.raises(ValueError):
+            MaxPool2D(pool_size=(2, 0))
+
+    def test_invalid_stride(self):
+        with pytest.raises(ValueError):
+            MaxPool2D(pool_size=2, stride=0)
+
+    def test_get_config(self):
+        assert MaxPool2D(pool_size=(2, 3)).get_config() == {
+            "type": "MaxPool2D",
+            "pool_size": [2, 3],
+            "stride": 2,
+        }
+
 
 class TestFlatten:
     def test_round_trip(self):
@@ -301,3 +494,60 @@ class TestFlatten:
         assert out.shape == (2, 12)
         back = layer.backward(out)
         assert np.allclose(back, x)
+
+    def test_output_shape(self):
+        assert Flatten().output_shape((3, 4, 5)) == (60,)
+
+
+def _dense():
+    return Dense(3), (4,)
+
+
+def _conv():
+    return Conv2D(filters=2, kernel_size=3, padding="same"), (5, 4, 2)
+
+
+def _pool():
+    return MaxPool2D(pool_size=2), (4, 4, 2)
+
+
+def _flatten():
+    return Flatten(), (3, 2, 2)
+
+
+def _relu():
+    return ReLU(), (6,)
+
+
+def _sigmoid():
+    return Sigmoid(), (6,)
+
+
+class TestReleaseScratch:
+    """Dropping scratch keeps parameters and configuration, and the next pass rebuilds it."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [_dense, _conv, _pool, _flatten, _relu, _sigmoid],
+        ids=["dense", "conv", "pool", "flatten", "relu", "sigmoid"],
+    )
+    def test_release_then_forward_backward_again(self, make):
+        layer, shape = make()
+        build(layer, shape)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3,) + shape)
+        out = layer.forward(x)
+        grad_out = rng.normal(size=out.shape)
+        grad_in = layer.backward(grad_out)
+        params = {name: value.copy() for name, value in layer.params.items()}
+        config = layer.get_config()
+
+        layer.release_scratch()
+        assert not _TRANSIENT_STATE & set(vars(layer))
+        assert layer.get_config() == config
+        assert layer.params.keys() == params.keys()
+        for name, value in params.items():
+            assert np.array_equal(layer.params[name], value)
+
+        assert np.array_equal(layer.forward(x), out)
+        assert np.array_equal(layer.backward(grad_out), grad_in)

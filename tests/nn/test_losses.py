@@ -50,6 +50,26 @@ class TestBinaryCrossEntropy:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BinaryCrossEntropy().forward(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            BinaryCrossEntropy().backward(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_known_value_at_half(self):
+        loss = BinaryCrossEntropy()
+        value = loss.forward(np.full((3, 2), 0.5), np.array([[0.0, 1.0]] * 3))
+        assert np.isclose(value, np.log(2.0))
+
+    def test_gradient_finite_at_extremes(self):
+        grad = BinaryCrossEntropy().backward(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        assert np.isfinite(grad).all()
+        assert grad[0] < 0.0 < grad[1]
+
+    def test_mean_over_all_elements(self):
+        loss = BinaryCrossEntropy()
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.1, 0.9, size=(2, 3))
+        t = rng.integers(0, 2, size=(2, 3)).astype(float)
+        doubled = loss.forward(np.vstack([p, p]), np.vstack([t, t]))
+        assert np.isclose(doubled, loss.forward(p, t))
 
 
 class TestDiceLoss:
@@ -66,6 +86,28 @@ class TestDiceLoss:
         target = np.zeros((1, 20, 20, 1))
         target[0, 10:] = 1.0
         assert loss.forward(pred, target) > 0.99
+
+    def test_known_half_overlap_value(self):
+        # 2 * 2 overlapping pixels out of 4 + 4: dice (4 + 1) / (8 + 1).
+        pred = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+        target = np.array([[0.0, 0.0, 1.0, 1.0, 1.0, 1.0]])
+        assert np.isclose(DiceLoss().forward(pred, target), 1.0 - 5.0 / 9.0)
+
+    def test_empty_masks_have_zero_loss(self):
+        empty = np.zeros((2, 3, 3, 1))
+        assert DiceLoss().forward(empty, empty) == 0.0
+
+    def test_mean_of_per_sample_losses(self):
+        rng = np.random.default_rng(6)
+        p = rng.uniform(0.0, 1.0, size=(3, 4, 4, 1))
+        t = rng.integers(0, 2, size=(3, 4, 4, 1)).astype(float)
+        loss = DiceLoss()
+        per_sample = [loss.forward(p[i : i + 1], t[i : i + 1]) for i in range(3)]
+        assert np.isclose(loss.forward(p, t), np.mean(per_sample))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            DiceLoss().forward(np.zeros((1, 4)), np.zeros((1, 5)))
 
     def test_gradient(self):
         loss = DiceLoss()
@@ -110,3 +152,15 @@ class TestCombinedLoss:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             combined_bce_dice(bce_weight=0.0, dice_weight=0.0)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            combined_bce_dice(bce_weight=-0.1, dice_weight=1.0)
+
+    def test_single_term_equals_that_loss(self):
+        rng = np.random.default_rng(7)
+        p = rng.uniform(0.1, 0.9, size=(2, 5))
+        t = rng.integers(0, 2, size=(2, 5)).astype(float)
+        bce_only = combined_bce_dice(bce_weight=1.0, dice_weight=0.0)
+        assert bce_only.forward(p, t) == BinaryCrossEntropy().forward(p, t)
+        assert np.array_equal(bce_only.backward(p, t), BinaryCrossEntropy().backward(p, t))

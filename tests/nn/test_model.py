@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
+from repro.nn.dtype import use_dtype
+from repro.nn.layers import _TRANSIENT_STATE, Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.model import Sequential
+from repro.obs.metrics import METRICS, nn_forward_histogram
 
 
 def detector_like_model(seed=0):
@@ -40,6 +42,19 @@ class TestBuild:
             model.forward(np.zeros((2, 6, 5, 4)))
 
 
+def localizer_like_model(seed=0):
+    """The DL2Fence localizer architecture: 'same' convs ending in a sigmoid mask."""
+    return Sequential(
+        [
+            Conv2D(filters=4, kernel_size=3, padding="same"),
+            ReLU(),
+            Conv2D(filters=1, kernel_size=3, padding="same"),
+            Sigmoid(),
+        ],
+        seed=seed,
+    )
+
+
 class TestForwardBackward:
     def test_output_in_sigmoid_range(self):
         model = detector_like_model().build((8, 7, 4))
@@ -68,12 +83,84 @@ class TestForwardBackward:
         assert not np.allclose(out_a, out_b)
 
 
+    def test_input_cast_to_model_dtype(self):
+        model = detector_like_model().build((8, 7, 4))
+        assert model.dtype == np.float32
+        out = model.forward(np.random.default_rng(3).normal(size=(2, 8, 7, 4)))
+        assert out.dtype == np.float32
+
+    def test_training_flag_leaves_output_unchanged(self):
+        model = detector_like_model().build((8, 7, 4))
+        x = np.random.default_rng(4).normal(size=(3, 8, 7, 4))
+        assert np.array_equal(model.forward(x, training=True), model.forward(x))
+
+    def test_input_gradient_matches_numeric(self):
+        with use_dtype("float64"):
+            model = localizer_like_model(seed=2).build((4, 3, 2))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 4, 3, 2))
+        grad_out = rng.normal(size=(2, 4, 3, 1))
+        model.forward(x)
+        analytic = model.backward(grad_out)
+        numeric = np.zeros_like(x)
+        eps = 1e-6
+        for index in np.ndindex(x.shape):
+            original = x[index]
+            x[index] = original + eps
+            plus = float(np.sum(model.forward(x) * grad_out))
+            x[index] = original - eps
+            minus = float(np.sum(model.forward(x) * grad_out))
+            x[index] = original
+            numeric[index] = (plus - minus) / (2 * eps)
+        assert np.allclose(analytic, numeric, atol=1e-5)
+
+    def test_release_scratch_drops_every_layer_scratch(self):
+        model = detector_like_model().build((8, 7, 4))
+        x = np.random.default_rng(6).normal(size=(2, 8, 7, 4))
+        expected = model.forward(x, training=True)
+        model.backward(np.ones_like(expected))
+        model.release_scratch()
+        for layer in model.layers:
+            assert not _TRANSIENT_STATE & set(vars(layer))
+        assert np.array_equal(model.forward(x), expected)
+
+
+class TestForwardMetric:
+    def test_mode_label_follows_training_flag(self):
+        model = detector_like_model().build((8, 7, 4))
+        x = np.zeros((2, 8, 7, 4))
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            model.forward(x, training=True)
+            model.forward(x)
+            model.forward(x)
+            hist = nn_forward_histogram()
+            assert hist.count(mode="train") == 1
+            assert hist.count(mode="infer") == 2
+        finally:
+            METRICS.disable()
+            METRICS.reset()
+
+    def test_nothing_recorded_when_inactive(self):
+        model = detector_like_model().build((8, 7, 4))
+        METRICS.reset()
+        model.forward(np.zeros((1, 8, 7, 4)))
+        assert nn_forward_histogram().count(mode="infer") == 0
+
+
 class TestPredict:
     def test_batched_predict_matches_forward(self):
         model = detector_like_model().build((8, 7, 4))
         # More samples than one predict mini-batch (256).
         x = np.random.default_rng(2).normal(size=(300, 8, 7, 4))
         assert np.allclose(model.predict(x), model.forward(x))
+
+    def test_localizer_mask_keeps_frame_geometry(self):
+        model = localizer_like_model().build((8, 7, 1))
+        out = model.predict(np.random.default_rng(7).random((5, 8, 7, 1)))
+        assert out.shape == (5, 8, 7, 1)
+        assert np.all((out > 0.0) & (out < 1.0))
 
     def test_empty_batch(self):
         model = detector_like_model().build((8, 7, 4))

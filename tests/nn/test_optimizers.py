@@ -39,6 +39,43 @@ class TestAdam:
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
             Adam(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            Adam(learning_rate=-0.01)
+
+    def test_second_step_matches_reference(self):
+        # Betas 0.9 / 0.999 and epsilon 1e-8, with bias correction.
+        param = np.array([1.0, -2.0])
+        grads = [np.array([0.5, -1.0]), np.array([-0.25, 3.0])]
+        layer = Layer()
+        layer.params["w"] = param
+        opt = Adam(learning_rate=0.01)
+        want = param.copy()
+        m = np.zeros(2)
+        v = np.zeros(2)
+        for t, grad in enumerate(grads, start=1):
+            layer.grads["w"] = grad
+            opt.step([layer])
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad**2
+            want -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        assert np.allclose(layer.params["w"], want, rtol=0, atol=1e-15)
+
+    def test_updates_parameter_in_place(self):
+        layer = QuadraticLayer()
+        param = layer.params["w"]
+        layer.compute_grad()
+        Adam().step([layer])
+        assert layer.params["w"] is param
+        assert param[0] < 10.0
+
+    def test_parameter_without_gradient_left_alone(self):
+        layer = QuadraticLayer()
+        layer.params["frozen"] = np.array([1.5])
+        layer.compute_grad()
+        opt = Adam(learning_rate=0.1)
+        opt.step([layer])
+        assert layer.params["frozen"][0] == 1.5
+        assert (0, "frozen") not in opt._m
 
 
 class TestStateIsolation:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.detector import build_detector_model
 from repro.core.localizer import build_localizer_model
 from repro.nn.activations import ReLU, Sigmoid
+from repro.nn.dtype import use_dtype
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.model import Sequential
 from repro.nn.serialization import load_model, save_model
@@ -74,6 +75,43 @@ class TestSaveLoad:
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "does_not_exist.npz")
 
+    def test_round_trip_preserves_seed_and_dtype(self, tmp_path):
+        model = Sequential([Flatten(), Dense(2)], seed=9)
+        with use_dtype("float64"):
+            model.build((3, 2))
+        restored = load_model(save_model(model, tmp_path / "model.npz"))
+        assert restored.seed == 9
+        assert restored.dtype == np.float64
+
+    def test_round_trip_keeps_non_default_options(self, tmp_path):
+        model = Sequential(
+            [
+                Conv2D(filters=2, kernel_size=(3, 2), stride=2, use_bias=False),
+                MaxPool2D(pool_size=2, stride=1),
+                Flatten(),
+                Dense(1, use_bias=False),
+            ]
+        )
+        model.build((9, 8, 1))
+        restored = load_model(save_model(model, tmp_path / "model.npz"))
+        assert [layer.get_config() for layer in restored.layers] == [
+            layer.get_config() for layer in model.layers
+        ]
+        x = np.random.default_rng(1).normal(size=(2, 9, 8, 1))
+        assert np.array_equal(restored.predict(x), model.predict(x))
+
+    @pytest.mark.parametrize(
+        "build, shape",
+        [(build_detector_model, (16, 15, 4)), (build_localizer_model, (16, 15, 1))],
+        ids=["detector", "localizer"],
+    )
+    def test_dl2fence_models_predict_bit_identically(self, tmp_path, build, shape):
+        model = build(shape)
+        model.build(shape)
+        x = np.random.default_rng(2).random((4,) + shape)
+        restored = load_model(save_model(model, tmp_path / "model.npz"))
+        assert restored.predict(x).tobytes() == model.predict(x).tobytes()
+
 
 def conv_config(filters, padding):
     return {
@@ -124,3 +162,34 @@ class TestSavedFormat:
         np.savez(stale, **arrays)
         with pytest.raises(KeyError, match="BatchNorm"):
             load_model(stale)
+
+    def _rewrite(self, tmp_path, edit):
+        """Save a small model, apply ``edit`` to its arrays and write a copy."""
+        path = save_model(build_model(), tmp_path / "model.npz")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        architecture = json.loads(bytes(arrays["architecture"]).decode("utf-8"))
+        edit(arrays, architecture)
+        arrays["architecture"] = np.frombuffer(
+            json.dumps(architecture).encode("utf-8"), dtype=np.uint8
+        )
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        return edited
+
+    def test_missing_weight_rejected(self, tmp_path):
+        def drop_dense_bias(arrays, architecture):
+            del arrays["layer4__b"]
+
+        with pytest.raises(KeyError, match="layer4__b"):
+            load_model(self._rewrite(tmp_path, drop_dense_bias))
+
+    def test_archive_without_dtype_loads_as_float64(self, tmp_path):
+        def drop_dtype(arrays, architecture):
+            del architecture["dtype"]
+
+        restored = load_model(self._rewrite(tmp_path, drop_dtype))
+        assert restored.dtype == np.float64
+        for layer in restored.layers:
+            for value in layer.params.values():
+                assert value.dtype == np.float64

@@ -5,12 +5,12 @@ import pytest
 
 from repro.nn import layers
 from repro.nn.activations import ReLU, Sigmoid
-from repro.nn.layers import Conv2D, Dense, Flatten
+from repro.nn.layers import _TRANSIENT_STATE, Conv2D, Dense, Flatten
 from repro.nn.losses import BinaryCrossEntropy
 from repro.nn.metrics import accuracy_score
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.training import EarlyStopping, Trainer
+from repro.nn.training import EarlyStopping, History, Trainer
 from tests.nn.test_layers import reference_col2im, reference_pad_input
 
 
@@ -115,6 +115,23 @@ class TestEarlyStopping:
         assert stopper.update(0.5)
 
 
+    def test_patience_one_stops_at_first_stale_epoch(self):
+        stopper = EarlyStopping(patience=1)
+        assert not stopper.update(2.0)
+        assert not stopper.update(1.0)
+        assert stopper.update(1.5)
+
+
+class TestHistory:
+    def test_empty_history(self):
+        history = History()
+        assert history.epochs == 0
+        assert history.final_metric is None
+
+    def test_epochs_counts_loss_entries(self):
+        assert History(loss=[0.7, 0.5, 0.4]).epochs == 3
+
+
 class TestTrainer:
     def test_learns_separable_data(self):
         x, y = make_separable_dataset()
@@ -135,6 +152,42 @@ class TestTrainer:
         trainer = make_trainer(make_mlp())
         with pytest.raises(ValueError):
             trainer.fit(np.zeros((0, 2)), np.zeros((0, 1)), 1, 16, full_run(1))
+
+    @pytest.mark.parametrize(
+        "epochs, batch_size", [(0, 16), (1, 0)], ids=["no-epochs", "no-batch"]
+    )
+    def test_rejects_non_positive_sizes(self, epochs, batch_size):
+        trainer = make_trainer(make_mlp())
+        with pytest.raises(ValueError):
+            trainer.fit(np.zeros((4, 2)), np.zeros((4, 1)), epochs, batch_size, full_run(1))
+
+    def test_same_seeds_same_history(self):
+        x, y = make_separable_dataset()
+        first = make_trainer(make_mlp(seed=1), seed=2).fit(x, y, 5, 16, full_run(5))
+        second = make_trainer(make_mlp(seed=1), seed=2).fit(x, y, 5, 16, full_run(5))
+        assert first.loss == second.loss
+        assert first.final_metric == second.final_metric
+
+    def test_batch_larger_than_dataset(self):
+        x, y = make_separable_dataset(n=10)
+        history = make_trainer(make_mlp()).fit(x, y, 3, 64, full_run(3))
+        assert history.epochs == 3
+        assert all(np.isfinite(history.loss))
+
+    def test_fit_releases_scratch(self):
+        x, y = make_conv_dataset(n=16)
+        trainer = make_trainer(make_conv_net())
+        trainer.fit(x, y, 2, 8, full_run(2))
+        for layer in trainer.model.layers:
+            assert not _TRANSIENT_STATE & set(vars(layer))
+
+    def test_float64_data_trains_float32_model(self):
+        x, y = make_separable_dataset()
+        trainer = make_trainer(make_mlp())
+        trainer.fit(x.astype(np.float64), y.astype(np.float64), 2, 16, full_run(2))
+        for layer in trainer.model.layers:
+            for value in layer.params.values():
+                assert value.dtype == np.float32
 
     def test_rejects_misaligned_data(self):
         trainer = make_trainer(make_mlp())
