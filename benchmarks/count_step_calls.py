@@ -9,6 +9,11 @@ While the network steps (traffic ingress is not counted), each ufunc
 assignment, and array method call on such an array, or on an array derived
 from it, counts once.
 
+Scalar element accesses — an index or assignment at one integer position,
+and ``item()`` — are counted apart from array calls: each costs about a
+tenth of a vector call's dispatch, so counting them as calls would make a
+scalar kernel path (the small-set injection pass) read as dispatch-bound.
+
     PYTHONPATH=src python benchmarks/count_step_calls.py --rows 8
 """
 
@@ -23,13 +28,24 @@ from repro.noc.simulator import NoCSimulator, SimulationConfig
 from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
-#: [counting on, calls counted]
-STATE = [False, 0]
+#: [counting on, array calls counted, scalar accesses counted]
+STATE = [False, 0, 0]
 
 
 def _count() -> None:
     if STATE[0]:
         STATE[1] += 1
+
+
+def _count_index(index) -> None:
+    """Count an index or assignment: a scalar access at one integer position."""
+    if STATE[0]:
+        STATE[2 if isinstance(index, (int, np.integer)) else 1] += 1
+
+
+def _count_scalar() -> None:
+    if STATE[0]:
+        STATE[2] += 1
 
 
 def _plain(value):
@@ -73,12 +89,16 @@ class Counted(np.ndarray):
         return _counted(func(*_plain(args), **plain_kwargs))
 
     def __getitem__(self, index):
-        _count()
+        _count_index(index)
         return _counted(_plain(self)[_plain(index)])
 
     def __setitem__(self, index, value):
-        _count()
+        _count_index(index)
         _plain(self)[_plain(index)] = _plain(value)
+
+    def item(self, *args):
+        _count_scalar()
+        return _plain(self).item(*args)
 
     take = _counting_method("take")
     nonzero = _counting_method("nonzero")
@@ -88,7 +108,7 @@ class Counted(np.ndarray):
     sum = _counting_method("sum")
 
 
-def calls_per_cycle(rows: int, cycles: int) -> float:
+def calls_per_cycle(rows: int, cycles: int) -> tuple[float, float]:
     simulator = NoCSimulator(
         SimulationConfig(rows=rows, warmup_cycles=0, seed=0, backend="soa")
     )
@@ -122,7 +142,7 @@ def calls_per_cycle(rows: int, cycles: int) -> float:
 
     net.step = counted_step
     simulator.run(cycles)
-    return STATE[1] / cycles
+    return STATE[1] / cycles, STATE[2] / cycles
 
 
 def main() -> None:
@@ -130,8 +150,11 @@ def main() -> None:
     parser.add_argument("--rows", type=int, default=8)
     parser.add_argument("--cycles", type=int, default=400)
     args = parser.parse_args()
-    per_cycle = calls_per_cycle(args.rows, args.cycles)
-    print(f"{args.rows}x{args.rows}: {per_cycle:.1f} NumPy calls per cycle")
+    calls, scalars = calls_per_cycle(args.rows, args.cycles)
+    print(
+        f"{args.rows}x{args.rows}: {calls:.1f} NumPy calls and "
+        f"{scalars:.1f} scalar element accesses per cycle"
+    )
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ from repro.faults.base import FaultScenario
 from repro.monitor.dataset import DatasetBuilder
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.nn.dtype import default_dtype
+from repro.noc import shared_draws
 from repro.noc.simulator import NoCSimulator
 from repro.noc.stats import LatencyStats
 from repro.runtime.engine import ExperimentEngine, fence_cache_payload
@@ -307,18 +308,25 @@ def _attacked_simulator(
     shape: EpisodeShape,
     seed: int,
 ) -> NoCSimulator:
-    """The episode's system: the workload plus one source per attack flow."""
+    """The episode's system: the workload plus one source per attack flow.
+
+    Inside :func:`run_episodes`, sources equal to one an earlier episode
+    held replay its recorded draws (:mod:`repro.noc.shared_draws`).
+    """
     config = builder.config
     simulator = NoCSimulator(config.simulation_config())
-    simulator.add_source(builder.make_workload(benchmark, seed=seed))
+    workload = builder.make_workload(benchmark, seed=seed)
+    simulator.add_source(shared_draws.share(workload))
     for index, model in enumerate(attacks):
         simulator.add_source(
-            model.build_source(
-                builder.topology,
-                seed=seed + 1 + index,
-                packet_size_flits=config.packet_size_flits,
-                start_cycle=shape.attack_start,
-                end_cycle=shape.attack_end,
+            shared_draws.share(
+                model.build_source(
+                    builder.topology,
+                    seed=seed + 1 + index,
+                    packet_size_flits=config.packet_size_flits,
+                    start_cycle=shape.attack_start,
+                    end_cycle=shape.attack_end,
+                )
             )
         )
     return simulator
@@ -509,9 +517,10 @@ def _store_task_result(engine: ExperimentEngine, kind: str, payload: dict, resul
     engine.cache.store(kind, payload, save)
 
 
-def _run_episode(job: tuple[EpisodeSpec, DL2Fence | None]):
+def _run_episode(job: tuple[EpisodeSpec, DL2Fence | None, tuple]):
     """Simulate one spec (module-level for worker processes)."""
-    spec, fence = job
+    spec, fence, draw_scope = job
+    shared_draws.enter_scope(draw_scope)
     builder = DatasetBuilder(spec.experiment.dataset_config())
     if spec.policy is not None:
         return run_attack_episode(
@@ -546,12 +555,18 @@ def run_episodes(
     loaded) once, and only when one of its episodes misses the cache; the
     misses fan out across the engine's worker processes, bit-identical to
     the serial order because every episode carries its own seeds.
+
+    For the length of the call, episodes share the draws of equal traffic
+    sources (:mod:`repro.noc.shared_draws`): the benign workload every
+    episode runs at seed 42 is drawn once per process, and so is each
+    attack stream its comparator and guarded episodes hold in common.
     """
     engine = engine or ExperimentEngine.from_environment()
     keys = [_task_cache_payload(spec) for spec in specs]
     results = [_fetch_task_result(engine, kind, payload) for kind, payload in keys]
     missing = [index for index, result in enumerate(results) if result is None]
     fences: dict = {}
+    draw_scope = shared_draws.scope_token()
     jobs = []
     for index in missing:
         spec = specs[index]
@@ -563,8 +578,12 @@ def run_episodes(
                     spec.experiment, spec.training_benchmarks, engine=engine
                 )
             fence = fences[identity]
-        jobs.append((spec, fence))
-    for index, result in zip(missing, engine.runner.map(_run_episode, jobs)):
+        jobs.append((spec, fence, draw_scope))
+    try:
+        computed = engine.runner.map(_run_episode, jobs)
+    finally:
+        shared_draws.close_scope(draw_scope)
+    for index, result in zip(missing, computed):
         results[index] = result
         _store_task_result(engine, *keys[index], result)
     return results

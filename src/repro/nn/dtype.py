@@ -44,10 +44,15 @@ def resolve_dtype(spec: str | np.dtype | type) -> np.dtype:
 
 
 def _from_environment() -> np.dtype:
+    """``REPRO_NN_DTYPE`` (unset or empty: ``float32``); raises on any other name."""
     raw = os.environ.get("REPRO_NN_DTYPE", "").strip().lower()
-    if raw in _SUPPORTED:
-        return _SUPPORTED[raw]
-    return _SUPPORTED["float32"]
+    if not raw:
+        return _SUPPORTED["float32"]
+    if raw not in _SUPPORTED:
+        raise ValueError(
+            f"unsupported REPRO_NN_DTYPE {raw!r}; supported: {sorted(_SUPPORTED)}"
+        )
+    return _SUPPORTED[raw]
 
 
 _default: np.dtype = _from_environment()

@@ -390,7 +390,7 @@ class _EpisodeBlock:
         # Changing the limit restarts the credit accumulator: credit accrued
         # under an older, looser limit must not leak through a quarantine.
         net._allowance[node] = 0.0
-        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
+        net._index_limited()
 
     def injection_limit(self, node_id: int) -> float:
         """Current injection limit of ``node_id`` (1.0 = unrestricted)."""
@@ -406,7 +406,7 @@ class _EpisodeBlock:
         net = self._net
         net._limits[self._off : self._off + self._nodes] = 1.0
         net._allowance[self._off : self._off + self._nodes] = 0.0
-        net._limited_idx = np.nonzero(net._limits < 1.0)[0]
+        net._index_limited()
 
     @property
     def restricted_nodes(self) -> list[int]:
@@ -653,6 +653,7 @@ class SoAMeshNetwork(_EpisodeBlock):
         self._limits = np.ones(num_nodes, dtype=np.float64)
         self._allowance = np.zeros(num_nodes, dtype=np.float64)
         self._limited_idx = np.empty(0, dtype=np.int64)
+        self._accruing_idx = self._limited_idx
 
         # The packet registry, one row per accepted packet (pid = row):
         # source and destination (array node ids, so the source names the
@@ -712,6 +713,15 @@ class SoAMeshNetwork(_EpisodeBlock):
     def _net(self) -> "SoAMeshNetwork":
         """The network owning the state arrays (itself; see _EpisodeBlock)."""
         return self
+
+    def _index_limited(self) -> None:
+        """Index the nodes under an injection limit, and the throttled ones
+        among them that accrue credit.  A quarantined node (limit 0) never
+        does: its allowance starts at 0 and only falls, so ``min(allowance
+        + 0, bandwidth)`` would leave it unchanged."""
+        limited = self._limits < 1.0
+        self._limited_idx = limited.nonzero()[0]
+        self._accruing_idx = (limited & (self._limits > 0.0)).nonzero()[0]
 
     # -- data-plane faults (dead links / routers) ----------------------------
     def apply_data_faults(self, provider) -> int:

@@ -35,6 +35,14 @@ port keeps a free-VC bitmask: a head push is one XOR, a tail release one
 numerator.  A move has one target VC — the wormhole binding, else the
 downstream port's first free VC — and one occupancy test.
 
+Injection picks its form by the size of the active set (nodes with queued
+flits).  The vector pass costs about 50 NumPy calls whatever the set size,
+while a solo 8x8 episode has a median of 6 active nodes, so below
+:data:`SCALAR_INJECT_BELOW` nodes :func:`inject` walks the set one node at
+a time with scalar element reads and writes.  Larger sets — 16x16 episodes
+and the batched lanes of dataset builds — keep the vector pass.  Both
+forms leave every state array equal.
+
 Per-candidate routing and arbitration lookups come from tables precomputed
 per topology (see :class:`repro.noc.soa.SoAMeshNetwork`): the XY next-hop
 table, the downstream-port base per ``(router, output)`` pair, and the
@@ -61,6 +69,23 @@ KEY_PERIOD = 60
 #: Priority sentinel larger than any (rank * num_vcs + vc) key.
 _BIG = np.int32(1 << 30)
 
+#: Active-node count below which :func:`inject` runs the scalar pass.
+#:
+#: Measured per ``inject`` call, binned by active-set size, with each form
+#: forced in turn over the same trajectories (uniform traffic at
+#: 0.005–0.04, plus a FIR-0.8 flood from 0.02 up; Python 3.11, NumPy 2.4,
+#: shared 2-vCPU host).  The scalar form costs about 5 µs plus 1.5–2 µs per
+#: node.  The vector form costs 30–45 µs flat on solo networks and 50–85 µs
+#: on 4-lane batches.  They cross at about 25 active nodes on a solo 16x16
+#: network, 26 on a 4-lane 8x8 batch, 30 on a 4-lane 16x16 batch and above
+#: 30 on a solo 32x32 network.  A solo 8x8 network never exceeded 18 active
+#: nodes.  A first round, before the scalar form was tuned, crossed at
+#: 16–23.  16 stays below every crossover of both rounds.  It sends 99% of
+#: ``chaos-8x8``'s inject calls (median 6 active) to the scalar form and
+#: keeps 93% of ``matrix-16x16``'s (median 22) on the vector form, where
+#: the two are within 10% of each other.
+SCALAR_INJECT_BELOW = 16
+
 
 # -- phase 1: injection -------------------------------------------------------
 
@@ -72,20 +97,29 @@ def inject(net, cycle: int) -> None:
     bandwidth credit (capped at one cycle's worth), then every node with a
     non-empty source queue injects up to ``injection_bandwidth`` flits,
     gated by free-VC availability and — for *new* packets only — by the
-    node's injection allowance.
+    node's injection allowance.  Below :data:`SCALAR_INJECT_BELOW` active
+    nodes the injection runs node by node instead of as array operations.
     """
     bandwidth = net.injection_bandwidth
-    limited = net._limited_idx
-    if limited.size:
-        net._allowance[limited] = np.minimum(
-            net._allowance[limited] + net._limits[limited] * bandwidth,
+    accruing = net._accruing_idx
+    if accruing.size:
+        net._allowance[accruing] = np.minimum(
+            net._allowance[accruing] + net._limits[accruing] * bandwidth,
             float(bandwidth),
         )
-    active = (net._sq_count > 0).nonzero()[0]
+    active = net._sq_count.nonzero()[0]
     if active.size == 0:
         return
+    if active.size < SCALAR_INJECT_BELOW:
+        _inject_scalar(net, active.tolist(), cycle)
+    else:
+        _inject_vector(net, active, cycle)
+
+
+def _inject_vector(net, active: np.ndarray, cycle: int) -> None:
+    """Up to ``injection_bandwidth`` vector passes over the ``active`` nodes."""
     active = _inject_pass(net, active, cycle)
-    for _ in range(bandwidth - 1):
+    for _ in range(net.injection_bandwidth - 1):
         if active.size == 0:
             break
         active = _inject_pass(net, active, cycle)
@@ -163,6 +197,84 @@ def _inject_pass(net, nodes: np.ndarray, cycle: int) -> np.ndarray:
     if net.injection_bandwidth == 1:
         return nodes[:0]
     return nodes[net._sq_count[nodes] > 0]
+
+
+def _inject_scalar(net, nodes: list[int], cycle: int) -> None:
+    """:func:`_inject_pass` one node at a time, every bandwidth attempt of a
+    node before the next node.
+
+    Nodes touch disjoint state (their own source ring, LOCAL port and
+    packets), so node-major order equals the vector kernel's pass-major
+    order.  Each step is a scalar element read or write, which for a
+    handful of nodes costs less than the vector pass's fixed ~50 calls.
+    """
+    capacity = net.source_queue_capacity
+    bandwidth = net.injection_bandwidth
+    num_vcs = net.num_vcs
+    depth = net.vc_depth
+    sq_word = net._sq_flat.item
+    sq_head = net._sq_head
+    sq_count = net._sq_count
+    injected = net._pkt_injected.values
+    limits = net._limits if net._limited_idx.size else None
+    allowance = net._allowance
+    port_free = net._port_free
+    first_free = net._first_free.item
+    node_vc = net._node_vc
+    vc_count = net._vc_count
+    vc_tail = net._vc_tail
+    vc_slots = net._vc_slots
+    slot_next = net._slot_next.item
+    vc_alloc = net._vc_alloc
+    buf_writes = net._buf_writes
+    new_pids = []
+    for node in nodes:
+        throttled = limits is not None and limits.item(node) < 1.0
+        front = sq_head.item(node)
+        count = sq_count.item(node)
+        local_port = node * 5
+        moved = 0
+        while moved < bandwidth and count:
+            val = sq_word(node * capacity + front)
+            pkt = val >> PKT_SHIFT
+            is_head = val & FIDX_MASK == 0
+            # Only the head flit of a packet not yet in the network is gated
+            # by the allowance (continuation flits never strand a worm).
+            new_head = is_head and injected.item(pkt) < 0
+            if throttled and new_head and allowance.item(node) < 1.0:
+                break
+            if is_head:
+                free_mask = port_free.item(local_port)
+                free = first_free(free_mask)
+                if free < 0:
+                    break
+                vc = local_port * num_vcs + free
+            else:
+                vc = node_vc.item(node)
+            fill = vc_count.item(vc)
+            if fill >= depth:
+                break
+            front = (front + 1) % capacity
+            count -= 1
+            moved += 1
+            slot = vc_tail.item(vc)
+            vc_slots[slot] = val
+            vc_tail[vc] = slot_next(slot)
+            vc_count[vc] = fill + 1
+            buf_writes[local_port] += 1
+            if is_head:
+                vc_alloc[vc] = pkt
+                node_vc[node] = vc
+                port_free[local_port] = free_mask ^ (1 << free)
+            if throttled:
+                allowance[node] -= 1.0
+            if new_head:
+                new_pids.append(pkt)
+        if moved:
+            sq_head[node] = front
+            sq_count[node] = count
+    if new_pids:
+        net._record_injected_ids(np.array(new_pids, dtype=np.int64), cycle)
 
 
 # -- phases 2 + 3: switch allocation and link traversal ----------------------

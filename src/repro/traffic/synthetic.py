@@ -69,6 +69,9 @@ class SyntheticTraffic(ABC):
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self._dest_table: np.ndarray | None = None
+        # Set by repro.noc.shared_draws.share: this source's position in a
+        # recorded stream of equal sources' draws.
+        self._replay = None
 
     # -- pattern ----------------------------------------------------------
     @abstractmethod
@@ -102,12 +105,33 @@ class SyntheticTraffic(ABC):
         )
 
     # -- TrafficSource protocol ------------------------------------------------
+    def _stream_key(self) -> tuple:
+        """Everything the draws depend on (see :mod:`repro.noc.shared_draws`).
+
+        A subclass that adds a constructor parameter must add it here.
+        """
+        topology = self.topology
+        return (
+            type(self),
+            topology.rows,
+            topology.columns,
+            self.injection_rate,
+            self.seed,
+        )
+
     def _draw_batch(self, cycle: int) -> tuple[np.ndarray, np.ndarray] | None:
         """One cycle's Bernoulli draw: (sources, destinations) or None.
 
         Shared by the object-building and the array-batch paths so both
-        consume the RNG stream identically.
+        consume the RNG stream identically.  A shared source replays the
+        recorded draws of equal sources instead of drawing again.
         """
+        if self._replay is not None:
+            return self._replay.next(cycle)
+        return self._fresh_batch(cycle)
+
+    def _fresh_batch(self, cycle: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Draw one cycle's batch from this source's own RNG."""
         if self.injection_rate == 0.0:
             return None
         draws = self.rng.random(self.topology.num_nodes) < self.injection_rate

@@ -14,6 +14,7 @@ from repro.defense.report import DefenseEvent, DefenseReport, WindowRecord
 from repro.experiments import ExperimentConfig
 from repro.experiments.mitigation import run_mitigation_sweep
 from repro.experiments.robustness import EpisodeSpec, run_episodes
+from repro.noc import shared_draws
 from repro.obs.bus import RingBufferSink, trace_session
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import ExperimentEngine
@@ -158,3 +159,39 @@ class TestCachedCountsIgnoreTracing:
             served = _episode(engine, traced=traced)
             assert engine.cache.stats.hits > 0
             assert served.event_counts == fresh.event_counts
+
+
+class TestSharedDrawStreams:
+    """Episodes of one ``run_episodes`` call share equal sources' draws."""
+
+    def _specs(self):
+        topology = QUICK.dataset_config().topology()
+        attacks = (default_attack("pulsed", topology, QUICK.sample_period),)
+        return [
+            EpisodeSpec(experiment=QUICK, attacks=attacks, policy=POLICY),
+            EpisodeSpec(experiment=QUICK, attacks=attacks),
+            EpisodeSpec(experiment=QUICK),
+        ]
+
+    def _results(self, specs, engine):
+        return [
+            result.to_payload() if isinstance(result, DefenseReport) else result
+            for result in run_episodes(specs, engine)
+        ]
+
+    def test_one_call_equals_separate_calls_serial_and_pooled(self, tmp_path):
+        specs = self._specs()
+        separate = [
+            self._results([spec], _engine(tmp_path / f"separate{index}"))[0]
+            for index, spec in enumerate(specs)
+        ]
+        assert shared_draws._SCOPE is None
+        together = self._results(specs, _engine(tmp_path / "together"))
+        assert shared_draws._SCOPE is None  # nothing carries over
+        pooled_engine = ExperimentEngine(
+            cache=ArtifactCache(root=tmp_path / "pooled", enabled=True),
+            runner=ParallelRunner(workers=2),
+        )
+        pooled = self._results(specs, pooled_engine)
+        assert together == separate
+        assert pooled == separate

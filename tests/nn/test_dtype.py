@@ -11,7 +11,13 @@ import pytest
 
 from repro.core.detector import build_detector_model
 from repro.core.localizer import build_localizer_model
-from repro.nn.dtype import default_dtype, resolve_dtype, set_default_dtype, use_dtype
+from repro.nn.dtype import (
+    _from_environment,
+    default_dtype,
+    resolve_dtype,
+    set_default_dtype,
+    use_dtype,
+)
 from repro.nn.layers import Conv2D
 from repro.nn.losses import BinaryCrossEntropy
 from repro.nn.metrics import accuracy_score
@@ -60,6 +66,26 @@ class TestDtypeControls:
             resolve_dtype("float16")
         with pytest.raises(ValueError):
             resolve_dtype(np.int32)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("", np.float32),
+            ("  ", np.float32),
+            ("float64", np.float64),
+            (" Float32 ", np.float32),
+        ],
+    )
+    def test_environment_names(self, monkeypatch, value, expected):
+        monkeypatch.setenv("REPRO_NN_DTYPE", value)
+        assert _from_environment() == expected
+
+    @pytest.mark.parametrize("value", ["fp64", "float16", "double", "f8"])
+    def test_environment_rejects_unknown_name(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_NN_DTYPE", value)
+        supported = r"REPRO_NN_DTYPE.*\['float32', 'float64'\]"
+        with pytest.raises(ValueError, match=supported):
+            _from_environment()
 
     def test_use_dtype_restores_on_exception(self):
         before = default_dtype()

@@ -12,17 +12,24 @@ fact and must never let them drift apart:
 
 Hypothesis drives generated sequences of throttle, quarantine, flush,
 release and one link-fault activation (whose excision frees VCs outside
-the kernels) on a solo network and on lane 1 of a two-episode batch, and
-checks the invariants after every step.  The array ingress must equal the
-per-packet path for any source order, and the bitmask width bounds the
-SoA backend at 16 VCs per port while the object backend has no limit.
+the kernels) on a solo network and on lane 1 of a three-episode batch, with
+injection forced onto each side of the scalar/vector crossover, and checks
+the invariants after every step.  The scalar and the vector injection
+passes, run on copies of one network, must leave every state array equal.
+The array ingress must equal the per-packet path for any source order, and
+the bitmask width bounds the SoA backend at 16 VCs per port while the
+object backend has no limit.
 """
+
+import copy
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.noc import soa_step
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.packet import Packet
 from repro.noc.simulator import NoCSimulator, SimulationConfig
@@ -59,6 +66,17 @@ def assert_port_views(episode):
             assert port.occupied_vcs == int((vcs >= 0).sum())
 
 
+@contextmanager
+def injection_path(path):
+    """Force :func:`soa_step.inject` onto its scalar or its vector side."""
+    saved = soa_step.SCALAR_INJECT_BELOW
+    soa_step.SCALAR_INJECT_BELOW = {"scalar": 1 << 30, "vector": 0}[path]
+    try:
+        yield
+    finally:
+        soa_step.SCALAR_INJECT_BELOW = saved
+
+
 def wire(episode, seed):
     """Benign traffic plus a flood, so ports fill and VCs run out."""
     topology = episode.topology
@@ -78,6 +96,25 @@ actions = st.lists(
 )
 
 
+def actuate(driver, episode, action, node, faulted):
+    """Apply one generated action; returns whether a link fault is active."""
+    if action == "throttle":
+        episode.throttle_node(node, 0.25)
+    elif action == "quarantine":
+        episode.quarantine_node(node)
+    elif action == "flush":
+        episode.network.flush_source_queue(node)
+    elif action == "release":
+        episode.release_node(node)
+    elif not faulted:
+        # A node below the top row has a NORTH link to kill.
+        link = (node % (NODES - ROWS), Direction.NORTH)
+        driver.inject_data_fault(dead_links=(link,))
+        return True
+    return faulted
+
+
+@pytest.mark.parametrize("path", ["scalar", "vector"])
 @pytest.mark.parametrize("batched", [False, True], ids=["solo", "lane1"])
 @settings(max_examples=25, deadline=None)
 @given(
@@ -86,12 +123,12 @@ actions = st.lists(
     vc_depth=st.integers(1, 4),
     seed=st.integers(0, 1000),
 )
-def test_kernel_state_invariants(batched, steps, num_vcs, vc_depth, seed):
+def test_kernel_state_invariants(path, batched, steps, num_vcs, vc_depth, seed):
     config = SimulationConfig(
         rows=ROWS, num_vcs=num_vcs, vc_depth=vc_depth, backend="soa", seed=seed
     )
     if batched:
-        driver = BatchedNoCSimulator(config, episodes=2)
+        driver = BatchedNoCSimulator(config, episodes=3)
         for lane in driver.lanes:
             wire(lane, seed + 10 * lane.lane_index)
         episode = driver.lane(1)
@@ -100,24 +137,102 @@ def test_kernel_state_invariants(batched, steps, num_vcs, vc_depth, seed):
         wire(episode, seed)
     net = episode.network._net
     faulted = False
+    with injection_path(path):
+        for action, node, cycles in steps:
+            faulted = actuate(driver, episode, action, node, faulted)
+            assert_kernel_state(net)
+            driver.run(cycles)
+            assert_kernel_state(net)
+            assert_port_views(episode)
+
+
+def network_state(net):
+    """Every state array of ``net``, the registry columns and drop counts."""
+    state = {
+        name: value.copy()
+        for name, value in vars(net).items()
+        if isinstance(value, np.ndarray)
+    }
+    for column in ("src", "dest", "injected", "size", "created", "malicious"):
+        state["_pkt_" + column] = getattr(net, "_pkt_" + column).values.copy()
+    state["_dropped"] = np.array(net._dropped)
+    return state
+
+
+def assert_same_state(left, right):
+    first, second = network_state(left), network_state(right)
+    assert first.keys() == second.keys()
+    for name in first:
+        np.testing.assert_array_equal(first[name], second[name], err_msg=name)
+        assert first[name].dtype == second[name].dtype, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(3, 6),
+    lanes=st.integers(0, 3),
+    steps=actions,
+    num_vcs=st.integers(1, 4),
+    vc_depth=st.integers(1, 4),
+    bandwidth=st.integers(1, 2),
+    seed=st.integers(0, 1000),
+)
+def test_scalar_and_vector_injection_agree(
+    rows, lanes, steps, num_vcs, vc_depth, bandwidth, seed
+):
+    """Both injection passes, called directly or through ``inject`` forced
+    onto each side of the crossover, leave copies of one network equal."""
+    config = SimulationConfig(
+        rows=rows,
+        num_vcs=num_vcs,
+        vc_depth=vc_depth,
+        injection_bandwidth=bandwidth,
+        backend="soa",
+        seed=seed,
+    )
+    nodes = rows * rows
+    if lanes:
+        driver = BatchedNoCSimulator(config, episodes=lanes)
+        episodes = driver.lanes
+    else:
+        driver = NoCSimulator(config)
+        episodes = [driver]
+    for index, episode in enumerate(episodes):
+        topology = episode.topology
+        episode.add_source(
+            UniformRandomTraffic(topology, injection_rate=0.2, seed=seed + index)
+        )
+        flood = AttackScenario(attackers=(nodes - 1, 2), victim=nodes // 2, fir=0.9)
+        episode.add_source(flood.build_source(topology, seed=seed + 50 + index))
+    net = driver.network
+    compared = 0
+    faulted = False
     for action, node, cycles in steps:
-        if action == "throttle":
-            episode.throttle_node(node, 0.25)
-        elif action == "quarantine":
-            episode.quarantine_node(node)
-        elif action == "flush":
-            episode.network.flush_source_queue(node)
-        elif action == "release":
-            episode.release_node(node)
+        node %= nodes
+        if action != "link_fault":
+            actuate(driver, episodes[-1], action, node, faulted)
         elif not faulted:
-            # A node below the top row has a NORTH link to kill.
-            link = (node % (NODES - ROWS), Direction.NORTH)
+            link = (node % (nodes - rows), Direction.NORTH)
             driver.inject_data_fault(dead_links=(link,))
             faulted = True
-        assert_kernel_state(net)
         driver.run(cycles)
-        assert_kernel_state(net)
-        assert_port_views(episode)
+        active = net._sq_count.nonzero()[0]
+        if active.size == 0:
+            continue
+        cycle = driver.cycle
+        scalar, vector = copy.deepcopy(net), copy.deepcopy(net)
+        soa_step._inject_scalar(scalar, active.tolist(), cycle)
+        soa_step._inject_vector(vector, active, cycle)
+        assert_same_state(scalar, vector)
+        forced = []
+        for path in ("scalar", "vector"):
+            copied = copy.deepcopy(net)
+            with injection_path(path):
+                soa_step.inject(copied, cycle)
+            forced.append(copied)
+        assert_same_state(*forced)
+        compared += 1
+    assert compared
 
 
 @settings(max_examples=60, deadline=None)
