@@ -104,7 +104,14 @@ class TestBuildRuns:
         assert engine.cache.stats.stores == stores_before, "no re-simulation"
         assert_runs_equal(both[: len(subset)], subset)
 
-    def test_parallel_workers_identical_to_serial(self):
+    def test_parallel_workers_identical_to_serial(self, monkeypatch):
+        """Two or more chunks, so the missing runs go through worker processes."""
+        monkeypatch.setenv("REPRO_EPISODE_BATCH", "1")
+        builder = DatasetBuilder(QUICK_DATASET)
+        tasks = builder.plan_runs(
+            benchmarks=BENCHMARKS, scenarios_per_benchmark=2, seed=11
+        )
+        assert len(builder.chunk(tasks)) >= 2
         serial = make_engine(workers=1).build_runs(
             QUICK_DATASET, benchmarks=BENCHMARKS, scenarios_per_benchmark=2, seed=11
         )

@@ -121,6 +121,10 @@ class TestScenarioRunTransport:
     def test_parallel_build_runs_bit_identical(self, shm, monkeypatch):
         """Workers + shared memory return the exact serial frames."""
         monkeypatch.setenv("REPRO_SHM_FRAMES", shm)
+        monkeypatch.setenv("REPRO_EPISODE_BATCH", "1")
+        builder = DatasetBuilder(CONFIG)
+        tasks = builder.plan_runs(benchmarks=["uniform_random"], seed=3)
+        assert len(builder.chunk(tasks)) >= 2
         serial = ExperimentEngine(
             cache=ArtifactCache.disabled(), runner=ParallelRunner(workers=1)
         ).build_runs(CONFIG, benchmarks=["uniform_random"], seed=3)
