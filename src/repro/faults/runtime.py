@@ -38,10 +38,9 @@ class WorkerChaosFault(FaultModel):
 
     Each ``(task index, attempt)`` pair gets one independent draw ``r``:
     ``r < crash_probability`` crashes the task (at dispatch for
-    ``crash_point="enter"``, after the result is computed — and any
-    shared-memory segment already written — for ``"exit"``), and
-    ``crash_probability <= r < crash_probability + hang_probability`` hangs
-    it for ``hang_seconds``.  Draws depend only on the seed, index and
+    ``crash_point="enter"``, after the result is computed for ``"exit"``),
+    and ``crash_probability <= r < crash_probability + hang_probability``
+    hangs it for ``hang_seconds``.  Draws depend only on the seed, index and
     attempt, so a retried task re-rolls while every other task replays —
     and the fault trace is identical under any worker count.
     """

@@ -42,7 +42,7 @@ from repro.monitor.frames import DirectionalFrame, FrameSample, FrameSet
 from repro.noc.topology import Direction, MeshTopology
 from repro.nn.dtype import default_dtype
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.parallel import ArrayBundle, ParallelRunner
+from repro.runtime.parallel import ParallelRunner
 from repro.traffic.scenario import AttackScenario, benchmark_names
 
 __all__ = ["ExperimentEngine", "RunTask", "fence_cache_payload"]
@@ -70,14 +70,22 @@ def _scenario_from_json(data: dict | None) -> AttackScenario | None:
     )
 
 
+@dataclass
+class ArrayBundle:
+    """Scenario runs as JSON-able ``meta`` plus named frame tensors."""
+
+    meta: Any
+    arrays: dict[str, np.ndarray]
+
+
 def _runs_to_bundle(runs: list[ScenarioRun]) -> ArrayBundle:
     """Split scenario runs into JSON-able metadata + stacked frame tensors.
 
     Run ``i``'s frames of one feature and direction stack (samples first)
     into the array ``r{i}_{feature}_{direction}``.  The one layout of both
-    the disk cache (``runs.json`` + ``runs.npz``) and the shared-memory
-    transport, which ships the frame tensors — the bulk of a 16x16+ run —
-    through one segment instead of the worker pool's pickle pipe.
+    the disk cache (``runs.json`` + ``runs.npz``) and a worker's result,
+    which travels back through the pool's pickle pipe as a few large arrays
+    rather than thousands of small frame objects.
     """
     meta = []
     arrays: dict[str, np.ndarray] = {}
@@ -181,7 +189,7 @@ class ExperimentEngine:
     """Cache + parallel executor shared by every experiment entry point."""
 
     cache: ArtifactCache = field(default_factory=ArtifactCache.from_environment)
-    runner: ParallelRunner = field(default_factory=ParallelRunner.from_environment)
+    runner: ParallelRunner = field(default_factory=ParallelRunner)
 
     @classmethod
     def from_environment(cls) -> "ExperimentEngine":
@@ -249,15 +257,15 @@ class ExperimentEngine:
         :meth:`DatasetBuilder.chunk` groups them (episode batches under the
         ``soa`` backend).  A serial runner simulates the chunks in process;
         a parallel one fans them out across its workers, each chunk's frames
-        coming back through shared memory (process parallelism multiplying
-        on top of the batch axis).
+        coming back as one :class:`ArrayBundle` (process parallelism
+        multiplying on top of the batch axis).
         """
         chunks = builder.chunk(pending)
         if self.runner.is_serial or len(chunks) <= 1:
             return [run for chunk in chunks for run in builder.simulate(chunk)]
         return [
             run
-            for bundle in self.runner.map_arrays(_simulate_chunk, chunks)
+            for bundle in self.runner.map(_simulate_chunk, chunks)
             for run in _runs_from_bundle(bundle)
         ]
 

@@ -6,25 +6,17 @@ parallel: each task is a pure function of an explicit task descriptor
 change any result — only the wall-clock.  :class:`ParallelRunner` preserves
 that property by construction:
 
-* every task's seed is derived *before* dispatch (either carried by the task
-  descriptor, or spawned from a root seed with
-  ``np.random.SeedSequence.spawn``), never from worker-local state;
+* every task carries its own seed (for example :attr:`RunTask.seed
+  <repro.monitor.dataset.RunTask>`), never one drawn from worker-local
+  state;
 * results are returned in task order regardless of completion order;
 * ``workers <= 1`` short-circuits to a plain in-process loop, so
   ``REPRO_WORKERS=1`` is bit-identical to any other worker count.
 
 The worker count comes from the ``REPRO_WORKERS`` environment variable
 (default 1 — serial).  Task functions must be module-level (picklable)
-callables taking a single descriptor argument.
-
-Large array payloads (the frame tensors of a 16x16+ scenario run) bypass
-the pickle result pipe: :meth:`ParallelRunner.map_arrays` has each worker
-write its result's arrays into one ``multiprocessing.shared_memory``
-segment and send back only a small descriptor; the parent reconstructs the
-arrays straight from the segment (workers write zero-copy, the parent takes
-a single copy while detaching so segment lifetime stays bounded).  Disable
-with ``REPRO_SHM_FRAMES=0``; the serial path and the fallback are
-bit-identical.
+callables taking a single descriptor argument; results come back through
+the pool's own pickle pipe.
 
 Worker processes can die, hang, or be killed; a deterministic executor must
 survive that without changing a single result.  When a per-task timeout
@@ -51,11 +43,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
+from typing import Any, Callable, Iterable, TypeVar
 
 from repro.obs.metrics import (
     METRICS,
@@ -64,13 +53,10 @@ from repro.obs.metrics import (
 )
 
 __all__ = [
-    "ArrayBundle",
     "ParallelRunner",
     "configured_task_retries",
     "configured_task_timeout",
     "configured_workers",
-    "derive_seeds",
-    "shared_memory_enabled",
 ]
 
 T = TypeVar("T")
@@ -79,127 +65,11 @@ R = TypeVar("R")
 #: First-retry sleep; round ``k`` waits ``base * 2**k`` seconds.
 _RETRY_BACKOFF_BASE = 0.05
 
-
-def shared_memory_enabled() -> bool:
-    """Shared-memory result transport toggle (``REPRO_SHM_FRAMES``)."""
-    raw = os.environ.get("REPRO_SHM_FRAMES", "").strip().lower()
-    return raw not in ("0", "false", "no", "off")
-
-
-@dataclass
-class ArrayBundle:
-    """A picklable-metadata view of named arrays plus JSON-able metadata.
-
-    The unit of the shared-memory transport: ``pack`` splits a result into
-    ``meta`` (small, pickled normally) and ``arrays`` (large, shipped
-    through one shared-memory segment per bundle).
-    """
-
-    meta: Any
-    arrays: dict[str, np.ndarray]
-
-
-@dataclass
-class _ShmHandle:
-    """Descriptor of a bundle parked in a shared-memory segment."""
-
-    meta: Any
-    segment_name: str
-    layout: list[tuple[str, tuple[int, ...], str, int]]  # name, shape, dtype, offset
-
-
-@dataclass
-class _RawHandle:
-    """Fallback when shared memory is unavailable: plain pickled bundle."""
-
-    bundle: ArrayBundle
-
-
-class _ShmCall:
-    """Module-level callable wrapper executed in the worker process."""
-
-    def __init__(self, fn: Callable[[T], ArrayBundle]) -> None:
-        self.fn = fn
-
-    def __call__(self, task: T):
-        bundle = self.fn(task)
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - ancient platforms
-            return _RawHandle(bundle)
-        layout: list[tuple[str, tuple[int, ...], str, int]] = []
-        offset = 0
-        for name, array in bundle.arrays.items():
-            size = int(array.nbytes)
-            layout.append((name, tuple(array.shape), array.dtype.str, offset))
-            offset += size
-        if offset == 0:
-            return _RawHandle(bundle)
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=offset)
-        except OSError:  # pragma: no cover - e.g. /dev/shm unavailable
-            return _RawHandle(bundle)
-        try:
-            for (name, shape, dtype, start), array in zip(
-                layout, bundle.arrays.values()
-            ):
-                view = np.ndarray(
-                    shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=start
-                )
-                view[...] = array
-        except BaseException:
-            # The parent will never see this segment's name, so closing alone
-            # would strand the allocation in /dev/shm for the pool's lifetime;
-            # unlink before re-raising.
-            segment.close()
-            segment.unlink()
-            raise
-        handle = _ShmHandle(meta=bundle.meta, segment_name=segment.name, layout=layout)
-        segment.close()
-        return handle
-
-
-def _unpack_handle(handle) -> ArrayBundle:
-    """Rebuild a bundle in the parent; frees the segment."""
-    if isinstance(handle, _RawHandle):
-        return handle.bundle
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=handle.segment_name)
-    try:
-        arrays = {}
-        for name, shape, dtype, offset in handle.layout:
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset
-            )
-            arrays[name] = view.copy()
-    finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            # A worker-side resource tracker beat us to the unlink (it fires
-            # when a pool worker exits); the attach above kept our mapping
-            # valid, so the copy is intact and the segment is already gone.
-            pass
-    return ArrayBundle(meta=handle.meta, arrays=arrays)
-
-
-def _discard_handle(handle) -> None:
-    """Free a handle's segment without reading it (error-path cleanup)."""
-    if isinstance(handle, _RawHandle):
-        return
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=handle.segment_name)
-    except OSError:  # pragma: no cover - already gone
-        return
-    segment.close()
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - concurrent tracker unlink
-        pass
+# fork shares the already-imported interpreter state, which keeps worker
+# start-up cheap; fall back to spawn where fork is absent.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 def configured_workers(default: int = 1) -> int:
@@ -239,18 +109,11 @@ def configured_task_retries(default: int = 2) -> int:
 
 
 class _GuardedCall:
-    """Worker-side wrapper of one resilient dispatch.
+    """Worker-side wrapper of one resilient dispatch: fault hook around the task."""
 
-    Runs the (duck-typed) fault hook around the task, packs array bundles
-    into shared memory when asked, and — on an injected exit-crash — frees
-    the already-parked segment before raising, so chaos runs cannot strand
-    allocations in ``/dev/shm``.
-    """
-
-    def __init__(self, fn: Callable, fault: Any = None, pack: bool = False) -> None:
+    def __init__(self, fn: Callable, fault: Any = None) -> None:
         self.fn = fn
         self.fault = fault
-        self.pack = pack
 
     def __call__(self, payload: tuple[int, int, Any]):
         index, attempt, task = payload
@@ -258,30 +121,14 @@ class _GuardedCall:
             before = getattr(self.fault, "before_task", None)
             if before is not None:
                 before(index, attempt)
-        call = _ShmCall(self.fn) if self.pack else self.fn
-        result = call(task)
+        result = self.fn(task)
         if self.fault is not None:
             after = getattr(self.fault, "after_task", None)
             if after is not None and after(index, attempt):
-                if self.pack:
-                    _discard_handle(result)
                 raise RuntimeError(
                     f"injected worker crash after task {index} (attempt {attempt})"
                 )
         return result
-
-
-def derive_seeds(root_seed: int, count: int) -> list[int]:
-    """``count`` independent per-task seeds from one root seed.
-
-    Uses ``np.random.SeedSequence.spawn`` so the streams are statistically
-    independent, and depends only on ``(root_seed, count, index)`` — the same
-    call yields the same seeds in every process and under every worker count.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    children = np.random.SeedSequence(int(root_seed)).spawn(count)
-    return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
 
 
 class ParallelRunner:
@@ -290,18 +137,11 @@ class ParallelRunner:
     def __init__(
         self,
         workers: int | None = None,
-        start_method: str | None = None,
         task_timeout: float | None = None,
         task_retries: int | None = None,
         fault: Any = None,
     ) -> None:
         self.workers = configured_workers() if workers is None else max(1, int(workers))
-        if start_method is None:
-            # fork shares the already-imported interpreter state, which keeps
-            # worker start-up cheap; fall back to spawn where fork is absent.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self.start_method = start_method
         if task_timeout is None:
             self.task_timeout = configured_task_timeout()
         else:
@@ -312,10 +152,6 @@ class ParallelRunner:
             else max(0, int(task_retries))
         )
         self.fault = fault
-
-    @classmethod
-    def from_environment(cls) -> "ParallelRunner":
-        return cls()
 
     @property
     def is_serial(self) -> bool:
@@ -341,10 +177,9 @@ class ParallelRunner:
         if self.is_serial or len(task_list) <= 1:
             return self._run_serial(fn, task_list)
         if self.resilient:
-            return self._map_resilient(fn, task_list, pack=False)
-        context = multiprocessing.get_context(self.start_method)
+            return self._map_resilient(fn, task_list)
         processes = min(self.workers, len(task_list))
-        with context.Pool(processes=processes) as pool:
+        with _CONTEXT.Pool(processes=processes) as pool:
             if not METRICS.active:
                 return pool.map(fn, task_list, chunksize=1)
             start = perf_counter()
@@ -367,27 +202,24 @@ class ParallelRunner:
             counter.inc(event="task", mode="serial")
         return results
 
-    def _map_resilient(self, fn: Callable, task_list: list, pack: bool) -> list:
+    def _map_resilient(self, fn: Callable, task_list: list) -> list:
         """Per-task dispatch with timeout, retry rounds and serial fallback.
 
         Every attempt round runs on a *fresh* pool and the previous pool is
         terminated, not closed: a worker hung inside a task would otherwise
-        hold its slot (and ``close``/``join``) forever.  Shared-memory
-        handles are unpacked while their pool is still alive — see
-        :meth:`map_arrays` for why.  Whatever still fails after the retry
-        budget is recomputed in the parent with the bare ``fn`` (no fault
-        hook), which both restores the bit-identical serial result and lets
-        a deterministic task error surface as itself.
+        hold its slot (and ``close``/``join``) forever.  Whatever still
+        fails after the retry budget is recomputed in the parent with the
+        bare ``fn`` (no fault hook), which both restores the bit-identical
+        serial result and lets a deterministic task error surface as itself.
         """
-        context = multiprocessing.get_context(self.start_method)
-        call = _GuardedCall(fn, fault=self.fault, pack=pack)
+        call = _GuardedCall(fn, fault=self.fault)
         results: dict[int, Any] = {}
         pending = list(range(len(task_list)))
         for attempt in range(self.task_retries + 1):
             if not pending:
                 break
             processes = min(self.workers, len(pending))
-            pool = context.Pool(processes=processes)
+            pool = _CONTEXT.Pool(processes=processes)
             failed: list[int] = []
             try:
                 dispatched = [
@@ -401,7 +233,7 @@ class ParallelRunner:
                 ]
                 for index, handle in dispatched:
                     try:
-                        value = handle.get(self.task_timeout)
+                        results[index] = handle.get(self.task_timeout)
                     except multiprocessing.TimeoutError:
                         failed.append(index)
                         if METRICS.active:
@@ -411,7 +243,6 @@ class ParallelRunner:
                         if METRICS.active:
                             runner_events_counter().inc(event="failure")
                     else:
-                        results[index] = _unpack_handle(value) if pack else value
                         if METRICS.active:
                             runner_events_counter().inc(
                                 event="task", mode="resilient"
@@ -430,58 +261,5 @@ class ParallelRunner:
             results[index] = fn(task_list[index])
         return [results[index] for index in range(len(task_list))]
 
-    def map_seeded(
-        self,
-        fn: Callable[[tuple[T, int]], R],
-        items: Sequence[T],
-        root_seed: int,
-    ) -> list[R]:
-        """Map over ``(item, seed)`` pairs with per-task derived seeds."""
-        seeds = derive_seeds(root_seed, len(items))
-        return self.map(fn, list(zip(items, seeds)))
-
-    def map_arrays(
-        self, fn: Callable[[T], ArrayBundle], tasks: Iterable[T]
-    ) -> list[ArrayBundle]:
-        """``map`` for array-heavy results, routed through shared memory.
-
-        ``fn`` must return an :class:`ArrayBundle`.  In worker processes the
-        bundle's arrays are written into one shared-memory segment and only
-        a small descriptor travels through the pickle pipe; the parent
-        rebuilds the arrays from the segment and unlinks it.  Serial runs,
-        a ``REPRO_SHM_FRAMES=0`` override, and platforms without shared
-        memory all fall back to the plain (bit-identical) pickle path.
-        """
-        task_list = list(tasks)
-        if self.is_serial or len(task_list) <= 1:
-            return self._run_serial(fn, task_list)
-        if not shared_memory_enabled():
-            return self.map(fn, task_list)
-        if self.resilient:
-            return self._map_resilient(fn, task_list, pack=True)
-        context = multiprocessing.get_context(self.start_method)
-        processes = min(self.workers, len(task_list))
-        bundles: list[ArrayBundle] = []
-        # Unpack while the pool is still alive: a segment is parked between
-        # the worker's close() and the parent's unlink, and a worker-side
-        # resource tracker unlinks everything still registered the moment
-        # its worker exits — consuming the handles after the pool closed
-        # raced that cleanup (FileNotFoundError on attach at 32x32 scale).
-        with context.Pool(processes=processes) as pool:
-            handles = pool.map(_ShmCall(fn), task_list, chunksize=1)
-            try:
-                for handle in handles:
-                    bundles.append(_unpack_handle(handle))
-            except BaseException:
-                # Free the segments of the handles not consumed yet —
-                # including the one whose unpack just failed, which may not
-                # have reached its own cleanup — so a failed unpack cannot
-                # strand tens of MB in /dev/shm for the rest of a
-                # long-lived sweep process.
-                for handle in handles[len(bundles) :]:
-                    _discard_handle(handle)
-                raise
-        return bundles
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParallelRunner(workers={self.workers}, start={self.start_method!r})"
+        return f"ParallelRunner(workers={self.workers})"

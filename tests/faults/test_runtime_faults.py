@@ -14,8 +14,8 @@ import pytest
 
 from repro.faults import CacheCorruptionFault, InjectedWorkerCrash, WorkerChaosFault
 from repro.runtime.cache import ArtifactCache
+from repro.runtime.engine import ArrayBundle
 from repro.runtime.parallel import (
-    ArrayBundle,
     ParallelRunner,
     configured_task_retries,
     configured_task_timeout,
@@ -135,24 +135,16 @@ class TestResilientRunner:
         )
         assert runner.map(_square, range(6)) == serial
 
-    def test_map_arrays_heals_bit_identically(self):
+    def test_bundle_results_heal_bit_identically(self):
         serial = [_bundle(task) for task in range(8)]
         fault = WorkerChaosFault(crash_probability=0.5, seed=31)
         runner = ParallelRunner(
             workers=3, task_timeout=30.0, task_retries=3, fault=fault
         )
-        healed = runner.map_arrays(_bundle, range(8))
+        healed = runner.map(_bundle, range(8))
         for expected, got in zip(serial, healed):
             assert expected.meta == got.meta
             assert np.array_equal(expected.arrays["values"], got.arrays["values"])
-
-    def test_map_arrays_exit_crash_does_not_strand_segments(self):
-        fault = WorkerChaosFault(crash_probability=0.6, crash_point="exit", seed=37)
-        runner = ParallelRunner(
-            workers=3, task_timeout=30.0, task_retries=2, fault=fault
-        )
-        healed = runner.map_arrays(_bundle, range(8))
-        assert [bundle.meta["task"] for bundle in healed] == list(range(8))
 
     def test_deterministic_task_error_still_raises(self):
         runner = ParallelRunner(

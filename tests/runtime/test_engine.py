@@ -8,11 +8,16 @@ from repro.core.pipeline import DL2Fence
 from repro.defense.policy import MitigationPolicy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.robustness import run_attack_episode, train_defense_pipeline
-from repro.monitor.dataset import DatasetBuilder, DatasetConfig
+from repro.monitor.dataset import DatasetBuilder, DatasetConfig, RunTask
 from repro.noc.backend import resolve_backend
 from repro.noc.topology import Direction
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.engine import ExperimentEngine
+from repro.runtime.engine import (
+    ExperimentEngine,
+    _runs_from_bundle,
+    _runs_to_bundle,
+    _simulate_chunk,
+)
 from repro.runtime.parallel import ParallelRunner
 from repro.traffic.scenario import AttackScenario
 
@@ -129,6 +134,37 @@ class TestBuildRuns:
         rebuilt = engine.build_runs(QUICK_DATASET, benchmarks=BENCHMARKS, seed=11)
         assert engine.cache.stats.invalid == 1
         assert_runs_equal(fresh, rebuilt)
+
+
+class TestRunBundles:
+    """The bundle layout shared by the disk cache and worker results."""
+
+    TASKS = [
+        RunTask(QUICK_DATASET, "uniform_random", None, 11),
+        RunTask(QUICK_DATASET, "tornado", None, 12),
+        RunTask(QUICK_DATASET, "uniform_random", None, 13),
+    ]
+
+    def test_bundle_round_trip_is_lossless(self):
+        builder = DatasetBuilder(QUICK_DATASET)
+        runs = [
+            run
+            for chunk in builder.chunk(self.TASKS)
+            for run in builder.simulate(chunk)
+        ]
+        assert_runs_equal(runs, _runs_from_bundle(_runs_to_bundle(runs)))
+
+    def test_worker_bundles_match_in_process_runs(self):
+        builder = DatasetBuilder(QUICK_DATASET)
+        tasks = self.TASKS[:2]
+        for task in tasks:
+            assert_runs_equal(
+                builder.simulate([task]), _runs_from_bundle(_simulate_chunk([task]))
+            )
+        # An episode-batched chunk ships every lane's frames in one bundle.
+        for chunk in builder.chunk(tasks):
+            solo = [builder.simulate([task])[0] for task in chunk]
+            assert_runs_equal(solo, _runs_from_bundle(_simulate_chunk(chunk)))
 
 
 class TestTrainedFence:

@@ -1,9 +1,9 @@
-"""ParallelRunner: ordering, serial/parallel equivalence, derived seeds."""
+"""ParallelRunner: ordering, serial/parallel equivalence."""
 
 import numpy as np
 import pytest
 
-from repro.runtime.parallel import ParallelRunner, configured_workers, derive_seeds
+from repro.runtime.parallel import ParallelRunner, configured_workers
 
 
 def _draw(task):
@@ -37,26 +37,6 @@ class TestConfiguredWorkers:
             configured_workers()
 
 
-class TestDeriveSeeds:
-    def test_deterministic(self):
-        assert derive_seeds(7, 5) == derive_seeds(7, 5)
-
-    def test_root_seed_matters(self):
-        assert derive_seeds(7, 5) != derive_seeds(8, 5)
-
-    def test_pairwise_distinct(self):
-        seeds = derive_seeds(0, 64)
-        assert len(set(seeds)) == 64
-
-    def test_prefix_stable_under_count(self):
-        """SeedSequence.spawn children depend only on (root, index)."""
-        assert derive_seeds(3, 8)[:4] == derive_seeds(3, 4)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            derive_seeds(0, -1)
-
-
 class TestMap:
     TASKS = [(i, 1000 + i) for i in range(8)]
 
@@ -79,12 +59,3 @@ class TestMap:
     def test_worker_exception_propagates(self):
         with pytest.raises(RuntimeError, match="failed"):
             ParallelRunner(workers=2).map(_boom, [1, 2, 3])
-
-    def test_map_seeded_parallel_equals_serial(self):
-        items = list(range(6))
-        serial = ParallelRunner(workers=1).map_seeded(_draw, items, root_seed=99)
-        parallel = ParallelRunner(workers=3).map_seeded(_draw, items, root_seed=99)
-        assert serial == parallel
-        # The seeds actually differ per task (independent streams).
-        values = [value for _, value in serial]
-        assert len(set(values)) == len(values)
