@@ -9,6 +9,7 @@ from repro.defense.policy import MitigationPolicy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.robustness import run_attack_episode, train_defense_pipeline
 from repro.monitor.dataset import DatasetBuilder, DatasetConfig, RunTask
+from repro.monitor.features import FeatureKind
 from repro.noc.backend import resolve_backend
 from repro.noc.topology import Direction
 from repro.runtime.cache import ArtifactCache
@@ -165,6 +166,45 @@ class TestRunBundles:
         for chunk in builder.chunk(tasks):
             solo = [builder.simulate([task])[0] for task in chunk]
             assert_runs_equal(solo, _runs_from_bundle(_simulate_chunk(chunk)))
+
+
+    def test_empty_run_list_round_trips(self):
+        bundle = _runs_to_bundle([])
+        assert bundle.meta == [] and bundle.arrays == {}
+        assert _runs_from_bundle(bundle) == []
+
+    def test_bundle_layout(self):
+        builder = DatasetBuilder(QUICK_DATASET)
+        runs = builder.simulate(self.TASKS[:2])
+        bundle = _runs_to_bundle(runs)
+        names = {
+            f"r{index}_{kind.value}_{direction.value}"
+            for index in range(2)
+            for kind in FeatureKind
+            for direction in Direction.cardinal()
+        }
+        assert set(bundle.arrays) == names
+        for index, run in enumerate(runs):
+            assert bundle.meta[index]["cycles"] == [s.cycle for s in run.samples]
+            key = f"r{index}_{FeatureKind.VCO.value}_{Direction.NORTH.value}"
+            assert bundle.arrays[key].shape[0] == len(run.samples)
+            assert np.array_equal(
+                bundle.arrays[key][0], run.samples[0].vco.frames[Direction.NORTH].values
+            )
+
+    def test_single_chunk_stays_in_process(self, monkeypatch):
+        engine = make_engine(workers=4)
+        builder = DatasetBuilder(QUICK_DATASET)
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("one chunk must not start a pool")
+
+        monkeypatch.setattr(engine.runner, "map", forbidden)
+        (chunk,) = builder.chunk(self.TASKS[:1])
+        assert_runs_equal(
+            builder.simulate(chunk), engine._simulate_missing(builder, chunk)
+        )
+        assert engine._simulate_missing(builder, []) == []
 
 
 class TestTrainedFence:
