@@ -176,9 +176,6 @@ class AttackSource:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.packets_generated = 0
-        # Set by repro.noc.shared_draws.share: this source's position in a
-        # recorded stream of equal sources' draws.
-        self._replay = None
         sources, victims = model.emitters()
         self._flow_sources = np.asarray(sources, dtype=np.int64)
         self._flow_victims = np.asarray(victims, dtype=np.int64)
@@ -213,42 +210,22 @@ class AttackSource:
         return self.model.emits_between(lo - self.start_cycle, hi - self.start_cycle)
 
     # -- TrafficSource protocol ------------------------------------------------
-    def _stream_key(self) -> tuple:
-        """Everything the draws depend on (see :mod:`repro.noc.shared_draws`)."""
-        topology = self.topology
-        return (
-            self.model,
-            topology.rows,
-            topology.columns,
-            self.seed,
-            self.start_cycle,
-            self.end_cycle,
-        )
-
     def _draw_batch(self, cycle: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Flows injecting during ``cycle`` as (sources, victims), or None.
 
         Shared by both emission paths, so the stream is identical across
-        backends.  A shared source replays the recorded draws of equal
-        sources instead of drawing again; cycles outside the window draw
-        nothing and are not recorded.
+        backends: one ``rng.random(num_flows)`` call per non-silent window
+        cycle; cycles outside the window draw nothing.
         """
         if not self.in_window(cycle):
             return None
-        replay = self._replay
-        batch = self._fresh_batch(cycle) if replay is None else replay.next(cycle)
-        if batch is not None:
-            self.packets_generated += batch[0].size
-        return batch
-
-    def _fresh_batch(self, cycle: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """One ``rng.random(num_flows)`` call per non-silent window cycle."""
         profile = self.model.fir_profile_at(cycle - self.start_cycle)
         if profile is None:
             return None
-        draws = self.rng.random(self._flow_sources.size)
-        keep = draws < profile
-        return self._flow_sources[keep], self._flow_victims[keep]
+        keep = self.rng.random(self._flow_sources.size) < profile
+        sources = self._flow_sources[keep]
+        self.packets_generated += sources.size
+        return sources, self._flow_victims[keep]
 
     def packets_for_cycle(self, cycle: int) -> list[Packet]:
         """Flooding packets injected by all active flows during ``cycle``."""

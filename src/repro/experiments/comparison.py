@@ -85,7 +85,7 @@ def run_comparison(
     drivers at the same scale.
     """
     config = config or ExperimentConfig()
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     if benchmarks is None:
         benchmarks = benchmark_names(include_parsec=False)
 

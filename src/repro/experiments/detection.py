@@ -141,7 +141,7 @@ def run_feature_experiment(
 ) -> FeatureExperimentResult:
     """Train DL2Fence on one feature assignment and evaluate per benchmark."""
     config = config or ExperimentConfig()
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     if benchmarks is None:
         benchmarks = benchmark_names()
 

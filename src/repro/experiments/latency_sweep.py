@@ -108,7 +108,7 @@ def run_latency_sweep(
     "packet queue latency" curve of Figure 1.
     """
     config = config or ExperimentConfig()
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     if cycles is None:
         cycles = config.warmup_cycles + config.sample_period * config.samples_per_run
     topology = MeshTopology(rows=config.rows)

@@ -232,7 +232,7 @@ def run_mitigation_sweep(
     unmitigated comparator and one guarded episode per policy.
     """
     base_config = config or ExperimentConfig()
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     training_benchmarks = tuple(training_benchmarks)
     profile = tuple(flow_fir_profile) if flow_fir_profile and num_flows > 1 else None
     specs = []

@@ -246,7 +246,7 @@ def train_defense_pipeline(
     models are cached on disk, so a second sweep at the same mesh scale never
     retrains.
     """
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     return engine.trained_fence(
         config.dataset_config(),
         DL2FenceConfig(seed=config.seed),
@@ -310,8 +310,8 @@ def _attacked_simulator(
 ) -> NoCSimulator:
     """The episode's system: the workload plus one source per attack flow.
 
-    Inside :func:`run_episodes`, sources equal to one an earlier episode
-    held replay its recorded draws (:mod:`repro.noc.shared_draws`).
+    Inside :func:`run_episodes`, a workload equal to one an earlier episode
+    held replays its recorded draws (:mod:`repro.noc.shared_draws`).
     """
     config = builder.config
     simulator = NoCSimulator(config.simulation_config())
@@ -319,14 +319,12 @@ def _attacked_simulator(
     simulator.add_source(shared_draws.share(workload))
     for index, model in enumerate(attacks):
         simulator.add_source(
-            shared_draws.share(
-                model.build_source(
-                    builder.topology,
-                    seed=seed + 1 + index,
-                    packet_size_flits=config.packet_size_flits,
-                    start_cycle=shape.attack_start,
-                    end_cycle=shape.attack_end,
-                )
+            model.build_source(
+                builder.topology,
+                seed=seed + 1 + index,
+                packet_size_flits=config.packet_size_flits,
+                start_cycle=shape.attack_start,
+                end_cycle=shape.attack_end,
             )
         )
     return simulator
@@ -556,12 +554,11 @@ def run_episodes(
     misses fan out across the engine's worker processes, bit-identical to
     the serial order because every episode carries its own seeds.
 
-    For the length of the call, episodes share the draws of equal traffic
-    sources (:mod:`repro.noc.shared_draws`): the benign workload every
-    episode runs at seed 42 is drawn once per process, and so is each
-    attack stream its comparator and guarded episodes hold in common.
+    For the length of the call, episodes share the draws of equal benign
+    workloads (:mod:`repro.noc.shared_draws`): the workload every episode
+    runs at seed 42 is drawn once per process.
     """
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     keys = [_task_cache_payload(spec) for spec in specs]
     results = [_fetch_task_result(engine, kind, payload) for kind, payload in keys]
     missing = [index for index, result in enumerate(results) if result is None]
@@ -697,7 +694,7 @@ def run_robustness_matrix(
     generalization of the deployed detector plus the evidence accumulator,
     not memorisation of the attack shape.
     """
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     training_benchmarks = tuple(training_benchmarks)
     specs = []
     suites = _library_suites(attacks, rows_values, config, fir, colluding_fir)
@@ -761,7 +758,7 @@ def run_chaos_matrix(
     comparator).  The per-mesh pipeline training and its cache entry are
     shared with :func:`run_robustness_matrix` — only the episodes are new.
     """
-    engine = engine or ExperimentEngine.from_environment()
+    engine = engine or ExperimentEngine()
     training_benchmarks = tuple(training_benchmarks)
     specs = []
     suites = _library_suites(attacks, rows_values, config, fir, colluding_fir)

@@ -13,8 +13,15 @@ from repro.obs.metrics import METRICS, nn_forward_histogram
 
 __all__ = ["Sequential"]
 
-#: Samples per forward pass in :meth:`Sequential.predict`.
-_PREDICT_BATCH = 256
+#: Samples per forward pass in :meth:`Sequential.predict`.  Every Conv2D
+#: keeps an im2col patch matrix sized by the chunk: one 199-sample pass of
+#: the 16x16 localizer held 29.2 MB of them, chunks of 32 hold 4.7 MB.
+#: BLAS picks its GEMM kernel by matrix size, so the chunk size can move
+#: outputs in the last bits.  With OpenBLAS 0.3.31 (Haswell kernels, x86-64,
+#: one thread), chunks of 32 over whole chunks matched one forward bit for
+#: bit for both CNNs at 8x8, 16x16 and 32x32 frame shapes, while chunks of
+#: 16 or fewer diverged for the 16x16 detector and the 8x8 localizer.
+_PREDICT_BATCH = 32
 
 
 class Sequential:

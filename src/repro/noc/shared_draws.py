@@ -1,14 +1,15 @@
-"""Shared draw streams: record a traffic source's draws once, replay them.
+"""Shared draw streams: record a benign workload's draws once, replay them.
 
-Some traffic sources draw only from their class, parameters, seed and
-attack window — :class:`~repro.traffic.SyntheticTraffic` and
-:class:`~repro.attacks.AttackSource`, whose two emission paths both go
-through ``_draw_batch``.  Throttle, quarantine, flush and data faults act on
-the network, never on the source, so two such sources with equal keys emit
+A :class:`~repro.traffic.SyntheticTraffic` workload draws only from its
+class, parameters and seed, and both its emission paths go through
+``_draw_batch``.  Throttle, quarantine, flush and data faults act on the
+network, never on the source, so two such workloads with equal keys emit
 the same ``(sources, destinations)`` arrays on every call.  A matrix driver
 call holds many of them: every episode runs its benign workload at the same
-seed, and a variant's comparator and its guarded episodes hold the same
-attack source.
+seed.  Attack sources are not shared: a variant's attack stream is held by
+at most its comparator and one guarded episode, and recording it cost the
+leader as much time as the replay saved the follower, while the attack
+records were most of a call's shared-draw memory.
 
 While a scope is open (:func:`enter_scope`, entered by every episode of one
 :func:`repro.experiments.robustness.run_episodes` call and closed when the
@@ -25,9 +26,9 @@ fresh source would draw.
 The record is compact: one growable buffer each for sources and
 destinations, plus per-call cycle and offset arrays (8 bytes a call).  A
 replay asked for a different cycle than the one recorded at its position
-raises ``ValueError``.  Sources without ``_stream_key``
-(``ParsecWorkload``, whose caller-visible ``Packet`` objects must never
-enter two episodes) are never shared.
+raises ``ValueError``.  Sources without ``_stream_key`` are never shared:
+attack sources, and ``ParsecWorkload``, whose caller-visible ``Packet``
+objects must never enter two episodes.
 """
 
 from __future__ import annotations

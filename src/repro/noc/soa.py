@@ -690,9 +690,9 @@ class SoAMeshNetwork(_EpisodeBlock):
     def _install_tables(self) -> None:
         """Bind the static lookup tables and the state-array node count.
 
-        The batched subclass overrides this to install block-diagonal tiled
-        tables spanning every episode (see :mod:`repro.noc.soa_batch`); the
-        kernels of :mod:`repro.noc.soa_step` are agnostic to the difference.
+        The batched subclass overrides this to install block-diagonal
+        tables spanning every episode, which read the solo route and key
+        tables through episode-local ids (see :mod:`repro.noc.soa_batch`).
         """
         self._tables = mesh_tables(self.topology)
         vc_tables = _vc_tables(self.topology, self.num_vcs)
@@ -703,10 +703,12 @@ class SoAMeshNetwork(_EpisodeBlock):
         self._key_table = vc_tables.key_table
         self._down_port = vc_tables.down_port
         self._route_slot = vc_tables.route_slot
-        # Per-VC arbitration-slot offset added after the route-table gather;
-        # only the batched disjoint-union subclass sets it (its table holds
-        # episode-local slot ids).
+        # Per-VC arbitration-slot offset added after the route-table gather
+        # and per-VC episode-local id into the key table; only the batched
+        # disjoint-union subclass sets them (its lanes share the solo
+        # tables, indexed by episode-local ids).
         self._q_slot_off = None
+        self._q_local = None
         self._nodes = self.topology.num_nodes
 
     @property

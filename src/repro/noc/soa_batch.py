@@ -11,11 +11,13 @@ N-fold.
 :class:`BatchedSoAMeshNetwork` realises that axis without a second kernel
 implementation.  The :mod:`repro.noc.soa_step` kernels are agnostic to mesh
 shape — they only consume the precomputed lookup tables — so N independent
-meshes are advanced as one **disjoint union**: the per-episode tables are
-tiled block-diagonally (node ids offset per episode, no links between
-blocks, XY routing on per-episode-local coordinates), every state array
-spans ``episodes * num_nodes`` nodes, and one ``inject`` + ``switch``
-dispatch moves every flit of every episode.  Because blocks share no edges,
+meshes are advanced as one **disjoint union**: the per-node and per-VC id
+tables are laid out block-diagonally (ids offset per episode, no links
+between blocks), the two large solo tables — the XY route table and the
+60-phase arbitration-key table — are shared by every block and read
+through episode-local ids, every state array spans ``episodes *
+num_nodes`` nodes, and one ``inject`` + ``switch`` dispatch moves every
+flit of every episode.  Because blocks share no edges,
 no packet, credit or arbitration decision can cross episodes; each episode
 block evolves exactly as a solo :class:`~repro.noc.soa.SoAMeshNetwork`
 would.
@@ -57,13 +59,14 @@ __all__ = ["BatchedSoAMeshNetwork", "SoAMeshLane", "batched_tables"]
 
 @dataclass(frozen=True)
 class _BatchVcTables:
-    """Tiled per-VC lookup tables spanning every episode block."""
+    """Per-VC lookup tables spanning every episode block."""
 
     q_node: np.ndarray
     q_port: np.ndarray
     q_node5: np.ndarray
     q_node_base: np.ndarray | None
     key_table: np.ndarray
+    q_local: np.ndarray
     down_port: np.ndarray
     route_slot: np.ndarray | None
     q_slot_off: np.ndarray | None
@@ -84,6 +87,11 @@ def batched_tables(
     ``e * num_nodes`` (respectively ``* 5`` / ``* 5 * num_vcs``); edge and
     downstream-port entries stay ``-1`` at block boundaries, so no kernel
     path can cross episodes.
+
+    Arbitration reads the solo ``key_table`` itself (``KEY_PERIOD`` rows of
+    one mesh's VCs): ``q_local[q]`` is VC ``q``'s episode-local id, and the
+    switch kernel gathers ``key_table[phase][q_local[q]]``.  So the table
+    costs the same whatever the number of episodes.
 
     Routing keeps the solo backend's fused single-gather lookup:
     ``route_slot`` is the *unmodified* per-episode-local table — it stays
@@ -144,7 +152,8 @@ def batched_tables(
         q_port=np.tile(vc.q_port, episodes) + slot_node_off * 5,
         q_node5=q_node * 5,
         q_node_base=q_node_base,
-        key_table=np.ascontiguousarray(np.tile(vc.key_table, (1, episodes))),
+        key_table=vc.key_table,
+        q_local=np.tile(np.arange(num_slots, dtype=np.int64), episodes),
         down_port=down_port,
         route_slot=route_slot,
         q_slot_off=q_slot_off,
@@ -205,12 +214,14 @@ class BatchedSoAMeshNetwork(SoAMeshNetwork):
         self._q_node = vc.q_node
         self._q_port = vc.q_port
         self._q_node5 = vc.q_node5
+        # The solo key table, read at each VC's episode-local id.
+        self._key_table = vc.key_table
+        self._q_local = vc.q_local
+        self._down_port = vc.down_port
         # Shared episode-local fused-XY table plus per-VC slot offsets (all
         # None when the table is disabled — the switch kernel then routes
         # on the fly from the tiled local coordinates).
         self._q_node_base = vc.q_node_base
-        self._key_table = vc.key_table
-        self._down_port = vc.down_port
         self._route_slot = vc.route_slot
         self._q_slot_off = vc.q_slot_off
         self._nodes = self.topology.num_nodes * self.episodes

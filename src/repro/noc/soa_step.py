@@ -342,7 +342,10 @@ def switch(net, cycle: int) -> None:
         )
         slot_id = net._q_node5[q] + out_dir
     eject = net._slot_is_local[slot_id]
-    key = net._key_table[cycle % KEY_PERIOD][q]
+    # Batched lanes share the solo key table: a VC reads its phase row at
+    # its episode-local id.
+    key_row = net._key_table[cycle % KEY_PERIOD]
+    key = key_row[q] if net._q_local is None else key_row[net._q_local[q]]
 
     # One target VC per candidate: its binding, else the downstream port's
     # first free (unallocated, hence empty) VC; negative when there is none

@@ -144,11 +144,6 @@ class ArtifactCache:
         self._size_estimate: int | None = None
 
     @classmethod
-    def from_environment(cls) -> "ArtifactCache":
-        """Cache configured purely from ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``."""
-        return cls()
-
-    @classmethod
     def disabled(cls) -> "ArtifactCache":
         """A cache that never hits and never writes."""
         return cls(enabled=False)

@@ -186,15 +186,13 @@ def fence_cache_payload(
 
 @dataclass
 class ExperimentEngine:
-    """Cache + parallel executor shared by every experiment entry point."""
+    """Cache + parallel executor shared by every experiment entry point.
 
-    cache: ArtifactCache = field(default_factory=ArtifactCache.from_environment)
+    ``ExperimentEngine()`` honours REPRO_CACHE[_DIR] and REPRO_WORKERS.
+    """
+
+    cache: ArtifactCache = field(default_factory=ArtifactCache)
     runner: ParallelRunner = field(default_factory=ParallelRunner)
-
-    @classmethod
-    def from_environment(cls) -> "ExperimentEngine":
-        """Engine honouring REPRO_CACHE[_DIR] and REPRO_WORKERS."""
-        return cls()
 
     @classmethod
     def disabled(cls) -> "ExperimentEngine":

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.detector import build_detector_model
+from repro.core.localizer import build_localizer_model
 from repro.nn.dtype import use_dtype
 from repro.nn.layers import _TRANSIENT_STATE, Conv2D, Dense, Flatten, MaxPool2D
 from repro.nn.activations import ReLU, Sigmoid
-from repro.nn.model import Sequential
+from repro.nn.model import _PREDICT_BATCH, Sequential
 from repro.obs.metrics import METRICS, nn_forward_histogram
 
 
@@ -152,9 +154,46 @@ class TestForwardMetric:
 class TestPredict:
     def test_batched_predict_matches_forward(self):
         model = detector_like_model().build((8, 7, 4))
-        # More samples than one predict mini-batch (256).
+        # Several predict chunks, the last one short.
         x = np.random.default_rng(2).normal(size=(300, 8, 7, 4))
+        assert 300 > 2 * _PREDICT_BATCH and 300 % _PREDICT_BATCH
         assert np.allclose(model.predict(x), model.forward(x))
+
+    @pytest.mark.parametrize("rows", [8, 16])
+    @pytest.mark.parametrize(
+        "builder, channels",
+        [(build_detector_model, 4), (build_localizer_model, 1)],
+        ids=["detector", "localizer"],
+    )
+    def test_chunked_predict_equals_one_forward(self, builder, channels, rows):
+        """Both DL2Fence CNNs: three whole chunks give one forward's bits."""
+        model = builder((rows, rows - 1, channels), seed=rows)
+        x = np.random.default_rng(rows).random(
+            (3 * _PREDICT_BATCH, rows, rows - 1, channels)
+        )
+        whole = model.forward(x)
+        chunk_sizes = []
+        forward = model.forward
+
+        def counting_forward(inputs, training=False):
+            chunk_sizes.append(len(inputs))
+            return forward(inputs, training)
+
+        model.forward = counting_forward
+        chunked = model.predict(x)
+        assert chunk_sizes == [_PREDICT_BATCH] * 3
+        assert chunked.dtype == whole.dtype
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_patch_matrices_hold_one_chunk(self):
+        """The im2col scratch of a predict spans one chunk, not the input."""
+        model = build_localizer_model((16, 15, 1))
+        model.predict(np.random.default_rng(3).random((199, 16, 15, 1)))
+        convs = [layer for layer in model.layers if isinstance(layer, Conv2D)]
+        assert len(convs) == 3
+        for layer in convs:
+            patch_width = int(np.prod(layer.params["W"].shape[:3]))
+            assert layer._col_buffer.size == _PREDICT_BATCH * 16 * 15 * patch_width
 
     def test_localizer_mask_keeps_frame_geometry(self):
         model = localizer_like_model().build((8, 7, 1))

@@ -14,6 +14,7 @@ The matrix sweeps mesh sizes 4x4–16x16, benign/flood traffic, and all
 five refined-DoS variants of :mod:`repro.attacks`.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -25,7 +26,10 @@ from repro.monitor.features import FeatureKind
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
-from repro.noc.topology import Direction
+from repro.noc.soa import _vc_tables
+from repro.noc.soa_batch import batched_tables
+from repro.noc.soa_step import KEY_PERIOD
+from repro.noc.topology import Direction, MeshTopology
 from repro.traffic.scenario import AttackScenario
 from repro.traffic.synthetic import UniformRandomTraffic
 
@@ -319,3 +323,30 @@ class TestLaneSurfaceParity:
             simulator.run(60)
         assert _surface_snapshot(lane.network) == _surface_snapshot(solo.network)
         assert_lane_matches_solo(lane, solo)
+
+
+class TestSharedLookupTables:
+    """Lanes read the solo arbitration-key table; nothing is tiled per lane."""
+
+    def test_key_table_is_the_solo_table(self):
+        topology = MeshTopology(rows=6, columns=6)
+        _, tables = batched_tables(topology, 4, 3)
+        assert tables.key_table is _vc_tables(topology, 4).key_table
+        lane_vcs = topology.num_nodes * 5 * 4
+        np.testing.assert_array_equal(
+            tables.q_local, np.arange(3 * lane_vcs) % lane_vcs
+        )
+
+    def test_training_batch_tables_stay_small(self):
+        """Array bytes of the 14-lane 16x16 training build's tables."""
+        mesh, tables = batched_tables(MeshTopology(rows=16, columns=16), 4, 14)
+        total = sum(
+            value.nbytes
+            for table in (mesh, tables)
+            for value in (getattr(table, f.name) for f in dataclasses.fields(table))
+            if isinstance(value, np.ndarray)
+        )
+        # One key-table copy per lane would be 17.2 MB on its own.
+        per_lane_keys = 14 * tables.key_table.nbytes
+        assert tables.key_table.shape[0] == KEY_PERIOD
+        assert total < 8_000_000 < per_lane_keys

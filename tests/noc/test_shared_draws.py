@@ -1,13 +1,12 @@
-"""Shared draw streams replay exactly what a fresh source would draw.
+"""Shared draw streams replay exactly what a fresh workload would draw.
 
-Within one scope, a source equal to an earlier one (same class, parameters,
-seed and attack window) reads its ``_draw_batch`` results back from the
-record the first one wrote.  Every batch-capable synthetic pattern and
-every attack-library variant must replay equal arrays of equal dtype,
-read-only, with ``packets_generated`` kept, and an out-of-sequence cycle
-must raise.  A closed-loop episode under generated mitigation policies
-reports the same whether it runs alone or after episodes that recorded its
-streams.
+Within one scope, a benign workload equal to an earlier one (same class,
+parameters and seed) reads its ``_draw_batch`` results back from the
+record the first one wrote.  Every batch-capable synthetic pattern must
+replay equal arrays of equal dtype, read-only, and an out-of-sequence
+cycle must raise.  Attack sources and PARSEC workloads are never shared.
+A closed-loop episode under generated mitigation policies reports the same
+whether it runs alone or after episodes that recorded its benign stream.
 """
 
 import numpy as np
@@ -71,31 +70,24 @@ def assert_same_batches(replayed, fresh):
             np.testing.assert_array_equal(got_array, want_array)
 
 
-SOURCES = [("synthetic", name) for name in sorted(SYNTHETIC_PATTERNS)] + [
-    ("attack", name) for name in sorted(ATTACK_LIBRARY)
-]
+PATTERNS = sorted(SYNTHETIC_PATTERNS)
 
 
-def build(kind, name, seed=None):
-    make = synthetic if kind == "synthetic" else attack
-    return make(name) if seed is None else make(name, seed)
-
-
-@pytest.mark.parametrize("kind, name", SOURCES)
-def test_replay_equals_fresh_source(scope, kind, name):
-    fresh = batches(build(kind, name))
-    leader = shared_draws.share(build(kind, name))
+@pytest.mark.parametrize("name", PATTERNS)
+def test_replay_equals_fresh_source(scope, name):
+    fresh = batches(synthetic(name))
+    leader = shared_draws.share(synthetic(name))
     assert_same_batches(batches(leader), fresh)
-    follower = shared_draws.share(build(kind, name))
+    follower = shared_draws.share(synthetic(name))
     assert_same_batches(batches(follower), fresh)
     assert any(batch is not None and batch[0].size for batch in fresh)
 
 
-@pytest.mark.parametrize("kind, name", SOURCES)
-def test_interleaved_lanes_replay_the_same_stream(scope, kind, name):
+@pytest.mark.parametrize("name", PATTERNS)
+def test_interleaved_lanes_replay_the_same_stream(scope, name):
     """Readers that advance cycle by cycle together (batched lanes)."""
-    fresh = batches(build(kind, name))
-    lanes = [shared_draws.share(build(kind, name)) for _ in range(3)]
+    fresh = batches(synthetic(name))
+    lanes = [shared_draws.share(synthetic(name)) for _ in range(3)]
     drawn = [[], [], []]
     for cycle in range(HORIZON):
         for lane, out in zip(reversed(lanes), reversed(drawn)):
@@ -104,19 +96,19 @@ def test_interleaved_lanes_replay_the_same_stream(scope, kind, name):
         assert_same_batches(out, fresh)
 
 
-@pytest.mark.parametrize("kind, name", SOURCES)
-def test_different_seeds_do_not_share(scope, kind, name):
-    first = shared_draws.share(build(kind, name, seed=1))
-    second = shared_draws.share(build(kind, name, seed=2))
+@pytest.mark.parametrize("name", PATTERNS)
+def test_different_seeds_do_not_share(scope, name):
+    first = shared_draws.share(synthetic(name, seed=1))
+    second = shared_draws.share(synthetic(name, seed=2))
     assert first._replay._record is not second._replay._record
-    assert_same_batches(batches(second), batches(build(kind, name, seed=2)))
+    assert_same_batches(batches(second), batches(synthetic(name, seed=2)))
 
 
-@pytest.mark.parametrize("kind, name", SOURCES)
-def test_replayed_arrays_are_read_only(scope, kind, name):
+@pytest.mark.parametrize("name", PATTERNS)
+def test_replayed_arrays_are_read_only(scope, name):
     cycles = range(ATTACK_START, ATTACK_START + 200)
-    batches(shared_draws.share(build(kind, name)), cycles)
-    follower = shared_draws.share(build(kind, name))
+    batches(shared_draws.share(synthetic(name)), cycles)
+    follower = shared_draws.share(synthetic(name))
     replayed = [
         batch
         for batch in batches(follower, cycles)
@@ -128,17 +120,6 @@ def test_replayed_arrays_are_read_only(scope, kind, name):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-
-
-@pytest.mark.parametrize("name", sorted(ATTACK_LIBRARY))
-def test_packets_generated_is_kept(scope, name):
-    fresh = attack(name)
-    fresh_batches = [fresh.packet_batch_for_cycle(cycle) for cycle in range(HORIZON)]
-    sources = [shared_draws.share(attack(name)) for _ in range(2)]
-    for source in sources:
-        replayed = [source.packet_batch_for_cycle(cycle) for cycle in range(HORIZON)]
-        assert source.packets_generated == fresh.packets_generated > 0
-        assert [b is None for b in replayed] == [b is None for b in fresh_batches]
 
 
 def test_object_path_replays_the_same_packets(scope):
@@ -153,15 +134,14 @@ def test_object_path_replays_the_same_packets(scope):
         assert got == fields(fresh.packets_for_cycle(cycle))
 
 
-@pytest.mark.parametrize("kind, name", [("synthetic", "tornado"), ("attack", "pulsed")])
-def test_out_of_sequence_cycle_raises(scope, kind, name):
-    leader = shared_draws.share(build(kind, name))
+def test_out_of_sequence_cycle_raises(scope):
+    leader = shared_draws.share(synthetic("tornado"))
     batches(leader, range(ATTACK_START, ATTACK_START + 50))
-    follower = shared_draws.share(build(kind, name))
+    follower = shared_draws.share(synthetic("tornado"))
     follower._draw_batch(ATTACK_START)
     with pytest.raises(ValueError, match="cycle"):
         follower._draw_batch(ATTACK_START + 5)
-    late = shared_draws.share(build(kind, name))
+    late = shared_draws.share(synthetic("tornado"))
     with pytest.raises(ValueError, match="cycle"):
         late._draw_batch(ATTACK_START + 1)
 
@@ -169,6 +149,14 @@ def test_out_of_sequence_cycle_raises(scope, kind, name):
 def test_nothing_is_shared_outside_a_scope():
     source = shared_draws.share(synthetic("uniform_random"))
     assert source._replay is None
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_LIBRARY))
+def test_attack_sources_are_never_shared(scope, name):
+    source = attack(name)
+    assert shared_draws.share(source) is source
+    assert not hasattr(source, "_replay")
+    assert not shared_draws._SCOPE.records
 
 
 def test_parsec_workloads_are_never_shared(scope):
@@ -267,7 +255,7 @@ def test_episode_is_the_same_after_recorded_streams(
         baseline_benign_latency(BUILDER, benchmark, seed=seed, **WINDOWS)
         episode(recorder_policy, attacks, benchmark, seed)
         recorded = record_lengths()
-        assert len(recorded) == 2  # the workload and the flood
+        assert len(recorded) == 1  # the benign workload, not the flood
         replayed = episode(policy, attacks, benchmark, seed)
         # Every draw of the replayed episodes came from the records.
         assert record_lengths() == recorded

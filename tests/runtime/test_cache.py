@@ -116,15 +116,15 @@ class TestDisabled:
 
     def test_environment_disable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert ArtifactCache.from_environment().enabled is False
+        assert ArtifactCache().enabled is False
         monkeypatch.setenv("REPRO_CACHE", "1")
-        assert ArtifactCache.from_environment().enabled is True
+        assert ArtifactCache().enabled is True
         monkeypatch.delenv("REPRO_CACHE")
-        assert ArtifactCache.from_environment().enabled is True
+        assert ArtifactCache().enabled is True
 
     def test_environment_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
-        cache = ArtifactCache.from_environment()
+        cache = ArtifactCache()
         assert cache.root == tmp_path / "custom"
 
 

@@ -56,6 +56,23 @@ def assert_runs_equal(first, second):
                 )
 
 
+class TestDefaultEngine:
+    def test_default_engine_reads_the_environment(self, tmp_path, monkeypatch):
+        """Every experiment driver's fallback engine is ``ExperimentEngine()``."""
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        engine = ExperimentEngine()
+        assert engine.cache.enabled is False
+        assert engine.cache.root == tmp_path / "custom"
+        assert engine.runner.workers == 3
+        monkeypatch.delenv("REPRO_CACHE")
+        monkeypatch.delenv("REPRO_WORKERS")
+        engine = ExperimentEngine()
+        assert engine.cache.enabled is True
+        assert engine.runner.is_serial
+
+
 class TestBuildRuns:
     def test_matches_dataset_builder_exactly(self, monkeypatch):
         """Chunked (batched) runs equal one solo ``run_benchmark`` per task."""
