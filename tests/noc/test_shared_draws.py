@@ -4,7 +4,9 @@ Within one scope, a benign workload equal to an earlier one (same class,
 parameters and seed) reads its ``_draw_batch`` results back from the
 record the first one wrote.  Every batch-capable synthetic pattern must
 replay equal arrays of equal dtype, read-only, and an out-of-sequence
-cycle must raise.  Attack sources and PARSEC workloads are never shared.
+cycle must raise.  Attack sources and PARSEC workloads are never shared:
+equal attack sources in one scope each draw the fresh stream themselves,
+with ``packets_generated`` counted on both emission paths.
 A closed-loop episode under generated mitigation policies reports the same
 whether it runs alone or after episodes that recorded its benign stream.
 """
@@ -71,23 +73,33 @@ def assert_same_batches(replayed, fresh):
 
 
 PATTERNS = sorted(SYNTHETIC_PATTERNS)
+# Replay cases: the shared synthetic patterns, and the attack variants,
+# which pass through ``share`` unchanged and must still draw the fresh stream.
+SOURCES = [("synthetic", name) for name in PATTERNS] + [
+    ("attack", name) for name in sorted(ATTACK_LIBRARY)
+]
+SYNTHETIC_IDS = [f"synthetic-{name}" for name in PATTERNS]
 
 
-@pytest.mark.parametrize("name", PATTERNS)
-def test_replay_equals_fresh_source(scope, name):
-    fresh = batches(synthetic(name))
-    leader = shared_draws.share(synthetic(name))
+def build(kind, name):
+    return synthetic(name) if kind == "synthetic" else attack(name)
+
+
+@pytest.mark.parametrize("kind, name", SOURCES)
+def test_replay_equals_fresh_source(scope, kind, name):
+    fresh = batches(build(kind, name))
+    leader = shared_draws.share(build(kind, name))
     assert_same_batches(batches(leader), fresh)
-    follower = shared_draws.share(synthetic(name))
+    follower = shared_draws.share(build(kind, name))
     assert_same_batches(batches(follower), fresh)
     assert any(batch is not None and batch[0].size for batch in fresh)
 
 
-@pytest.mark.parametrize("name", PATTERNS)
-def test_interleaved_lanes_replay_the_same_stream(scope, name):
+@pytest.mark.parametrize("kind, name", SOURCES)
+def test_interleaved_lanes_replay_the_same_stream(scope, kind, name):
     """Readers that advance cycle by cycle together (batched lanes)."""
-    fresh = batches(synthetic(name))
-    lanes = [shared_draws.share(synthetic(name)) for _ in range(3)]
+    fresh = batches(build(kind, name))
+    lanes = [shared_draws.share(build(kind, name)) for _ in range(3)]
     drawn = [[], [], []]
     for cycle in range(HORIZON):
         for lane, out in zip(reversed(lanes), reversed(drawn)):
@@ -96,7 +108,7 @@ def test_interleaved_lanes_replay_the_same_stream(scope, name):
         assert_same_batches(out, fresh)
 
 
-@pytest.mark.parametrize("name", PATTERNS)
+@pytest.mark.parametrize("name", PATTERNS, ids=SYNTHETIC_IDS)
 def test_different_seeds_do_not_share(scope, name):
     first = shared_draws.share(synthetic(name, seed=1))
     second = shared_draws.share(synthetic(name, seed=2))
@@ -104,7 +116,7 @@ def test_different_seeds_do_not_share(scope, name):
     assert_same_batches(batches(second), batches(synthetic(name, seed=2)))
 
 
-@pytest.mark.parametrize("name", PATTERNS)
+@pytest.mark.parametrize("name", PATTERNS, ids=SYNTHETIC_IDS)
 def test_replayed_arrays_are_read_only(scope, name):
     cycles = range(ATTACK_START, ATTACK_START + 200)
     batches(shared_draws.share(synthetic(name)), cycles)
@@ -120,6 +132,19 @@ def test_replayed_arrays_are_read_only(scope, name):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_LIBRARY))
+def test_packets_generated_is_kept(scope, name):
+    """Equal attack sources in one scope count their own packets on both paths."""
+    fresh = attack(name)
+    fresh_batches = [fresh.packet_batch_for_cycle(cycle) for cycle in range(HORIZON)]
+    array_path, object_path = (shared_draws.share(attack(name)) for _ in range(2))
+    replayed = [array_path.packet_batch_for_cycle(cycle) for cycle in range(HORIZON)]
+    emitted = sum(len(object_path.packets_for_cycle(cycle)) for cycle in range(HORIZON))
+    assert array_path.packets_generated == fresh.packets_generated > 0
+    assert object_path.packets_generated == emitted == fresh.packets_generated
+    assert [b is None for b in replayed] == [b is None for b in fresh_batches]
 
 
 def test_object_path_replays_the_same_packets(scope):
