@@ -10,7 +10,9 @@ Each runs in its own process under the recipe ``REPRO_TRACE=jsonl``, an
 empty ``REPRO_CACHE_DIR`` (so the fence is trained from scratch),
 ``REPRO_WORKERS=1`` and ``OPENBLAS_NUM_THREADS=1``, with every other
 ``REPRO_*`` variable unset, all inside a temporary directory.  The SHA-256,
-byte size and per-kind event counts of each trace are compared with
+byte size and per-kind event counts of each trace, and the trained 8x8
+detector's ``benign_calibration`` (read from the run's cache sidecar and
+kept as ``float.hex``, so every bit counts), are compared with
 ``benchmarks/results/trace_digests.json``; on a difference the counts say
 which kind of event moved, and the exit code is 1.  A change that moves a
 trace on purpose re-records the file with ``--record`` and says why.
@@ -79,23 +81,32 @@ def generate(name: str, work: Path) -> Path:
     return traces[0]
 
 
-def digest(name: str, path: Path) -> dict:
-    """SHA-256, byte size and per-kind event counts of one trace."""
-    data = path.read_bytes()
+def calibration(name: str, work: Path) -> str:
+    """The run's detector ``benign_calibration`` as ``float.hex``."""
+    sidecars = sorted((work / f"cache-{name}").rglob("*.calibration.json"))
+    if len(sidecars) != 1:
+        raise RuntimeError(f"{name}: {len(sidecars)} calibration sidecars, expected 1")
+    return float(json.loads(sidecars[0].read_text())["benign_calibration"]).hex()
+
+
+def digest(name: str, work: Path) -> dict:
+    """SHA-256, byte size, per-kind event counts and detector calibration."""
+    data = generate(name, work).read_bytes()
     kinds = Counter(json.loads(line)["kind"] for line in data.splitlines())
     return {
         "call": CALLS[name],
         "sha256": hashlib.sha256(data).hexdigest(),
         "bytes": len(data),
         "events": dict(sorted(kinds.items())),
+        "benign_calibration": calibration(name, work),
     }
 
 
 def differences(name: str, got: dict, want: dict) -> list[str]:
     problems = []
-    for field in ("sha256", "bytes"):
-        if got[field] != want[field]:
-            problems.append(f"{name}: {field} {got[field]} != recorded {want[field]}")
+    for field in ("sha256", "bytes", "benign_calibration"):
+        if got[field] != want.get(field):
+            problems.append(f"{name}: {field} {got[field]} != recorded {want.get(field)}")
     for kind in sorted(set(got["events"]) | set(want["events"])):
         have, had = got["events"].get(kind, 0), want["events"].get(kind, 0)
         if have != had:
@@ -110,7 +121,7 @@ def main() -> int:
     )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
-        results = {name: digest(name, generate(name, Path(scratch))) for name in CALLS}
+        results = {name: digest(name, Path(scratch)) for name in CALLS}
     if args.record:
         RESULTS.write_text(
             json.dumps({"recipe": RECIPE, "traces": results}, indent=2) + "\n"
@@ -120,7 +131,10 @@ def main() -> int:
     recorded = json.loads(RESULTS.read_text())["traces"]
     problems = []
     for name, got in results.items():
-        print(f"{name}: sha256 {got['sha256']} ({got['bytes']} bytes)")
+        print(
+            f"{name}: sha256 {got['sha256']} ({got['bytes']} bytes), "
+            f"benign_calibration {got['benign_calibration']}"
+        )
         problems += differences(name, got, recorded[name])
     for problem in problems:
         print(problem, file=sys.stderr)

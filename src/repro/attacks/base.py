@@ -189,13 +189,6 @@ class AttackSource:
             return False
         return True
 
-    def is_active_at(self, cycle: int) -> bool:
-        """True when the attack can emit during ``cycle`` (monitor labels)."""
-        if not self.in_window(cycle):
-            return False
-        profile = self.model.fir_profile_at(cycle - self.start_cycle)
-        return profile is not None and bool((profile > 0.0).any())
-
     def is_active_in(self, start: int, end: int) -> bool:
         """True when the attack can emit at any cycle of ``[start, end)``.
 

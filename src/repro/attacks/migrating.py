@@ -61,10 +61,6 @@ class MigratingFloodAttack(AttackModel):
         """All hop positions — each injects maliciously at some point."""
         return tuple(sorted(self.path))
 
-    def position_at(self, rel_cycle: int) -> int:
-        """The hop position flooding at ``rel_cycle`` since attack start."""
-        return self.path[(rel_cycle // self.dwell_cycles) % len(self.path)]
-
     def emitters(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.path, (self.victim,) * len(self.path)
 

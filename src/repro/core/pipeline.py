@@ -56,10 +56,6 @@ class LocalizationResult:
     estimated_attacker_count: int = 0
 
     @property
-    def num_victims(self) -> int:
-        return len(self.victims)
-
-    @property
     def num_attackers(self) -> int:
         return len(self.attackers)
 
@@ -285,46 +281,6 @@ class DL2Fence:
         return ClassificationReport.from_predictions(
             np.concatenate(y_true), np.concatenate(y_pred)
         )
-
-    def evaluate_attacker_localization(
-        self, runs: list[ScenarioRun], force_localization: bool = True
-    ) -> dict[str, float]:
-        """Attacker-level localization quality over attacked runs.
-
-        Reports the fraction of true attackers found (recall), the fraction
-        of reported attackers that are real (precision) and the fraction of
-        samples where the full attacker set was exactly recovered.
-        """
-        found = 0
-        reported = 0
-        true_total = 0
-        exact = 0
-        samples = 0
-        for run in runs:
-            if run.scenario is None:
-                continue
-            true_attackers = set(run.scenario.attackers)
-            for sample in run.samples:
-                if not sample.attack_active:
-                    continue
-                result = self.process_sample(
-                    sample, force_localization=force_localization
-                )
-                predicted = set(result.attackers)
-                samples += 1
-                true_total += len(true_attackers)
-                reported += len(predicted)
-                found += len(true_attackers & predicted)
-                if predicted == true_attackers:
-                    exact += 1
-        if samples == 0:
-            raise ValueError("no attacked samples available for attacker evaluation")
-        return {
-            "attacker_recall": found / true_total if true_total else 1.0,
-            "attacker_precision": found / reported if reported else 0.0,
-            "exact_match_rate": exact / samples,
-            "samples": float(samples),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -184,9 +184,3 @@ class TableLikeMethod:
                     )
                 )
         return results, sorted(frontier)
-
-    def localize_attackers(
-        self, direction_victims: dict[Direction, set[int]], **kwargs
-    ) -> list[int]:
-        """Convenience wrapper returning only the attacker node ids."""
-        return sorted(r.attacker for r in self.localize(direction_victims, **kwargs))

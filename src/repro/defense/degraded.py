@@ -41,7 +41,6 @@ from repro.faults.monitor import DETOUR_KEY, UNOBSERVABLE_KEY
 from repro.monitor.features import FeatureKind, frame_shape
 from repro.monitor.frames import FrameSample
 from repro.noc.topology import Direction, MeshTopology
-from repro.obs.bus import BUS
 
 __all__ = ["DegradedModeConfig", "WindowHealth", "WindowSanitizer"]
 
@@ -244,17 +243,9 @@ class WindowSanitizer:
                     frame_set.frames[direction].values.copy()
                 )
 
-        health = WindowHealth(
+        return sample, WindowHealth(
             declared_silent=declared,
             stuck=stuck,
             imputed_cells=imputed,
             detour_carriers=detour,
         )
-        if BUS.active and health.degraded:
-            BUS.emit(
-                "window_sanitized",
-                imputed_cells=imputed,
-                declared_silent=health.declared_silent,
-                stuck=health.stuck,
-            )
-        return sample, health

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pipeline import LocalizationResult
-from repro.obs.bus import BUS
 
 __all__ = ["EvidenceConfig", "EvidenceAccumulator"]
 
@@ -178,8 +177,10 @@ class EvidenceAccumulator:
         weight: float,
         discounts: dict[int, float] | None = None,
         promotions: frozenset[int] | None = None,
-    ) -> list[int]:
-        """Fold one window's localization into the scores; returns new convictions.
+    ) -> tuple[list[int], list[int]]:
+        """Fold one window's localization into the scores.
+
+        Returns the nodes newly convicted and the convictions that lapsed.
 
         Every call decays all scores once (windows with no evidence still
         cool the accumulator down); ``weight`` scales this window's
@@ -231,20 +232,9 @@ class EvidenceAccumulator:
             if node not in self._convicted:
                 self._convicted.add(node)
                 fresh.append(node)
-        lapsed = [
-            n for n in self._convicted
-            if self.suspicion[n] < config.release_threshold
-        ]
-        for node in lapsed:
-            self._convicted.discard(node)
-        if BUS.active:
-            if fresh:
-                BUS.emit("convicted", nodes=fresh)
-            if lapsed:
-                BUS.emit("conviction_lapsed", nodes=lapsed, reason="decay")
-        return fresh
+        return fresh, self._lapse()
 
-    def decay_gap(self, steps: int) -> None:
+    def decay_gap(self, steps: int) -> list[int]:
         """Extra decay for sampling windows lost in delivery.
 
         A dropped monitor window is evidence of nothing: the accumulator
@@ -252,20 +242,19 @@ class EvidenceAccumulator:
         windows, and convictions whose score sinks below the release
         threshold lapse.  This keeps suspicion half-life a function of
         *time*, not of how many windows happened to survive a lossy
-        monitor channel.
+        monitor channel.  Returns the convictions that lapsed.
         """
         if steps <= 0:
-            return
+            return []
         self.suspicion *= self.config.decay**steps
-        lapsed = [
-            n
-            for n in self._convicted
-            if self.suspicion[n] < self.config.release_threshold
-        ]
-        for node in lapsed:
-            self._convicted.discard(node)
-        if BUS.active and lapsed:
-            BUS.emit("conviction_lapsed", nodes=lapsed, reason="gap", steps=steps)
+        return self._lapse()
+
+    def _lapse(self) -> list[int]:
+        """Drop the convictions whose score sank below the release threshold."""
+        threshold = self.config.release_threshold
+        lapsed = [n for n in self._convicted if self.suspicion[n] < threshold]
+        self._convicted.difference_update(lapsed)
+        return lapsed
 
     def reset_node(self, node: int) -> None:
         """Clear a node's evidence (called when the guard releases its fence).

@@ -15,12 +15,16 @@ three steps:
 * **decide** — :func:`decide` reads and writes only a :class:`GuardState`,
   where all decision state lives (streaks, engage counts, engaged nodes
   and their shadow pressure, the evidence accumulator, ...), and returns
-  the window's record and decisions.  It needs no simulator, network or
-  fence, so tests drive it directly;
+  the window's whole output as one ordered stream of :class:`GuardEvent`s.
+  It needs no simulator, network or fence, so tests drive it directly;
 * **actuate** — :meth:`DL2FenceGuard._actuate` turns engagements, rollbacks
-  and release probes into throttle, flush and restore calls on the mesh,
-  and :meth:`DL2FenceGuard._record` writes each decision to the report,
-  the trace and the metrics.
+  and release probes into throttle, flush and restore calls on the mesh.
+
+One loop, :meth:`DL2FenceGuard.decide_window`, hands every event of the
+stream to its three readers: the report (:meth:`DefenseReport.fold`), the
+trace bus and the ``repro_guard_events_total`` counter.  This module is the
+only one in :mod:`repro.defense` that emits trace events, and
+:func:`repro.defense.report.tally` is the one rule for counting them.
 
 Engagement and release follow the hysteresis of the configured
 :class:`~repro.defense.policy.MitigationPolicy`: one noisy window can
@@ -49,7 +53,9 @@ from repro.core.pipeline import DL2Fence, LocalizationResult
 from repro.defense.degraded import DegradedModeConfig, WindowSanitizer
 from repro.defense.evidence import EvidenceAccumulator, EvidenceConfig
 from repro.defense.policy import MitigationPolicy
-from repro.defense.report import COUNTED_EVENTS, DefenseEvent, DefenseReport, WindowRecord
+from repro.defense.report import (
+    COUNTED_EVENTS, DECISION_KINDS, DefenseReport, WindowRecord, tally,
+)
 from repro.faults.monitor import LOCAL_BOC_KEY
 from repro.monitor.frames import FrameSample
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
@@ -58,7 +64,7 @@ from repro.noc.stats import DeliveredColumns, LatencyStats
 from repro.obs.bus import BUS
 from repro.obs.metrics import METRICS, guard_events_counter
 
-__all__ = ["DL2FenceGuard", "Decision", "GuardState", "Observation", "decide"]
+__all__ = ["DL2FenceGuard", "GuardEvent", "GuardState", "Observation", "decide"]
 
 #: Per-window retention of an engaged node's shadow-pressure counter.
 SHADOW_DECAY = 0.8
@@ -91,7 +97,8 @@ class Observation:
     missed_windows: int = 0
     #: Whether the capture clock is current (stale windows earn no release).
     fresh_clock: bool = True
-    imputed_cells: int = 0
+    #: The ``window_sanitized`` event's fields; empty on healthy telemetry.
+    sanitized: Mapping[str, object] = field(default_factory=dict)
     #: The window's :class:`WindowRecord` delivery fields.
     deliveries: Mapping[str, float] = field(default_factory=dict)
 
@@ -135,26 +142,30 @@ class GuardState:
 
 
 @dataclass(frozen=True)
-class Decision:
-    """One guard decision, as :meth:`DL2FenceGuard._record` writes it."""
+class GuardEvent:
+    """One event of a window's stream: a trace event and what else it carries."""
 
     kind: str
-    nodes: tuple[int, ...] = ()
+    #: The trace event's fields (``nodes``, ``round``, ...), as emitted.
+    fields: Mapping[str, object] = field(default_factory=dict)
+    #: A decision's description in the report's event log.
     detail: str = ""
-    round: int = 0
-    #: The full-rollback ``released`` marker: restates nodes its
-    #: ``rolled_back`` sibling already counted.
-    restated: bool = False
     #: Nodes the actuator fences (``engaged``) or restores, in this order.
     actuated: tuple[int, ...] = ()
-    #: Extra trace fields.
-    fields: Mapping[str, object] = field(default_factory=dict)
+    #: The ``window`` event's record.
+    record: WindowRecord | None = None
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return tuple(self.fields.get("nodes", ()))
 
 
-def decide(
-    state: GuardState, observation: Observation
-) -> tuple[WindowRecord, tuple[Decision, ...]]:
-    """Fold one observed window into ``state``: its record and its decisions.
+#: The stream's kinds ``repro_guard_events_total`` counts.
+METERED_KINDS = DECISION_KINDS + ("window",)
+
+
+def decide(state: GuardState, observation: Observation) -> tuple[GuardEvent, ...]:
+    """Fold one observed window into ``state``; returns the window's events.
 
     The window's actionable attacker set is the union of the Table-Like
     Method's per-window localization and the nodes the cross-window
@@ -166,21 +177,22 @@ def decide(
     keep the loop in attack mode: a fenced attacker leaves no fresh
     evidence, so its stale suspicion must not block release probing.
 
-    Decisions come in a fixed order: fresh convictions, the first detection
-    of a streak, engagements, rollbacks (plus the full-release marker), a
-    release probe.
+    Events come in a fixed order: ``window_sanitized``, the gap's
+    ``conviction_lapsed``, ``detour_discount``, fresh convictions, the
+    decay's ``conviction_lapsed``, the first detection of a streak,
+    engagements, rollbacks (plus the full-release marker), a release probe,
+    and last the ``window`` event with the window's record.
     """
     result, unobservable = observation.result, observation.unobservable
     index, engaged_at_start = state.window_index, bool(state.engaged)
     if state.last_window_cycle is None or observation.cycle > state.last_window_cycle:
         state.last_window_cycle = observation.cycle
-    decisions: list[Decision] = []
+    events: list[GuardEvent] = []
+    if observation.sanitized:
+        events.append(GuardEvent("window_sanitized", observation.sanitized))
     convicted: list[int] = []
     if state.evidence is not None:
-        fresh = _accumulate(state, observation)
-        if fresh:
-            detail = "cross-window evidence"
-            decisions.append(Decision("convicted", tuple(sorted(fresh)), detail))
+        events += _accumulate(state, observation)
         convicted = state.evidence.convicted_nodes()
 
     acted = result.detected or any(
@@ -208,11 +220,11 @@ def decide(
                 "probability": float(result.detection_probability),
                 "via": "detector" if result.detected else "evidence",
             }
-            decisions.append(Decision("detected", detail=detail, fields=fields))
+            events.append(GuardEvent("detected", fields, detail))
         state.consecutive_detections += 1
         state.consecutive_clean = 0
-        decisions += _engage(state, streak_eligible, observation.cycle)
-        decisions += _roll_back(state, flagged, observation.fresh_clock)
+        events += _engage(state, streak_eligible, observation.cycle)
+        events += _roll_back(state, flagged, observation.fresh_clock)
     else:
         # A stale clean window describes the past: it neither counts toward
         # the clean streak nor releases a fence.
@@ -226,7 +238,7 @@ def decide(
             # suppresses the evidence), so streaks survive there.
             state.flag_streaks.clear()
         elif observation.fresh_clock:
-            decisions += _release_probe(state)
+            events += _release_probe(state)
     state.window_index += 1
     record = WindowRecord(
         index=index,
@@ -241,19 +253,33 @@ def decide(
         unobservable=tuple(sorted(unobservable)),
         **observation.deliveries,
     )
-    return record, tuple(decisions)
+    fields = dict(
+        phase=record.phase,
+        detected=record.detected,
+        probability=float(record.probability),
+        attackers=record.attackers,
+        suspected=record.suspected,
+        engaged=record.restricted,
+        unobservable=record.unobservable,
+    )
+    events.append(GuardEvent("window", fields, record=record))
+    return tuple(events)
 
 
-def _accumulate(state: GuardState, observation: Observation) -> list[int]:
-    """Fold the window into the evidence accumulator; returns new convictions."""
+def _accumulate(state: GuardState, observation: Observation) -> list[GuardEvent]:
+    """Fold the window into the evidence accumulator; returns its events."""
     evidence, degraded = state.evidence, state.degraded
     result, unobservable = observation.result, observation.unobservable
     detour, corroborated = observation.detour, observation.corroborated
+    events: list[GuardEvent] = []
     if observation.missed_windows:
         # A delivery gap charges the decay the accumulator missed, capped so
         # an outage cannot zero it in one hit.
         cap = (degraded or DegradedModeConfig).max_gap_decay
-        evidence.decay_gap(min(observation.missed_windows, cap))
+        steps = min(observation.missed_windows, cap)
+        if lapsed := evidence.decay_gap(steps):
+            fields = {"nodes": lapsed, "reason": "gap", "steps": steps}
+            events.append(GuardEvent("conviction_lapsed", fields))
     if unobservable:
         # Hard invariant: a node with no trustworthy telemetry this window
         # contributes no affirmative evidence — a merely silent or stuck
@@ -264,22 +290,25 @@ def _accumulate(state: GuardState, observation: Observation) -> list[int]:
             frontier=[n for n in result.frontier if n not in unobservable],
         )
     discount = degraded.detour_discount if detour and degraded is not None else None
-    if BUS.active and (discount or corroborated):
-        BUS.emit(
-            "detour_discount",
-            nodes=detour,
-            discount=discount or 1.0,
-            promoted=corroborated,
-        )
-    return evidence.observe(
+    if discount or corroborated:
+        fields = {"nodes": detour, "discount": discount or 1.0, "promoted": corroborated}
+        events.append(GuardEvent("detour_discount", fields))
+    fresh, lapsed = evidence.observe(
         result,
         observation.weight,
         discounts=dict.fromkeys(detour, discount) if discount else None,
         promotions=corroborated or None,
     )
+    if fresh:
+        fields = {"nodes": tuple(sorted(fresh))}
+        events.append(GuardEvent("convicted", fields, "cross-window evidence"))
+    if lapsed:
+        fields = {"nodes": lapsed, "reason": "decay"}
+        events.append(GuardEvent("conviction_lapsed", fields))
+    return events
 
 
-def _engage(state: GuardState, candidates: list[int], cycle: int) -> list[Decision]:
+def _engage(state: GuardState, candidates: list[int], cycle: int) -> list[GuardEvent]:
     """Fence nodes flagged in ``engage_after`` consecutive detection windows.
 
     Under ``max_engaged_nodes`` the most persistently flagged candidates
@@ -322,19 +351,12 @@ def _engage(state: GuardState, candidates: list[int], cycle: int) -> list[Decisi
     for held in state.engaged.values():
         held.windows_since_flagged = 0
     limit = policy.injection_limit
-    return [
-        Decision(
-            "engaged",
-            tuple(sorted(newly_engaged)),
-            f"limit={limit:g}",
-            state.round,
-            actuated=newly_engaged,
-            fields={"limit": float(limit)},
-        )
-    ]
+    nodes = tuple(sorted(newly_engaged))
+    fields = {"nodes": nodes, "limit": float(limit), "round": state.round}
+    return [GuardEvent("engaged", fields, f"limit={limit:g}", newly_engaged)]
 
 
-def _roll_back(state: GuardState, flagged: set[int], fresh_clock: bool) -> list[Decision]:
+def _roll_back(state: GuardState, flagged: set[int], fresh_clock: bool) -> list[GuardEvent]:
     """Release engaged nodes the localizer has stopped flagging.
 
     The threshold grows with the node's engagement count (a fenced attacker
@@ -353,27 +375,19 @@ def _roll_back(state: GuardState, flagged: set[int], fresh_clock: bool) -> list[
                 rolled_back.append(node)
     if not rolled_back:
         return []
-    nodes, remaining = tuple(rolled_back), len(state.engaged)
-    decisions = [
-        Decision(
-            "rolled_back",
-            nodes,
-            "no longer localized",
-            actuated=nodes,
-            fields={"remaining": remaining},
-        )
-    ]
-    if not remaining:
+    fields = {"nodes": tuple(rolled_back), "remaining": len(state.engaged)}
+    nodes = fields["nodes"]
+    events = [GuardEvent("rolled_back", fields, "no longer localized", nodes)]
+    if not state.engaged:
         # The rollback lifted the last restriction: record a full release so
-        # the report's release_cycle reflects reality.
-        detail = "all restrictions rolled back"
-        decisions.append(
-            Decision("released", nodes, detail, restated=True, fields={"remaining": 0})
-        )
-    return decisions
+        # the report's release_cycle reflects reality.  This marker has no
+        # ``clean_windows``, so nothing counts its nodes twice.
+        fields = {"nodes": nodes, "remaining": 0}
+        events.append(GuardEvent("released", fields, "all restrictions rolled back"))
+    return events
 
 
-def _release_probe(state: GuardState) -> list[Decision]:
+def _release_probe(state: GuardState) -> list[GuardEvent]:
     """Release ONE engaged node whose clean-window hold has expired.
 
     The required clean streak grows with the node's re-engage backoff.
@@ -407,8 +421,8 @@ def _release_probe(state: GuardState) -> list[Decision]:
         detail += f"; staggered probe, {remaining} still fenced"
     else:
         state.flag_streaks.clear()
-    fields = {"clean_windows": clean, "remaining": remaining}
-    return [Decision("released", (probe,), detail, actuated=(probe,), fields=fields)]
+    fields = {"nodes": (probe,), "clean_windows": clean, "remaining": remaining}
+    return [GuardEvent("released", fields, detail, (probe,))]
 
 
 def _release(state: GuardState, node: int) -> None:
@@ -538,8 +552,7 @@ class DL2FenceGuard:
         period = self.report.sample_period
         degraded = state.degraded
         if BUS.active:
-            # Coordinates for every event this window emits, including from
-            # nested emitters (evidence accumulator, sanitizer).  The episode
+            # Coordinates for every event this window emits.  The episode
             # label is the batched backend's lane index; solo simulators
             # are lane 0 unless the harness stamps one.
             BUS.set_context(
@@ -561,12 +574,17 @@ class DL2FenceGuard:
         unobservable: frozenset[int] = frozenset()
         detour: frozenset[int] = frozenset()
         corroborated: frozenset[int] = frozenset()
-        imputed_cells = 0
+        sanitized = {}
         if self._sanitizer is not None:
             local = sample.metadata.get(LOCAL_BOC_KEY)
             sample, health = self._sanitizer.sanitize(sample)
             unobservable = health.unobservable
-            imputed_cells = health.imputed_cells
+            if health.degraded:
+                sanitized = dict(
+                    imputed_cells=health.imputed_cells,
+                    declared_silent=health.declared_silent,
+                    stuck=health.stuck,
+                )
             detour = health.detour_carriers
             if detour and local:
                 # The reroute can shift what a router forwards, never what
@@ -620,47 +638,40 @@ class DL2FenceGuard:
             corroborated=corroborated,
             missed_windows=missed_windows,
             fresh_clock=fresh_clock,
-            imputed_cells=imputed_cells,
+            sanitized=sanitized,
             deliveries=deliveries,
         )
 
-    def decide_window(self, observation: Observation) -> tuple[Decision, ...]:
-        """Run :func:`decide` on one observed window and record the outcome.
+    def decide_window(self, observation: Observation) -> tuple[GuardEvent, ...]:
+        """Run :func:`decide` on one observed window and hand out its events.
 
-        The simulator-free half of :meth:`on_sample`; returns the decisions
-        for the actuator.
+        The simulator-free half of :meth:`on_sample`.  Each event goes, in
+        stream order, to the report, the trace (when tracing is on) and
+        ``repro_guard_events_total`` (when metrics are on: the logged
+        decisions and the window, node-counted, 1 for ``detected`` and
+        ``window``).  Returns the stream for the actuator.
         """
-        state = self.state
-        record, decisions = decide(state, observation)
-        self.report.count("window_sanitized", observation.imputed_cells)
-        if state.evidence is not None and state.degraded is not None:
-            self.report.count("detour_discount", len(observation.detour))
-        for decision in decisions:
-            self._record(decision, observation.cycle)
-        self.report.windows.append(record)
-        if BUS.active:
-            BUS.emit(
-                "window",
-                phase=record.phase,
-                detected=record.detected,
-                probability=float(record.probability),
-                attackers=record.attackers,
-                suspected=record.suspected,
-                engaged=record.restricted,
-                unobservable=record.unobservable,
-            )
-        if METRICS.active:
-            guard_events_counter().inc(kind="window")
-        return decisions
+        events = decide(self.state, observation)
+        for event in events:
+            kind, fields = event.kind, event.fields
+            self.report.fold(observation.cycle, event)
+            if BUS.active:
+                BUS.emit(kind, **fields)
+            # The full-rollback marker, which tally() skips, is not metered.
+            if METRICS.active and kind in METERED_KINDS and (
+                kind not in COUNTED_EVENTS or tally(kind, fields)
+            ):
+                guard_events_counter().inc(len(event.nodes) or 1, kind=kind)
+        return events
 
     # -- mitigation mechanics ---------------------------------------------------
-    def _actuate(self, decisions: tuple[Decision, ...], simulator: NoCSimulator) -> None:
-        """Apply the decisions' countermeasure changes to the mesh, in order."""
+    def _actuate(self, events: tuple[GuardEvent, ...], simulator: NoCSimulator) -> None:
+        """Apply the events' countermeasure changes to the mesh, in order."""
         network = simulator.network
         flush = self.policy.flush_queue
-        for decision in decisions:
-            for node in decision.actuated:
-                if decision.kind == "engaged":
+        for event in events:
+            for node in event.actuated:
+                if event.kind == "engaged":
                     self._previous_limits[node] = network.injection_limit(node)
                     simulator.throttle_node(node, self.policy.injection_limit)
                     if flush:
@@ -672,33 +683,6 @@ class DL2FenceGuard:
                     # limit lifts.
                     network.flush_source_queue(node)
                 simulator.throttle_node(node, self._previous_limits.pop(node))
-
-    # -- observability ---------------------------------------------------------
-    def _record(self, decision: Decision, cycle: int) -> None:
-        """Write one decision to the report, the trace and the metrics.
-
-        The single write path of every guard decision: it appends the
-        :class:`DefenseEvent`, adds the nodes to ``report.event_counts``,
-        emits the bus event when tracing is on and bumps
-        ``repro_guard_events_total`` (node-counted, 1 for ``detected``) when
-        metrics are on.  A ``restated`` decision is logged and traced, never
-        counted.
-        """
-        kind = decision.kind
-        event = DefenseEvent(cycle, kind, decision.nodes, decision.detail, decision.round)
-        self.report.events.append(event)
-        if not decision.restated and kind in COUNTED_EVENTS:
-            self.report.count(kind, len(event.nodes))
-        # The evidence accumulator traces its own convictions.
-        if BUS.active and kind != "convicted":
-            fields = dict(decision.fields)
-            if event.nodes:
-                fields["nodes"] = event.nodes
-            if decision.round:
-                fields["round"] = decision.round
-            BUS.emit(kind, **fields)
-        if METRICS.active and not decision.restated:
-            guard_events_counter().inc(len(event.nodes) or 1, kind=kind)
 
     # -- measurement ----------------------------------------------------------
     def _window_latency(self, simulator: NoCSimulator) -> dict:

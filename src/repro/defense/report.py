@@ -13,21 +13,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.defense.policy import MitigationPolicy
 
-__all__ = ["COUNTED_EVENTS", "DefenseEvent", "WindowRecord", "DefenseReport"]
+__all__ = ["COUNTED_EVENTS", "DefenseEvent", "WindowRecord", "DefenseReport", "tally"]
 
 #: Window phases, in the order a successful defended run traverses them.
 PHASES = ("benign", "attack", "mitigated")
 
-#: The one table behind ``DefenseReport.event_counts``: the counter each
-#: counted trace event kind adds to.  Every kind adds its node total, except
-#: the sanitizer's ``window_sanitized``, which adds the cells it imputed.
-#: The full-rollback ``released`` marker restates nodes its ``rolled_back``
-#: sibling already counted and adds nothing; in a trace it is the
-#: ``released`` event without ``clean_windows``.
+#: The guard decisions a report logs in ``DefenseReport.events``.
+DECISION_KINDS = ("detected", "convicted", "engaged", "rolled_back", "released")
+
+#: The ``DefenseReport.event_counts`` counter each counted event kind adds to.
 COUNTED_EVENTS = {
     "engaged": "engagements",
     "rolled_back": "releases",
@@ -36,6 +35,23 @@ COUNTED_EVENTS = {
     "window_sanitized": "clamps",
     "detour_discount": "detour_discounts",
 }
+
+
+def tally(kind: str, fields: Mapping) -> tuple[str, int] | None:
+    """The ``event_counts`` counter one trace event adds to, and how much.
+
+    Every counted kind adds its node total, except the sanitizer's
+    ``window_sanitized``, which adds the cells it imputed.  ``None`` for an
+    uncounted kind and for the full-rollback ``released`` marker — the
+    ``released`` event without ``clean_windows`` — which restates nodes its
+    ``rolled_back`` sibling already counted.
+    """
+    counter = COUNTED_EVENTS.get(kind)
+    if counter is None or (kind == "released" and "clean_windows" not in fields):
+        return None
+    if kind == "window_sanitized":
+        return counter, int(fields.get("imputed_cells", 0))
+    return counter, len(fields.get("nodes", ()))
 
 
 @dataclass(frozen=True)
@@ -113,9 +129,23 @@ class DefenseReport:
     #: backend-identical: pure functions of the window stream.
     event_counts: dict[str, int] = field(default_factory=dict)
 
-    def count(self, kind: str, amount: int) -> None:
-        """Add ``amount`` to the ``event_counts`` counter of event ``kind``."""
-        self.event_counts[COUNTED_EVENTS[kind]] += amount
+    def fold(self, cycle: int, event) -> None:
+        """Fold one event of the guard's window stream into the report.
+
+        ``event`` is a :class:`repro.defense.guard.GuardEvent`: decisions
+        join ``events``, the ``window`` event's record joins ``windows``, and
+        every event adds its :func:`tally` to ``event_counts``.
+        """
+        kind, fields = event.kind, event.fields
+        if kind == "window":
+            self.windows.append(event.record)
+        elif kind in DECISION_KINDS:
+            nodes = tuple(fields.get("nodes", ()))
+            round_ = fields.get("round", 0)
+            self.events.append(DefenseEvent(cycle, kind, nodes, event.detail, round_))
+        counted = tally(kind, fields)
+        if counted is not None:
+            self.event_counts[counted[0]] += counted[1]
 
     # -- event accessors ----------------------------------------------------
     def _first_event_cycle(self, kind: str) -> int | None:

@@ -67,10 +67,7 @@ def _latency_point(task: _LatencyTask) -> LatencyPoint:
         config.dataset_config().simulation_config(), source_queue_capacity=200_000
     )
     simulator = NoCSimulator(simulation_config)
-    simulator.add_source(builder.make_workload(task.benchmark, seed=config.seed))
-    simulator.add_source(
-        task.attack.build_source(builder.topology, seed=config.seed + 1)
-    )
+    builder.add_sources(simulator, task.benchmark, config.seed, (task.attack,))
     simulator.run(task.cycles)
     simulator.drain(max_cycles=12 * task.cycles)
     latency = simulator.latency(benign_only=True)

@@ -313,20 +313,11 @@ def _attacked_simulator(
     Inside :func:`run_episodes`, a workload equal to one an earlier episode
     held replays its recorded draws (:mod:`repro.noc.shared_draws`).
     """
-    config = builder.config
-    simulator = NoCSimulator(config.simulation_config())
-    workload = builder.make_workload(benchmark, seed=seed)
-    simulator.add_source(shared_draws.share(workload))
-    for index, model in enumerate(attacks):
-        simulator.add_source(
-            model.build_source(
-                builder.topology,
-                seed=seed + 1 + index,
-                packet_size_flits=config.packet_size_flits,
-                start_cycle=shape.attack_start,
-                end_cycle=shape.attack_end,
-            )
-        )
+    simulator = NoCSimulator(builder.config.simulation_config())
+    builder.add_sources(
+        simulator, benchmark, seed, attacks, shape.attack_start, shape.attack_end,
+        shared=True,
+    )
     return simulator
 
 

@@ -28,6 +28,7 @@ from repro.monitor.features import FeatureKind, normalize_frame
 from repro.monitor.frames import FrameSample, to_canonical
 from repro.monitor.labeling import attack_direction_masks
 from repro.monitor.sampler import GlobalPerformanceMonitor, MonitorConfig
+from repro.noc import shared_draws
 from repro.noc.backend import episode_batch_size, resolve_backend
 from repro.noc.batch_sim import BatchedNoCSimulator
 from repro.noc.simulator import NoCSimulator, SimulationConfig
@@ -140,13 +141,6 @@ class DetectionDataset:
     def num_samples(self) -> int:
         return int(self.inputs.shape[0])
 
-    @property
-    def positive_fraction(self) -> float:
-        """Fraction of samples captured during an active attack."""
-        if self.labels.size == 0:
-            return 0.0
-        return float(self.labels.mean())
-
     def subset(self, indices: np.ndarray) -> "DetectionDataset":
         """Select a subset of samples by index."""
         benchmarks = [self.benchmarks[i] for i in indices] if self.benchmarks else []
@@ -208,6 +202,36 @@ class DatasetBuilder:
                 seed=seed,
             )
         raise KeyError(f"unknown benchmark {benchmark!r}")
+
+    def add_sources(
+        self,
+        lane,
+        benchmark: str,
+        seed: int,
+        attacks: tuple = (),
+        start_cycle: int = 0,
+        end_cycle: int | None = None,
+        shared: bool = False,
+    ) -> None:
+        """Wire one episode's traffic onto a simulator or batched lane.
+
+        The workload runs at seed ``seed`` and attack flow ``i`` at
+        ``seed + 1 + i``, active over ``[start_cycle, end_cycle)``.
+        ``shared`` lets the workload replay the draws of an equal workload
+        in the open shared-draw scope (:mod:`repro.noc.shared_draws`).
+        """
+        workload = self.make_workload(benchmark, seed=seed)
+        lane.add_source(shared_draws.share(workload) if shared else workload)
+        for index, model in enumerate(attacks):
+            lane.add_source(
+                model.build_source(
+                    self.topology,
+                    seed=seed + 1 + index,
+                    packet_size_flits=self.config.packet_size_flits,
+                    start_cycle=start_cycle,
+                    end_cycle=end_cycle,
+                )
+            )
 
     # -- simulation -------------------------------------------------------------
     def run_benchmark(
@@ -271,8 +295,8 @@ class DatasetBuilder:
         One task runs on a :class:`NoCSimulator`; several run as the lanes of
         one :class:`~repro.noc.batch_sim.BatchedNoCSimulator`, so every
         kernel dispatch advances all of them.  Each lane gets the task's
-        workload (seed ``seed``), its attacker (seed ``seed + 1``) and a
-        monitor; per-task results are identical to solo runs
+        workload and attacker (:meth:`add_sources`) and a monitor; per-task
+        results are identical to solo runs
         (``tests/noc/test_batched_equivalence.py``).
         """
         if any(task.config != self.config for task in tasks):
@@ -285,15 +309,8 @@ class DatasetBuilder:
             )
         monitors = []
         for task, lane in zip(tasks, driver.lanes):
-            lane.add_source(self.make_workload(task.benchmark, seed=task.seed))
-            if task.scenario is not None:
-                lane.add_source(
-                    task.scenario.build_source(
-                        self.topology,
-                        seed=task.seed + 1,
-                        packet_size_flits=self.config.packet_size_flits,
-                    )
-                )
+            attacks = () if task.scenario is None else (task.scenario,)
+            self.add_sources(lane, task.benchmark, task.seed, attacks)
             monitors.append(
                 GlobalPerformanceMonitor(
                     MonitorConfig(sample_period=self.config.sample_period)

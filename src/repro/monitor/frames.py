@@ -116,9 +116,6 @@ class DirectionalFrame:
     def max_value(self) -> float:
         return float(self.values.max()) if self.values.size else 0.0
 
-    def mean_value(self) -> float:
-        return float(self.values.mean()) if self.values.size else 0.0
-
 
 @dataclass
 class FrameSet:

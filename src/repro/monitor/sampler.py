@@ -219,11 +219,3 @@ class GlobalPerformanceMonitor:
     @property
     def num_samples(self) -> int:
         return len(self.samples)
-
-    def attack_samples(self) -> list[FrameSample]:
-        """Samples captured while an attack was active."""
-        return [s for s in self.samples if s.attack_active]
-
-    def benign_samples(self) -> list[FrameSample]:
-        """Samples captured with no active attack."""
-        return [s for s in self.samples if not s.attack_active]

@@ -95,24 +95,6 @@ class Packet:
         """True once the tail flit has been ejected at the destination."""
         return self.ejected_cycle is not None
 
-    def queue_latency(self) -> int:
-        """Cycles spent waiting in the source injection queue."""
-        if self.injected_cycle is None:
-            raise ValueError("packet has not been injected yet")
-        return self.injected_cycle - self.created_cycle
-
-    def network_latency(self) -> int:
-        """Cycles from network entry to tail ejection."""
-        if self.ejected_cycle is None or self.injected_cycle is None:
-            raise ValueError("packet has not been delivered yet")
-        return self.ejected_cycle - self.injected_cycle
-
-    def total_latency(self) -> int:
-        """Cycles from creation to tail ejection (queue + network)."""
-        if self.ejected_cycle is None:
-            raise ValueError("packet has not been delivered yet")
-        return self.ejected_cycle - self.created_cycle
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = "malicious" if self.is_malicious else "benign"
         return (

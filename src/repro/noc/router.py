@@ -174,10 +174,6 @@ class InputPort:
             router.buffered_flits -= 1
         return flit
 
-    @property
-    def total_buffered_flits(self) -> int:
-        return self.buffered_flits
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"InputPort({self.direction.value}, vcs={len(self.vcs)}, "
@@ -244,10 +240,6 @@ class Router:
         """Record this cycle's occupancy on every input port."""
         for port in self.input_ports.values():
             port.accumulate_occupancy()
-
-    @property
-    def total_buffered_flits(self) -> int:
-        return self.buffered_flits
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Router(node={self.node_id}, ports={len(self.input_ports)})"

@@ -1368,9 +1368,5 @@ class SoARouterView:
         span = 5 * self._net.num_vcs
         return int(self._net._vc_count[base : base + span].sum())
 
-    @property
-    def total_buffered_flits(self) -> int:
-        return self.buffered_flits
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SoARouterView(node={self.node_id})"

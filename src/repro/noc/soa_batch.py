@@ -72,12 +72,6 @@ class _BatchVcTables:
     q_slot_off: np.ndarray | None
 
 
-#: Keyed by (rows, columns, num_vcs, episodes, with_route_table).
-_BATCH_TABLES_CACHE: dict[
-    tuple[int, int, int, int, bool], tuple[MeshTables, _BatchVcTables]
-] = {}
-
-
 def batched_tables(
     topology: MeshTopology, num_vcs: int, episodes: int
 ) -> tuple[MeshTables, _BatchVcTables]:
@@ -86,7 +80,8 @@ def batched_tables(
     Node/port/VC ids of episode ``e`` are the per-episode ids offset by
     ``e * num_nodes`` (respectively ``* 5`` / ``* 5 * num_vcs``); edge and
     downstream-port entries stay ``-1`` at block boundaries, so no kernel
-    path can cross episodes.
+    path can cross episodes.  Each batched network builds its own set (a
+    millisecond or so) and frees it with the batch.
 
     Arbitration reads the solo ``key_table`` itself (``KEY_PERIOD`` rows of
     one mesh's VCs): ``q_local[q]`` is VC ``q``'s episode-local id, and the
@@ -109,11 +104,6 @@ def batched_tables(
     base = mesh_tables(topology)
     vc = _vc_tables(topology, num_vcs)
     nodes = topology.num_nodes
-    with_route_table = vc.route_slot is not None
-    key = (topology.rows, topology.columns, num_vcs, episodes, with_route_table)
-    cached = _BATCH_TABLES_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     node_offsets = (np.arange(episodes, dtype=np.int64) * nodes).repeat(nodes)
     neighbor = np.tile(base.neighbor, (episodes, 1))
@@ -138,7 +128,7 @@ def batched_tables(
     route_slot = None
     q_node_base = None
     q_slot_off = None
-    if with_route_table:
+    if vc.route_slot is not None:
         # Share the solo (node, dest) -> local-slot table and bias the base
         # index so the global destination id cancels its episode offset:
         #   q_node_base[q] + global_dest
@@ -158,9 +148,7 @@ def batched_tables(
         route_slot=route_slot,
         q_slot_off=q_slot_off,
     )
-    built = (tables, batch_vc)
-    _BATCH_TABLES_CACHE[key] = built
-    return built
+    return tables, batch_vc
 
 
 def _no_direct_surface(name: str, is_property: bool = False):

@@ -156,15 +156,5 @@ class MeshTopology:
         dx, dy = self.coordinates(dst)
         return abs(sx - dx) + abs(sy - dy)
 
-    def is_edge_node(self, node_id: int) -> bool:
-        """True when the node sits on the mesh boundary."""
-        x, y = self.coordinates(node_id)
-        return x in (0, self.columns - 1) or y in (0, self.rows - 1)
-
-    def is_corner_node(self, node_id: int) -> bool:
-        """True when the node sits in one of the four mesh corners."""
-        x, y = self.coordinates(node_id)
-        return x in (0, self.columns - 1) and y in (0, self.rows - 1)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MeshTopology({self.rows}x{self.columns})"

@@ -8,9 +8,9 @@ adds the always-on telemetry substrate a runtime defense needs:
 
 * :mod:`repro.obs.bus` — a structured **event-trace bus**: typed,
   schema-versioned events carrying (episode, cycle, window, node)
-  coordinates, emitted from the guard, the evidence accumulator, the
-  window sanitizer, fault activation and the monitor capture path, into a
-  pluggable sink (in-memory ring buffer, JSONL file, or nothing).
+  coordinates, emitted from the guard (one stream per window, which also
+  carries the evidence accumulator's and sanitizer's findings), fault
+  activation and the monitor capture path, into a pluggable sink.
   Selected via ``REPRO_TRACE`` / ``REPRO_TRACE_DIR``.
 * :mod:`repro.obs.metrics` — a **metrics registry** (counters and
   histograms with label support) fed by both simulator backends (per-phase

@@ -1,9 +1,9 @@
 """Structured event-trace bus: the flight recorder of the defense loop.
 
 One process-wide :data:`BUS` carries typed, schema-versioned events from the
-instrumented decision sites (guard, evidence accumulator, window sanitizer,
-fault activation, monitor capture) into a pluggable sink.  Emission sites
-follow one pattern::
+instrumented decision sites (the guard's window stream, fault activation,
+monitor capture) into a pluggable sink.  Emission sites follow one
+pattern::
 
     from repro.obs.bus import BUS
     ...
@@ -17,9 +17,8 @@ Every event is a flat JSON-able dict carrying the schema version, its kind,
 and the (episode, cycle, window) coordinates of the decision it records;
 node-scoped events add ``node`` / ``nodes``.  Coordinates come from a small
 context the guard refreshes at the top of every sampling window
-(:meth:`TraceBus.set_context`), so downstream emitters — the evidence
-accumulator, the sanitizer — do not need to thread coordinates through
-their APIs.
+(:meth:`TraceBus.set_context`), so emitters do not need to thread
+coordinates through their APIs.
 
 Events deliberately contain **no wall-clock timestamps and no RNG use**:
 they are pure functions of the observed window stream, which is

@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.defense.report import COUNTED_EVENTS
+from repro.defense.report import COUNTED_EVENTS, tally
 
 __all__ = ["load_events", "trace_counts", "crosscheck_report", "main"]
 
@@ -83,24 +83,13 @@ def episodes_of(events: list[dict]) -> list[int]:
 def trace_counts(events: list[dict]) -> dict[str, int]:
     """The report's ``event_counts`` summary, rederived from the trace.
 
-    Reads the guard's own counting table,
-    :data:`repro.defense.report.COUNTED_EVENTS`: each counted event adds its
-    node total (``window_sanitized`` adds its ``imputed_cells``), and the
-    full-rollback ``released`` marker — the ``released`` event without
-    ``clean_windows`` — adds nothing.
+    Counts with the guard's own rule, :func:`repro.defense.report.tally`.
     """
     counts = dict.fromkeys(COUNTED_EVENTS.values(), 0)
     for event in events:
-        kind = event["kind"]
-        if kind not in COUNTED_EVENTS:
-            continue
-        if kind == "released" and "clean_windows" not in event:
-            continue
-        if kind == "window_sanitized":
-            amount = int(event.get("imputed_cells", 0))
-        else:
-            amount = len(event.get("nodes", ()))
-        counts[COUNTED_EVENTS[kind]] += amount
+        counted = tally(event["kind"], event)
+        if counted is not None:
+            counts[counted[0]] += counted[1]
     return counts
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.attacks.base import AttackModel, AttackSource
+from repro.attacks.base import AttackModel
 from repro.noc.topology import MeshTopology
 from repro.traffic.parsec import PARSEC_WORKLOADS
 from repro.traffic.synthetic import SYNTHETIC_PATTERNS
@@ -176,16 +176,6 @@ class MultiAttackScenario:
             benchmark=self.benchmark,
         )
 
-    # -- simulation wiring ---------------------------------------------------
-    def attacker_sources(
-        self, topology: MeshTopology, seed: int = 0, **kwargs
-    ) -> list[AttackSource]:
-        """One :class:`AttackSource` per flow (independent RNG streams)."""
-        return [
-            flow.build_source(topology, seed=seed + index, **kwargs)
-            for index, flow in enumerate(self.flows)
-        ]
-
     def ground_truth_victims(self, topology: MeshTopology) -> set[int]:
         """Union of every flow's Routing-Path Victims plus target victims."""
         victims: set[int] = set()
@@ -335,29 +325,3 @@ class ScenarioGenerator:
                 attackers=attackers, victim=victim, fir=fir, benchmark=benchmark
             )
         return None
-
-    def scenario_suite(
-        self,
-        benchmarks: list[str] | None = None,
-        scenarios_per_benchmark: int = 2,
-        fir: float = 0.8,
-        attacker_counts: tuple[int, ...] = (1, 2),
-    ) -> list[AttackScenario]:
-        """Generate the evaluation suite: scenarios for every benchmark.
-
-        With the defaults (2 scenarios x 9 benchmarks x {1, 2} attackers)
-        this mirrors the paper's "18 attack scenarios ... across 6 + 3
-        benchmarks" construction.
-        """
-        if benchmarks is None:
-            benchmarks = benchmark_names()
-        suite = []
-        for benchmark in benchmarks:
-            for index in range(scenarios_per_benchmark):
-                count = attacker_counts[index % len(attacker_counts)]
-                suite.append(
-                    self.random_scenario(
-                        num_attackers=count, fir=fir, benchmark=benchmark
-                    )
-                )
-        return suite

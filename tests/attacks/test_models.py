@@ -101,12 +101,6 @@ class TestRamping:
 class TestMigrating:
     ATTACK = MigratingFloodAttack(path=(54, 14, 49), victim=9, fir=0.8, dwell_cycles=100)
 
-    def test_position_schedule_wraps(self):
-        assert self.ATTACK.position_at(0) == 54
-        assert self.ATTACK.position_at(150) == 14
-        assert self.ATTACK.position_at(250) == 49
-        assert self.ATTACK.position_at(300) == 54  # patrol loop
-
     def test_profile_activates_one_position(self):
         profile = self.ATTACK.fir_profile_at(150)
         assert profile.tolist() == [0.0, 0.8, 0.0]
@@ -182,10 +176,10 @@ class TestAttackSource:
             attackers=(54,), victim=9, fir=1.0, on_cycles=10, off_cycles=10
         )
         source = model.build_source(TOPOLOGY, seed=3, start_cycle=100, end_cycle=140)
-        assert not source.is_active_at(99)
-        assert source.is_active_at(100)
-        assert not source.is_active_at(112)  # off phase
-        assert not source.is_active_at(140)  # window closed
+        assert not source.is_active_in(99, 100)
+        assert source.is_active_in(100, 101)
+        assert not source.is_active_in(112, 113)  # off phase
+        assert not source.is_active_in(140, 141)  # window closed
         assert source.packets_for_cycle(50) == []
         packets = source.packets_for_cycle(100)
         assert len(packets) == 1  # fir=1.0 burst
@@ -216,7 +210,7 @@ class TestAttackSource:
         for cycle in range(64):
             for packet in source.packets_for_cycle(cycle):
                 seen.add(packet.source)
-                assert packet.source == model.position_at(cycle)
+                assert packet.source == model.path[(cycle // 16) % 2]
         assert seen == {54, 14}
 
     def test_validates_against_topology(self):

@@ -13,6 +13,11 @@ TOPO = MeshTopology(rows=6)
 TLM = TableLikeMethod(TOPO)
 
 
+def attackers_of(tlm: TableLikeMethod, direction_victims, **kwargs) -> list[int]:
+    """The sorted attacker node ids ``tlm.localize`` names."""
+    return sorted(r.attacker for r in tlm.localize(direction_victims, **kwargs))
+
+
 def direction_victims_for(scenario: AttackScenario, topology=TOPO):
     """Exact per-direction victim node sets from the scenario geometry."""
     loads = attack_port_loads(topology, scenario)
@@ -32,29 +37,29 @@ class TestSingleAttackerCases:
     def test_east_attacker_same_row(self):
         # Figure 3, one abnormal frame (E): attacker = Max(E) + 1.
         scenario = AttackScenario(attackers=(5,), victim=0)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert attackers == [5]
 
     def test_west_attacker_same_row(self):
         scenario = AttackScenario(attackers=(0,), victim=5)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert attackers == [0]
 
     def test_north_attacker_same_column(self):
         scenario = AttackScenario(attackers=(30,), victim=0)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert attackers == [30]
 
     def test_south_attacker_same_column(self):
         scenario = AttackScenario(attackers=(0,), victim=30)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert attackers == [0]
 
     def test_dogleg_attacker_two_abnormal_frames(self):
         # Figure 3, two abnormal frames (E & N): single attacker at Max(E)+1;
         # the N candidate is the route turning point and must be discarded.
         scenario = AttackScenario(attackers=(28,), victim=7)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert attackers == [28]
 
     @given(attacker=st.integers(0, 35), victim=st.integers(0, 35))
@@ -63,7 +68,7 @@ class TestSingleAttackerCases:
         if attacker == victim:
             return
         scenario = AttackScenario(attackers=(attacker,), victim=victim)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert attacker in attackers
         # No false attacker is ever reported inside the victim route.
         assert not set(attackers) & scenario.ground_truth_victims(TOPO)
@@ -73,24 +78,24 @@ class TestMultiAttackerCases:
     def test_east_and_west_attackers(self):
         # Figure 3: 'E & W' combination -> two attackers Max(E)+1 and Min(W)-1.
         scenario = AttackScenario(attackers=(5, 0), victim=3)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert set(attackers) == {5, 0}
 
     def test_north_and_south_attackers(self):
         scenario = AttackScenario(attackers=(30, 0), victim=12)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert set(attackers) == {30, 0}
 
     def test_east_and_north_attackers(self):
         # One attacker east in the victim's row, one directly north.
         scenario = AttackScenario(attackers=(5, 31), victim=1)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert set(attackers) == {5, 31}
 
     def test_parallel_rows_two_attackers(self):
         # Two attackers flooding the same victim from different rows.
         scenario = AttackScenario(attackers=(11, 23), victim=6)
-        attackers = TLM.localize_attackers(direction_victims_for(scenario))
+        attackers = attackers_of(TLM, direction_victims_for(scenario))
         assert 11 in attackers or 23 in attackers
 
 

@@ -29,6 +29,8 @@ from repro.noc.routing import UnroutableError, xy_route_path, xy_route_victims
 from repro.noc.topology import Direction, MeshTopology
 from repro.traffic.scenario import AttackScenario, MultiAttackScenario
 
+from tests.core.test_tlm import attackers_of
+
 
 def geometric_direction_victims(
     topology: MeshTopology, flows: list[AttackScenario]
@@ -64,7 +66,7 @@ def test_single_attacker_superset_exhaustive(rows):
             flow = AttackScenario(attackers=(attacker,), victim=victim)
             direction_victims = geometric_direction_victims(topology, [flow])
             fused = fused_ground_truth(topology, [flow])
-            recovered = tlm.localize_attackers(direction_victims, fused_victims=fused)
+            recovered = attackers_of(tlm, direction_victims, fused_victims=fused)
             route = set(xy_route_victims(topology, attacker, victim))
             context = f"{rows}x{rows}: attacker {attacker} -> victim {victim}"
             assert attacker in recovered, f"attacker missed ({context})"
@@ -102,7 +104,7 @@ def test_multi_attacker_iterative_rounds(rows):
             direction_victims = geometric_direction_victims(topology, remaining)
             fused = fused_ground_truth(topology, remaining)
             recovered = set(
-                tlm.localize_attackers(direction_victims, fused_victims=fused)
+                attackers_of(tlm, direction_victims, fused_victims=fused)
             )
             victims = {flow.victim for flow in remaining}
             assert not victims.intersection(recovered), scenario.describe()
@@ -192,7 +194,7 @@ def test_single_attacker_superset_under_faults(rows):
                 )
                 fused = set(path) - {attacker}
                 recovered = set(
-                    tlm.localize_attackers(direction_victims, fused_victims=fused)
+                    attackers_of(tlm, direction_victims, fused_victims=fused)
                 )
                 context = (
                     f"{rows}x{rows} {provider.describe()}: "
@@ -231,14 +233,14 @@ def test_dead_link_prunes_impossible_candidates():
     direction_victims[Direction.EAST] = {victim}
 
     live = TableLikeMethod(topology, route_provider=RouteProvider(topology))
-    assert candidate in live.localize_attackers(
-        direction_victims, fused_victims={victim}
+    assert candidate in attackers_of(
+        live, direction_victims, fused_victims={victim}
     )
 
     dead = RouteProvider(
         topology, dead_links=((candidate, Direction.WEST),)
     )
     pruned = TableLikeMethod(topology, route_provider=dead)
-    assert candidate not in pruned.localize_attackers(
-        direction_victims, fused_victims={victim}
+    assert candidate not in attackers_of(
+        pruned, direction_victims, fused_victims={victim}
     )

@@ -78,14 +78,14 @@ class TestConvictionDynamics:
         acc = EvidenceAccumulator(64, self.CONFIG)
         fresh = []
         for _ in range(4):
-            fresh = acc.observe(result(attackers=[5]), 1.0)
-        assert fresh == [5]
+            fresh, lapsed = acc.observe(result(attackers=[5]), 1.0)
+        assert fresh == [5] and lapsed == []
         assert acc.convicted_nodes() == [5]
 
     def test_three_consecutive_do_not_convict(self):
         acc = EvidenceAccumulator(64, self.CONFIG)
         for _ in range(3):
-            assert acc.observe(result(attackers=[5]), 1.0) == []
+            assert acc.observe(result(attackers=[5]), 1.0) == ([], [])
         assert acc.convicted_nodes() == []
 
     def test_gappy_phantom_trajectory_stays_below_bar(self):
@@ -214,7 +214,7 @@ class TestDetourDiscountsAndPromotions:
                 result(attackers=[9], frontier=[7], estimated=1),
                 1.0,
                 promotions=frozenset({7}),
-            )
+            )[0]
         assert 7 in fresh
         # The same trajectory without corroboration stays un-convictable
         # even with the frontier channel open (under-localized windows).

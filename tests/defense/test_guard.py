@@ -46,8 +46,8 @@ class TestDecisionCore:
         decided = []
         for index, (detected, attackers) in enumerate(script):
             observation = window(100 * (index + 1), detected, attackers)
-            record, decisions = decide(state, observation)
-            assert record.index == index
+            *decisions, last = decide(state, observation)
+            assert last.kind == "window" and last.record.index == index
             decided.append([(d.kind, d.nodes, d.actuated) for d in decisions])
         assert decided == [
             [("detected", (), ())],

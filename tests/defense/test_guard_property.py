@@ -10,7 +10,9 @@ records on a 4x4 mesh, under a random policy.  On every sequence:
 * consecutive staggered release probes are ``release_probe_spacing``
   windows apart or more;
 * the report's ``event_counts`` equal the counts rederived from the run's
-  own trace;
+  own trace, and the trace's decision events equal the report's event log
+  in order, kind, nodes and round;
+* each window's trace events come in the stream's documented order;
 * a node in the window's ``unobservable`` set is never newly engaged;
 * an uncorroborated detour carrier the evidence does not hold convicted in
   that window is never newly engaged;
@@ -37,6 +39,7 @@ from repro.core.pipeline import LocalizationResult
 from repro.defense.degraded import DegradedModeConfig
 from repro.defense.guard import DL2FenceGuard, Observation
 from repro.defense.policy import MitigationPolicy
+from repro.defense.report import DECISION_KINDS
 from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
 from repro.obs.bus import RingBufferSink, trace_session
@@ -46,6 +49,15 @@ from tests.defense.fakes import ScriptedFence, StubFence
 
 NODES = 16
 PERIOD = 100
+
+#: The ``window_sanitized`` fields of a window with two imputed cells.
+SANITIZED = {"imputed_cells": 2, "declared_silent": frozenset({3}), "stuck": frozenset()}
+
+#: The order of a window's events (``decide``); lapses sort by their reason.
+STREAM_ORDER = (
+    "window_sanitized", "gap", "detour_discount", "convicted", "decay",
+    "detected", "engaged", "rolled_back", "released", "window",
+)
 
 nodes = st.lists(st.integers(0, NODES - 1), max_size=6, unique=True)
 node_sets = st.frozensets(st.integers(0, NODES - 1), max_size=4)
@@ -74,6 +86,7 @@ def observation_fields(draw):
         corroborated=draw(node_sets) - detour,
         missed_windows=draw(st.sampled_from((0, 0, 0, 1, 3, 12))),
         fresh_clock=draw(st.booleans()),
+        sanitized=draw(st.sampled_from(({}, SANITIZED))),
     )
 
 
@@ -123,7 +136,7 @@ def test_guard_decision_invariants(fields, policy):
         index
         for index, decisions in enumerate(decided)
         for decision in decisions
-        if decision.kind == "released" and not decision.restated
+        if decision.kind == "released" and "clean_windows" in decision.fields
     ]
     assert all(
         later - earlier >= policy.release_probe_spacing
@@ -131,6 +144,19 @@ def test_guard_decision_invariants(fields, policy):
     )
 
     assert report.event_counts == trace_counts(ring.events())
+    traced = [
+        (event["kind"], event.get("nodes", []), event.get("round", 0))
+        for event in ring.events()
+        if event["kind"] in DECISION_KINDS
+    ]
+    logged = [(event.kind, sorted(event.nodes), event.round) for event in report.events]
+    assert traced == logged
+    ranks = []
+    for event in ring.events():
+        ranks.append(STREAM_ORDER.index(event.get("reason", event["kind"])))
+        if event["kind"] == "window":
+            assert ranks == sorted(ranks)
+            ranks = []
 
     engage_counts: dict[int, int] = {}
     fresh_clean = 0
@@ -146,7 +172,7 @@ def test_guard_decision_invariants(fields, policy):
                 assert not newly & (observation.detour - set(record.suspected))
                 for node in newly:
                     engage_counts[node] = engage_counts.get(node, 0) + 1
-            elif decision.kind == "released" and not decision.restated:
+            elif decision.kind == "released" and "clean_windows" in decision.fields:
                 (probe,) = decision.nodes
                 assert fresh_clean >= policy.release_threshold(engage_counts[probe])
 
@@ -186,11 +212,13 @@ def test_gap_decay_is_capped(fields, policy, gap_at, excess, cap):
 def reference_window(packets, epoch):
     """The per-packet window loop the guard's column query replaced."""
     benign = [p for p in packets if not p.is_malicious]
-    latencies = [p.total_latency() for p in benign]
+    latencies = [p.ejected_cycle - p.created_cycle for p in benign]
     if epoch is None:
         fresh = latencies
     else:
-        fresh = [p.total_latency() for p in benign if p.created_cycle >= epoch]
+        fresh = [
+            p.ejected_cycle - p.created_cycle for p in benign if p.created_cycle >= epoch
+        ]
     return dict(
         benign_latency=float(np.mean(latencies)) if latencies else math.nan,
         benign_delivered=len(benign),

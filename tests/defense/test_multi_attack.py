@@ -98,13 +98,15 @@ def run_multi_attack_episode(
     attack_start = WARMUP + 3 * PERIOD
     attack_end = attack_start + attack_windows * PERIOD
     if attacked:
-        for source in scenario.attacker_sources(
-            simulator.topology,
-            seed=43,
-            start_cycle=attack_start,
-            end_cycle=attack_end,
-        ):
-            simulator.add_source(source)
+        for index, flow in enumerate(scenario.flows):
+            simulator.add_source(
+                flow.build_source(
+                    simulator.topology,
+                    seed=43 + index,
+                    start_cycle=attack_start,
+                    end_cycle=attack_end,
+                )
+            )
     guard = DL2FenceGuard(
         BlindOracle(scenario.attackers, simulator, reveal_all=reveal_all),
         policy,

@@ -68,7 +68,7 @@ class TestDetectionDataset:
         assert dataset.inputs.shape[1:] == (rows, rows - 1, 4)
         assert dataset.labels.shape == (dataset.num_samples, 1)
         assert set(np.unique(dataset.labels)) <= {0.0, 1.0}
-        assert 0.0 < dataset.positive_fraction < 1.0
+        assert 0.0 < dataset.labels.mean() < 1.0
 
     def test_benchmark_metadata(self, small_builder, small_runs):
         dataset = small_builder.detection_dataset(small_runs)

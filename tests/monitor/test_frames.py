@@ -106,7 +106,6 @@ class TestDirectionalFrame:
             Direction.EAST, FeatureKind.VCO, np.array([[0.0, 1.0], [0.5, 0.5]])
         )
         assert frame.max_value() == 1.0
-        assert frame.mean_value() == 0.5
 
 
 class TestFrameSet:

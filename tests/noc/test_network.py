@@ -29,7 +29,8 @@ class TestSinglePacketDelivery:
         network.enqueue_packet(packet)
         run_cycles(network, 40)
         # 6 hops plus injection/ejection stages.
-        assert packet.total_latency() >= MeshTopology(rows=4).manhattan_distance(0, 15)
+        latency = packet.ejected_cycle - packet.created_cycle
+        assert latency >= MeshTopology(rows=4).manhattan_distance(0, 15)
 
     def test_single_hop_neighbor(self):
         network = MeshNetwork(MeshTopology(rows=4))

@@ -35,11 +35,11 @@ def reference_latency(packets) -> LatencyStats:
     for packet in packets:
         if not packet.is_delivered:
             continue
-        total = packet.total_latency()
-        queue = packet.queue_latency()
+        total = packet.ejected_cycle - packet.created_cycle
+        queue = packet.injected_cycle - packet.created_cycle
         total_latencies.append(total)
         queue_latencies.append(queue)
-        per_flit_network = packet.network_latency() / packet.size_flits
+        per_flit_network = (packet.ejected_cycle - packet.injected_cycle) / packet.size_flits
         flit_latencies.extend([queue + per_flit_network] * packet.size_flits)
         flit_queue_latencies.extend([queue] * packet.size_flits)
         delivered_flits += packet.size_flits

@@ -67,13 +67,10 @@ class TestNeighbors:
     def test_corner_node_has_two_neighbors(self):
         topo = MeshTopology(rows=4)
         assert topo.degree(0) == 2
-        assert topo.is_corner_node(0)
 
     def test_edge_node_has_three_neighbors(self):
         topo = MeshTopology(rows=4)
         assert topo.degree(1) == 3
-        assert topo.is_edge_node(1)
-        assert not topo.is_corner_node(1)
 
     def test_local_neighbor_is_self(self):
         topo = MeshTopology(rows=4)

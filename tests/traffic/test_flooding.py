@@ -67,7 +67,6 @@ class TestInjectionBehaviour:
     def test_fir_zero_is_inactive(self):
         attacker = flood(fir=0.0)
         assert attacker.model.fir_profile_at(0) is None
-        assert not attacker.is_active_at(5)
         assert not attacker.is_active_in(0, 100)
         assert attacker.packets_for_cycle(5) == []
         assert attacker.packet_batch_for_cycle(6) is None
@@ -107,10 +106,6 @@ class TestInjectionBehaviour:
         assert attacker.packets_for_cycle(5) == []
         assert attacker.packets_for_cycle(15) != []
         assert attacker.packets_for_cycle(25) == []
-        assert not attacker.is_active_at(9)
-        assert attacker.is_active_at(10)
-        assert attacker.is_active_at(19)
-        assert not attacker.is_active_at(20)
         assert not attacker.is_active_in(0, 10)
         assert attacker.is_active_in(0, 11)
         assert attacker.is_active_in(19, 30)
@@ -118,7 +113,6 @@ class TestInjectionBehaviour:
 
     def test_open_window_never_ends(self):
         attacker = flood(fir=1.0, start_cycle=10)
-        assert attacker.is_active_at(10**6)
         assert attacker.is_active_in(10**6, 10**6 + 1)
 
     def test_object_and_batch_paths_share_one_stream(self):
@@ -171,7 +165,7 @@ def stream_digest(source, path: str) -> str:
     """Digest of activity flags, emitted packets and the generated count."""
     digest = hashlib.sha256()
     for cycle in range(200):
-        active = f"{cycle}:{int(source.is_active_at(cycle))}:"
+        active = f"{cycle}:{int(source.is_active_in(cycle, cycle + 1))}:"
         digest.update(f"{active}{int(source.is_active_in(cycle, cycle + 7))};".encode())
         if path == "object":
             rows = [

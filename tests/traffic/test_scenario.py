@@ -100,19 +100,6 @@ class TestScenarioGenerator:
         with pytest.raises(ValueError):
             generator.random_scenario(num_attackers=TOPO.num_nodes)
 
-    def test_suite_covers_all_benchmarks(self):
-        generator = ScenarioGenerator(TOPO, seed=1)
-        suite = generator.scenario_suite(scenarios_per_benchmark=2)
-        assert len(suite) == 18  # the paper's "18 attack scenarios"
-        assert {s.benchmark for s in suite} == set(benchmark_names())
-
-    def test_suite_alternates_attacker_counts(self):
-        generator = ScenarioGenerator(TOPO, seed=2)
-        suite = generator.scenario_suite(
-            benchmarks=["uniform_random"], scenarios_per_benchmark=2
-        )
-        assert [s.num_attackers for s in suite] == [1, 2]
-
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_generated_scenarios_always_valid(self, seed):
@@ -171,14 +158,6 @@ class TestMultiAttackScenario:
     def test_with_fir_overrides_every_flow(self):
         scenario = MultiAttackScenario(flows=self.flows()).with_fir(0.6)
         assert all(flow.fir == 0.6 for flow in scenario.flows)
-
-    def test_attacker_sources_one_per_flow(self):
-        scenario = MultiAttackScenario(flows=self.flows())
-        sources = scenario.attacker_sources(TOPO, seed=3, start_cycle=100)
-        assert [s.model for s in sources] == list(scenario.flows)
-        assert all(s.start_cycle == 100 for s in sources)
-        # independent RNG streams per flow
-        assert sources[0].rng is not sources[1].rng
 
     def test_ground_truth_union(self):
         scenario = MultiAttackScenario(flows=self.flows())
