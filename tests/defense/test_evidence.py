@@ -141,6 +141,25 @@ class TestConvictionDynamics:
         acc.observe(result(attackers=[5]), 0.0)
         assert acc.suspicion_of(5) == pytest.approx(before * self.CONFIG.decay)
 
+    def test_observe_returns_the_decay_lapse(self):
+        acc = EvidenceAccumulator(64, self.CONFIG)
+        for _ in range(5):
+            acc.observe(result(attackers=[5]), 1.0)
+        returned = []
+        while acc.convicted_nodes():
+            returned.append(acc.observe(result(), 0.0))
+        assert returned[-1] == ([], [5])
+        assert all(window == ([], []) for window in returned[:-1])
+
+    def test_decay_gap_returns_lapsed_convictions(self):
+        acc = EvidenceAccumulator(64, self.CONFIG)
+        for _ in range(5):
+            acc.observe(result(attackers=[5]), 1.0)
+        assert acc.decay_gap(0) == []
+        assert acc.decay_gap(40) == [5]
+        assert acc.convicted_nodes() == []
+        assert acc.decay_gap(40) == []
+
 
 class TestFrontierEvidence:
     CONFIG = EvidenceConfig(decay=0.9, conviction_threshold=3.4, frontier_weight=0.3)

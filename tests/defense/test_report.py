@@ -5,7 +5,14 @@ import math
 import pytest
 
 from repro.defense.policy import MitigationPolicy
-from repro.defense.report import DefenseEvent, DefenseReport, WindowRecord
+from repro.defense.guard import GuardEvent
+from repro.defense.report import (
+    COUNTED_EVENTS,
+    DefenseEvent,
+    DefenseReport,
+    WindowRecord,
+    tally,
+)
 
 
 def make_report(**kwargs):
@@ -299,3 +306,73 @@ class TestEventCounts:
         report.event_counts = {"engagements": 2, "convictions": 1}
         rebuilt = DefenseReport.from_payload(report.to_payload())
         assert rebuilt.event_counts == {"engagements": 2, "convictions": 1}
+
+
+class TestTally:
+    """The one counting rule the report and ``trace_counts`` share."""
+
+    @pytest.mark.parametrize(
+        "kind, counter",
+        [
+            ("engaged", "engagements"),
+            ("rolled_back", "releases"),
+            ("convicted", "convictions"),
+            ("detour_discount", "detour_discounts"),
+        ],
+    )
+    def test_counted_kinds_add_their_node_total(self, kind, counter):
+        assert tally(kind, {"nodes": [3, 7, 9]}) == (counter, 3)
+
+    def test_window_sanitized_adds_imputed_cells(self):
+        fields = {"imputed_cells": 5, "declared_silent": [1, 2]}
+        assert tally("window_sanitized", fields) == ("clamps", 5)
+
+    def test_released_probe_counts_and_marker_does_not(self):
+        probe = {"nodes": [4], "clean_windows": 6}
+        marker = {"nodes": [4, 8]}
+        assert tally("released", probe) == ("releases", 1)
+        assert tally("released", marker) is None
+
+    @pytest.mark.parametrize("kind", ["detected", "conviction_lapsed", "window"])
+    def test_uncounted_kinds(self, kind):
+        assert tally(kind, {"nodes": [1, 2]}) is None
+
+
+class TestFold:
+    """Folding a window's stream, as the guard's reports start: every counter at 0."""
+
+    @staticmethod
+    def counts(**nonzero):
+        return {**dict.fromkeys(COUNTED_EVENTS.values(), 0), **nonzero}
+
+    def make_report(self):
+        return make_report(event_counts=self.counts())
+
+    def test_decisions_join_the_event_log(self):
+        report = self.make_report()
+        report.fold(
+            500,
+            GuardEvent("engaged", {"nodes": [3, 9], "round": 2}, detail="throttle"),
+        )
+        report.fold(600, GuardEvent("released", {"nodes": [3, 9]}))
+        assert report.events == [
+            DefenseEvent(500, "engaged", (3, 9), "throttle", 2),
+            DefenseEvent(600, "released", (3, 9), "", 0),
+        ]
+        # The full-rollback marker restates nodes and adds no count.
+        assert report.event_counts == self.counts(engagements=2)
+
+    def test_window_event_appends_its_record(self):
+        report = self.make_report()
+        record = window(0, "benign", 10.0, 4)
+        report.fold(100, GuardEvent("window", record=record))
+        assert report.windows == [record]
+        assert report.events == [] and report.event_counts == self.counts()
+
+    def test_trace_only_kinds_count_without_joining_the_log(self):
+        report = self.make_report()
+        report.fold(100, GuardEvent("window_sanitized", {"imputed_cells": 3}))
+        report.fold(100, GuardEvent("detour_discount", {"nodes": [5]}))
+        report.fold(100, GuardEvent("conviction_lapsed", {"nodes": [5]}))
+        assert report.events == []
+        assert report.event_counts == self.counts(clamps=3, detour_discounts=1)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.monitor.dataset import DatasetBuilder, DatasetConfig
+from repro.noc import shared_draws
 from repro.monitor.features import FeatureKind
 from repro.noc.topology import Direction
+from repro.traffic.scenario import AttackScenario
 
 
 class TestDatasetConfig:
@@ -30,6 +32,49 @@ class TestWorkloadFactory:
     def test_unknown_benchmark(self, small_builder):
         with pytest.raises(KeyError):
             small_builder.make_workload("not_a_benchmark")
+
+
+class RecordingLane:
+    def __init__(self):
+        self.sources = []
+
+    def add_source(self, source):
+        self.sources.append(source)
+
+
+class TestAddSources:
+    """The one place an episode's workload and attack flows meet a lane."""
+
+    ATTACKS = (
+        AttackScenario(attackers=(28,), victim=7, fir=0.8),
+        AttackScenario(attackers=(33,), victim=2, fir=0.5),
+    )
+
+    def test_workload_then_attacks_at_consecutive_seeds(self, small_builder):
+        lane = RecordingLane()
+        small_builder.add_sources(
+            lane, "uniform_random", 40, self.ATTACKS, start_cycle=96, end_cycle=480
+        )
+        workload, *attacks = lane.sources
+        assert workload.name == "uniform_random" and workload.seed == 40
+        assert [source.seed for source in attacks] == [41, 42]
+        assert [source.model for source in attacks] == list(self.ATTACKS)
+        assert all(
+            (source.start_cycle, source.end_cycle) == (96, 480) for source in attacks
+        )
+
+    def test_only_a_shared_workload_joins_the_open_scope(self, small_builder):
+        token = shared_draws.scope_token()
+        shared_draws.enter_scope(token)
+        try:
+            shared, plain = RecordingLane(), RecordingLane()
+            small_builder.add_sources(shared, "uniform_random", 5, self.ATTACKS, shared=True)
+            small_builder.add_sources(plain, "uniform_random", 5, self.ATTACKS)
+            assert shared.sources[0]._replay is not None
+            assert plain.sources[0]._replay is None
+            assert len(shared_draws._SCOPE.records) == 1
+        finally:
+            shared_draws.close_scope(token)
 
 
 class TestRuns:

@@ -337,6 +337,25 @@ class TestSharedLookupTables:
             tables.q_local, np.arange(3 * lane_vcs) % lane_vcs
         )
 
+    def test_each_batch_builds_its_own_lane_columns(self):
+        """No process-wide cache: a second build is a new table set."""
+        topology = MeshTopology(rows=4, columns=4)
+        first = batched_tables(topology, 4, 3)[1]
+        second = batched_tables(topology, 4, 3)[1]
+        assert first.q_node is not second.q_node
+        np.testing.assert_array_equal(first.q_node, second.q_node)
+        assert first.key_table is second.key_table
+
+    def test_lane_columns_are_freed_with_the_batch(self):
+        gc.disable()
+        try:
+            batched, _ = _batched_run(4, [("flood", 1), ("benign", 2)], 0)
+            ref = weakref.ref(batched.network._q_node)
+            del batched
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_training_batch_tables_stay_small(self):
         """Array bytes of the 14-lane 16x16 training build's tables."""
         mesh, tables = batched_tables(MeshTopology(rows=16, columns=16), 4, 14)
